@@ -18,9 +18,8 @@ from .model import (ForwardOverrides, GraphDictionaryModel, LossConfig,
                     ModelConfig, init_base_dictionary, load_checkpoint,
                     save_checkpoint)
 from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, TransportPlan,
-                   aggregate_attention, aggregate_attention_matrix,
-                   cost_matrix, select_lambdas, sinkhorn, sinkhorn_grid,
-                   wasserstein_embed)
+                   aggregate_attention_matrix, cost_matrix, select_lambdas,
+                   sinkhorn, sinkhorn_grid)
 from .training import (Adam, CvResult, FoldResult, TrainConfig,
                        export_diagnostics, run_cv, train_one_fold)
 from .vgda import (AdaptedKey, SamplingFactor, adapt_key, bernoulli_kl,
@@ -39,9 +38,8 @@ __all__ = [
     "ForwardOverrides", "GraphDictionaryModel", "LossConfig", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
     "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "TransportPlan",
-    "aggregate_attention", "aggregate_attention_matrix", "cost_matrix",
-    "select_lambdas", "sinkhorn",
-    "sinkhorn_grid", "wasserstein_embed",
+    "aggregate_attention_matrix", "cost_matrix", "select_lambdas",
+    "sinkhorn", "sinkhorn_grid",
     "Adam", "CvResult", "FoldResult", "TrainConfig", "export_diagnostics",
     "run_cv", "train_one_fold",
     "AdaptedKey", "SamplingFactor", "adapt_key", "bernoulli_kl",

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -29,13 +30,7 @@ from .training import (TrainConfig, export_diagnostics, format_metrics_table,
 
 # config-file / flag aliases -> TrainConfig field names
 _ALIASES = {"lr": "learning_rate", "wd": "weight_decay", "out": "out_dir"}
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(TrainConfig)}
-
-_INT_FIELDS = {"epochs", "keys", "sensitivities", "seed", "folds",
-               "batch_size", "sinkhorn_max_iter", "workers"}
-_FLOAT_FIELDS = {"learning_rate", "weight_decay", "beta", "p_hat", "momentum",
-                 "temperature", "sinkhorn_tol", "adam_eps"}
-_TUPLE_FIELDS = {"lambdas", "encoder_dims", "adam_betas"}
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
 
 
 def _canonical(key):
@@ -44,19 +39,17 @@ def _canonical(key):
 
 
 def _parse_value(name, raw):
+    """Convert a config-file string to the type TrainConfig declares."""
     raw = raw.strip()
+    kind = _FIELD_TYPES[name]
+    if isinstance(kind, types.UnionType):  # "X | None" fields parse as X
+        kind = typing.get_args(kind)[0]
     try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        if name in _TUPLE_FIELDS:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            if name == "encoder_dims":
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        if name == "head_hidden":
-            return int(raw)
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(p) for p in raw.replace(",", " ").split())
+        if kind in (int, float):
+            return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
     return raw
@@ -90,14 +83,9 @@ def build_train_config(args):
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for flag, name in [("dataset", "dataset"), ("data_dir", "data_dir"),
-                       ("epochs", "epochs"), ("lr", "learning_rate"),
-                       ("beta", "beta"), ("p_hat", "p_hat"),
-                       ("keys", "keys"), ("sensitivities", "sensitivities"),
-                       ("seed", "seed"), ("folds", "folds"),
-                       ("out", "out_dir"), ("workers", "workers")]:
-        value = getattr(args, flag, None)
-        if value is not None:
+    for flag, value in vars(args).items():
+        name = _canonical(flag)
+        if value is not None and name in _FIELD_TYPES:
             values[name] = value
     config = TrainConfig(**values)
     if not config.dataset or not config.data_dir:

@@ -10,8 +10,9 @@ class GraphDictError(Exception):
 
 
 class FormatError(GraphDictError):
-    """A dataset directory is structurally invalid (missing files,
-    node referenced outside any graph, inconsistent record counts)."""
+    """A dataset directory or checkpoint file is structurally invalid
+    (missing files or arrays, node referenced outside any graph,
+    inconsistent record counts)."""
 
 
 class ParseError(GraphDictError):

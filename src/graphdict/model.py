@@ -11,6 +11,7 @@ gradients.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import mswe, tensor as T, vgda
 from .data import LabeledGraph, featurize, normalize_adjacency
 from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, IoError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -427,32 +428,60 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
-    with np.load(path) as data:
-        config = ModelConfig.from_json(bytes(data["config"]).decode("utf-8"))
+    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
+
+    Raises IoError when ``path`` cannot be read and FormatError when it is
+    not a complete checkpoint, naming the path and any missing array.
+    """
+    try:
+        data = np.load(path)
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"checkpoint {path} is not an .npz archive") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError(f"checkpoint {path} is not an .npz archive")
+
+    def array(name):
+        if name not in data.files:
+            raise FormatError(f"checkpoint {path} lacks array {name!r}")
+        try:
+            return data[name]
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"checkpoint {path}: array {name!r} is "
+                              f"corrupt: {exc}") from exc
+
+    with data:
+        try:
+            text = bytes(array("config")).decode("utf-8")
+            config = ModelConfig.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"checkpoint {path} has a malformed config: "
+                              f"{exc!r}") from exc
         enc_input = EncoderParams(
-            weights=[T.Tensor(data[f"enc_input_{i}"], requires_grad=True)
+            weights=[T.Tensor(array(f"enc_input_{i}"), requires_grad=True)
                      for i in range(len(config.encoder_dims))],
             trainable=True)
         enc_dict = EncoderParams(
-            weights=[T.Tensor(data[f"enc_dict_{i}"], requires_grad=False)
+            weights=[T.Tensor(array(f"enc_dict_{i}"), requires_grad=False)
                      for i in range(len(config.encoder_dims))],
             trainable=False)
         keys = []
         for key_id in range(config.num_keys):
-            adjacency = data[f"key_{key_id}_adjacency"]
+            adjacency = array(f"key_{key_id}_adjacency")
             keys.append(DictionaryKey(
                 key_id=key_id,
-                source_class=int(data[f"key_{key_id}_class"][0]),
+                source_class=int(array(f"key_{key_id}_class")[0]),
                 adjacency=adjacency,
                 a_hat=normalize_adjacency(adjacency),
-                features=T.Tensor(data[f"key_{key_id}_features"],
+                features=T.Tensor(array(f"key_{key_id}_features"),
                                   requires_grad=True)))
-        vgda_params = vgda.VgdaParams(w_r=T.Tensor(data["w_r"],
+        vgda_params = vgda.VgdaParams(w_r=T.Tensor(array("w_r"),
                                                    requires_grad=True))
-        w_m = T.Tensor(data["w_m"], requires_grad=True)
-        head = ClassifierHead(w1=T.Tensor(data["head_w1"], requires_grad=True),
-                              w2=T.Tensor(data["head_w2"], requires_grad=True))
+        w_m = T.Tensor(array("w_m"), requires_grad=True)
+        head = ClassifierHead(
+            w1=T.Tensor(array("head_w1"), requires_grad=True),
+            w2=T.Tensor(array("head_w2"), requires_grad=True))
     return GraphDictionaryModel(config, enc_input, enc_dict,
                                 BaseGraphDictionary(keys=keys), vgda_params,
                                 w_m, head)

@@ -2,21 +2,22 @@
 
 For one input graph and its adapted dictionary keys: squared-Euclidean cost
 matrices, entropic optimal transport plans at several sensitivities solved
-by Sinkhorn scaling, per-key embedding values <plan, cost>, and attention
+by Sinkhorn iteration, per-key embedding values <plan, cost>, and attention
 aggregation across sensitivities.
 
 Plans are solved outside the differentiation tape and re-enter it as
 constants (the envelope rule): gradients flow through the cost matrices
-only.  The solver works in the ordinary scaling domain while
-``lam * max(M) <= 30`` and switches to log-domain potentials beyond that to
-avoid underflow.  All sensitivities for one cost matrix are solved together
-in a vectorized batch.
+only.  One loop solves all sensitivities for a cost matrix in a batch,
+retiring each at the iteration where it converges; a sensitivity takes the
+scaling update while ``lam * max(M) <= 30`` and the log-domain potential
+update beyond that, to avoid underflow.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +43,6 @@ def select_lambdas(count):
     """
     if count == len(DEFAULT_LAMBDA_GRID):
         return DEFAULT_LAMBDA_GRID
-    if count == len(MASTER_LAMBDA_GRID):
-        return MASTER_LAMBDA_GRID
     if not 1 <= count <= len(MASTER_LAMBDA_GRID):
         raise ConfigError(f"sensitivity count must lie in "
                           f"[1, {len(MASTER_LAMBDA_GRID)}], got {count}")
@@ -114,76 +113,54 @@ def _round_to_feasible(plans, a, b):
     return scaled
 
 
-def _solve_scaling(M, lams, a, b, max_iter, tol):
-    """Classic u/v scaling iterations, batched over sensitivities."""
-    kernel = np.exp(-lams[:, None, None] * M[None, :, :])
-    c = lams.shape[0]
-    u = np.ones((c, M.shape[0]))
-    v = np.ones((c, M.shape[1]))
-    plans = np.empty((c, M.shape[0], M.shape[1]))
-    iterations = np.full(c, max_iter, dtype=np.int64)
-    done = np.zeros(c, dtype=bool)
-    active = np.arange(c)
-    for it in range(1, max_iter + 1):
-        u = a[None, :] / np.einsum("cnm,cm->cn", kernel, v)
-        v = b[None, :] / np.einsum("cnm,cn->cm", kernel, u)
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise NumericsError("sinkhorn: non-finite scaling vector "
-                                "(use the log-domain branch)")
-        current = u[:, :, None] * kernel * v[:, None, :]
-        newly = _marginal_violation(current, a, b) < tol
-        if newly.any():
-            idx = active[newly]
-            plans[idx] = current[newly]
-            iterations[idx] = it
-            done[idx] = True
-            keep = ~newly
-            if not keep.any():
-                break
-            active, kernel, u, v = active[keep], kernel[keep], u[keep], v[keep]
-    if not done.all():
-        current = u[:, :, None] * kernel * v[:, None, :]
-        plans[active] = current
-    return plans, iterations, done
+def _scaling_step(a, b, kernel, v):
+    """u/v scaling update; u is rebuilt from v, so the state is (kernel, v)."""
+    u = a[None, :] / np.einsum("cnm,cm->cn", kernel, v)
+    v = b[None, :] / np.einsum("cnm,cn->cm", kernel, u)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise NumericsError("sinkhorn: non-finite scaling vector "
+                            "(use the log-domain branch)")
+    return (kernel, v), u[:, :, None] * kernel * v[:, None, :]
 
 
-def _solve_log_domain(M, lams, a, b, max_iter, tol):
-    """Dual-potential iterations in log space, batched over sensitivities."""
-    c = lams.shape[0]
-    eps = 1.0 / lams
-    log_a = np.log(a)
-    log_b = np.log(b)
-    f = np.zeros((c, M.shape[0]))
-    g = np.zeros((c, M.shape[1]))
-    plans = np.empty((c, M.shape[0], M.shape[1]))
-    iterations = np.full(c, max_iter, dtype=np.int64)
-    done = np.zeros(c, dtype=bool)
-    active = np.arange(c)
+def _log_domain_step(M, log_a, log_b, eps, g):
+    """Log-domain update; f is rebuilt from g, so the state is (eps, g)."""
     eps_col = eps[:, None]
+    f = eps_col * log_a[None, :] - eps_col * _logsumexp(
+        (g[:, None, :] - M[None, :, :]) / eps[:, None, None], axis=2)
+    g = eps_col * log_b[None, :] - eps_col * _logsumexp(
+        (f[:, :, None] - M[None, :, :]) / eps[:, None, None], axis=1)
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise NumericsError("sinkhorn: non-finite log-domain potentials")
+    return (eps, g), np.exp((f[:, :, None] + g[:, None, :] - M[None, :, :])
+                            / eps[:, None, None])
+
+
+def _solve(step, state, a, b, max_iter, tol):
+    """Iterate ``step`` on a batch; return (plans, iterations, converged).
+
+    ``step`` maps a state tuple, batched on axis 0, to the next state and its
+    (c, n, m) plans.  A slice is frozen at the first iteration whose plan
+    meets ``tol``, or at ``max_iter``, and dropped from every state array.
+    """
+    c = state[0].shape[0]
+    plans = np.empty((c, a.shape[0], b.shape[0]))
+    iterations = np.empty(c, dtype=np.int64)
+    done = np.empty(c, dtype=bool)
+    active = np.arange(c)
     for it in range(1, max_iter + 1):
-        f = eps_col * log_a[None, :] - eps_col * _logsumexp(
-            (g[:, None, :] - M[None, :, :]) / eps[:, None, None], axis=2)
-        g = eps_col * log_b[None, :] - eps_col * _logsumexp(
-            (f[:, :, None] - M[None, :, :]) / eps[:, None, None], axis=1)
-        if not (np.isfinite(f).all() and np.isfinite(g).all()):
-            raise NumericsError("sinkhorn: non-finite log-domain potentials")
-        current = np.exp((f[:, :, None] + g[:, None, :] - M[None, :, :])
-                         / eps[:, None, None])
+        state, current = step(*state)
         newly = _marginal_violation(current, a, b) < tol
-        if newly.any():
-            idx = active[newly]
-            plans[idx] = current[newly]
-            iterations[idx] = it
-            done[idx] = True
-            keep = ~newly
+        retire = newly if it < max_iter else np.ones_like(newly)
+        if retire.any():
+            idx = active[retire]
+            plans[idx], iterations[idx], done[idx] = (current[retire], it,
+                                                      newly[retire])
+            keep = ~retire
             if not keep.any():
                 break
-            active, f, g = active[keep], f[keep], g[keep]
-            eps, eps_col = eps[keep], eps_col[keep]
-    if not done.all():
-        current = np.exp((f[:, :, None] + g[:, None, :] - M[None, :, :])
-                         / eps[:, None, None])
-        plans[active] = current
+            active = active[keep]
+            state = tuple(x[keep] for x in state)
     return plans, iterations, done
 
 
@@ -202,6 +179,8 @@ def sinkhorn_grid(M, lams, a=None, b=None, max_iter=DEFAULT_MAX_ITER,
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericsError("sinkhorn: cost matrix has non-finite entries")
     lams = np.asarray(lams, dtype=np.float64).reshape(-1)
     if (lams <= 0.0).any():
         raise ConfigError("sinkhorn: every sensitivity must be positive")
@@ -215,10 +194,18 @@ def sinkhorn_grid(M, lams, a=None, b=None, max_iter=DEFAULT_MAX_ITER,
     plans = np.empty((lams.shape[0], M.shape[0], M.shape[1]))
     iterations = np.zeros(lams.shape[0], dtype=np.int64)
     done = np.zeros(lams.shape[0], dtype=bool)
-    for solver, mask in ((_solve_scaling, ~use_log), (_solve_log_domain, use_log)):
-        if mask.any():
-            p, it, dn = solver(M, lams[mask], a, b, max_iter, tol)
-            plans[mask], iterations[mask], done[mask] = p, it, dn
+    scaling = ~use_log
+    if scaling.any():
+        kernel = np.exp(-lams[scaling][:, None, None] * M[None, :, :])
+        state = (kernel, np.ones((kernel.shape[0], M.shape[1])))
+        plans[scaling], iterations[scaling], done[scaling] = _solve(
+            partial(_scaling_step, a, b), state, a, b, max_iter, tol)
+    if use_log.any():
+        eps = 1.0 / lams[use_log]
+        state = (eps, np.zeros((eps.shape[0], M.shape[1])))
+        plans[use_log], iterations[use_log], done[use_log] = _solve(
+            partial(_log_domain_step, M, np.log(a), np.log(b)), state, a, b,
+            max_iter, tol)
     plans = _round_to_feasible(plans, a, b)
 
     results = []
@@ -269,19 +256,6 @@ def embed_keys_multi(f_input, adapted_keys, lams, max_iter=DEFAULT_MAX_ITER,
     return T.concat_rows(rows), costs, meta
 
 
-def wasserstein_embed(f_input, adapted_keys, lam, max_iter=DEFAULT_MAX_ITER,
-                      tol=DEFAULT_TOL):
-    """Length-K embedding of one input at a single sensitivity.
-
-    Entry j is the Frobenius inner product of the (detached) transport plan
-    with the differentiable cost matrix against adapted key j; every entry
-    is nonnegative.  Returns a (K, 1) tensor.
-    """
-    h_matrix, _, _ = embed_keys_multi(f_input, adapted_keys, [lam],
-                                      max_iter=max_iter, tol=tol)
-    return h_matrix  # (K, 1): one column because there is one sensitivity
-
-
 def aggregate_attention_matrix(h_matrix, w_m):
     """Attention fusion over the sensitivity axis of a K-by-C embedding.
 
@@ -297,7 +271,3 @@ def aggregate_attention_matrix(h_matrix, w_m):
     h_hat = T.matmul(h_matrix, T.transpose(alpha))
     return h_hat, alpha
 
-
-def aggregate_attention(h_list, w_m):
-    """Attention fusion of C per-sensitivity embeddings (each a (K, 1) tensor)."""
-    return aggregate_attention_matrix(T.concat_cols(list(h_list)), w_m)

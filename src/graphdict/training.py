@@ -41,7 +41,7 @@ class TrainConfig:
     p_hat: float = 0.5
     keys: int = 14
     sensitivities: int = 8
-    lambdas: tuple | None = None          # None -> select_lambdas(sensitivities)
+    lambdas: tuple[float, ...] | None = None  # None -> from sensitivities
     momentum: float = 0.999
     seed: int = 0
     folds: int = 10
@@ -49,9 +49,9 @@ class TrainConfig:
     temperature: float = 1.0
     sinkhorn_max_iter: int = DEFAULT_MAX_ITER
     sinkhorn_tol: float = DEFAULT_TOL
-    encoder_dims: tuple = DEFAULT_HIDDEN_DIMS
+    encoder_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     head_hidden: int = 64
-    adam_betas: tuple = (0.9, 0.999)
+    adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     workers: int = 1
     out_dir: str | None = None

@@ -1,9 +1,12 @@
 """Shared builders for the test suite."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphdict.data import DatasetBundle, LabeledGraph
+from graphdict.data import DatasetBundle, LabeledGraph, save_tu_dataset
 from graphdict.model import GraphDictionaryModel, LossConfig, ModelConfig
 
 
@@ -72,34 +75,9 @@ def build_tiny_model(seed=7, lambdas=(0.5, 5.0), beta=0.001, num_keys=2,
 
 
 def write_tu_dataset(bundle, data_dir, name):
-    """Serialize a bundle in the four-file TU layout (1-indexed ids)."""
-    import os
-
+    """Write a bundle as TU dataset ``name`` in data_dir; return its root."""
     root = os.path.join(str(data_dir), name)
-    os.makedirs(root, exist_ok=True)
-    edges = []
-    indicator = []
-    node_labels = []
-    offset = 0
-    for gid, graph in enumerate(bundle.graphs, start=1):
-        n = graph.node_count
-        indicator.extend([str(gid)] * n)
-        rows, cols = np.nonzero(graph.adjacency)
-        edges.extend(f"{offset + u + 1}, {offset + v + 1}"
-                     for u, v in zip(rows, cols))
-        if graph.node_labels is not None:
-            node_labels.extend(str(int(v)) for v in graph.node_labels)
-        offset += n
-
-    def dump(suffix, lines):
-        with open(os.path.join(root, f"{name}_{suffix}.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    dump("A", edges)
-    dump("graph_indicator", indicator)
-    dump("graph_labels", [str(g.class_label) for g in bundle.graphs])
-    if node_labels:
-        dump("node_labels", node_labels)
+    save_tu_dataset(replace(bundle, name=name), root)
     return root
 
 

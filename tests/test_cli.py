@@ -3,12 +3,14 @@
 import argparse
 import csv
 
+import numpy as np
 import pytest
 
 from graphdict.cli import (build_parser, build_train_config, load_config_file,
                            main)
 from graphdict.errors import ConfigError, IoError
-from conftest import make_synthetic_bundle, write_tu_dataset
+from graphdict.model import save_checkpoint
+from conftest import build_tiny_model, make_synthetic_bundle, write_tu_dataset
 
 
 # --- parser -----------------------------------------------------------------
@@ -201,3 +203,50 @@ def test_main_missing_dataset_flag_exits_with_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err and "--dataset" in captured.err
+
+
+# --- unusable checkpoints ---------------------------------------------------
+
+def _load_fails_with_one_error_line(fast_cfg_file, checkpoint, tmp_path,
+                                    capsys, command):
+    extra = (["--graph-id", "0", "--out", str(tmp_path / "d")]
+             if command == "export-diagnostics" else [])
+    code = main([command, "--config", fast_cfg_file,
+                 "--checkpoint", str(checkpoint), *extra])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(checkpoint) in lines[0]
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+def test_missing_checkpoint_exits_with_error(fast_cfg_file, tmp_path, capsys,
+                                             command):
+    line = _load_fails_with_one_error_line(
+        fast_cfg_file, tmp_path / "absent.npz", tmp_path, capsys, command)
+    assert "cannot read checkpoint" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+def test_non_npz_checkpoint_exits_with_error(fast_cfg_file, tmp_path, capsys,
+                                             command):
+    path = tmp_path / "notes.npz"
+    path.write_text("not a checkpoint\n")
+    line = _load_fails_with_one_error_line(fast_cfg_file, path, tmp_path,
+                                           capsys, command)
+    assert "not an .npz archive" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
+                                                capsys, command):
+    full = tmp_path / "full.npz"
+    save_checkpoint(build_tiny_model()[0], full)
+    with np.load(full) as data:
+        arrays = {name: data[name] for name in data.files if name != "w_r"}
+    partial = tmp_path / "partial.npz"
+    np.savez(partial, **arrays)
+    line = _load_fails_with_one_error_line(fast_cfg_file, partial, tmp_path,
+                                           capsys, command)
+    assert "lacks array 'w_r'" in line

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdict import tensor as T
-from graphdict.errors import ConfigError, ShapeError
-from graphdict.mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID,
-                            aggregate_attention, aggregate_attention_matrix,
+from graphdict.errors import ConfigError, NumericsError, ShapeError
+from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
+                            MASTER_LAMBDA_GRID, aggregate_attention_matrix,
                             cost_matrix, embed_keys_multi, select_lambdas,
-                            sinkhorn, sinkhorn_grid, wasserstein_embed)
+                            sinkhorn, sinkhorn_grid)
 from graphdict.vgda import AdaptedKey
 
 
@@ -103,6 +104,34 @@ def test_solver_validation():
         sinkhorn(M, 1.0, a=np.array([1.5, -0.5]))
     with pytest.raises(ConfigError):
         sinkhorn(M, 1.0, b=np.array([0.9, 0.9]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericsError, match="non-finite"):
+            sinkhorn(np.array([[0.0, bad], [1.0, 1.0]]), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 2.0),
+       exponents=st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=8),
+       max_iter=st.integers(1, 25), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_grid_slices_match_single_solves(n, m, seed, log_scale, exponents,
+                                         max_iter, tol):
+    """Batching, retirement and the domain split leave each slice untouched."""
+    M = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, m))
+    M *= 10.0 ** log_scale
+    # lam = edge * 10**e takes the log-domain update exactly when e > 0
+    edge = LOG_DOMAIN_THRESHOLD / M.max()
+    lams = [edge * 10.0 ** e for e in [-0.5, *exponents, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grid = sinkhorn_grid(M, lams, max_iter=max_iter, tol=tol)
+        singles = [sinkhorn(M, lam, max_iter=max_iter, tol=tol)
+                   for lam in lams]
+    for plan, single in zip(grid, singles):
+        assert plan.values.tobytes() == single.values.tobytes()
+        assert plan.iterations_used == single.iterations_used
+        assert plan.converged == single.converged
 
 
 def test_nonconvergence_warns_but_stays_feasible():
@@ -170,14 +199,14 @@ def test_embedding_matrix_shape():
 def test_single_sensitivity_embedding_length():
     rng = np.random.default_rng(6)
     f = T.Tensor(rng.normal(size=(4, 8)))
-    h = wasserstein_embed(f, [make_key(rng.normal(size=(3, 8)))], 1.0)
+    h, _, _ = embed_keys_multi(f, [make_key(rng.normal(size=(3, 8)))], [1.0])
     assert h.values.shape == (1, 1)
 
 
 def test_identical_features_embed_near_zero_at_sharp_sensitivity():
     feats = np.random.default_rng(0).normal(size=(4, 8))
-    h = wasserstein_embed(T.Tensor(feats), [make_key(feats.copy())], 100.0,
-                          max_iter=5000, tol=1e-9)
+    h, _, _ = embed_keys_multi(T.Tensor(feats), [make_key(feats.copy())],
+                               [100.0], max_iter=5000, tol=1e-9)
     assert h.values.item() <= 1e-9
 
 
@@ -188,7 +217,7 @@ def test_single_sensitivity_matches_grid_column():
             make_key(rng.normal(size=(5, 8)), key_id=1)]
     multi, _, _ = embed_keys_multi(f, keys, (0.5, 5.0), max_iter=2000,
                                    tol=1e-9)
-    single = wasserstein_embed(f, keys, 0.5, max_iter=2000, tol=1e-9)
+    single, _, _ = embed_keys_multi(f, keys, [0.5], max_iter=2000, tol=1e-9)
     assert np.allclose(multi.values[:, 0:1], single.values, atol=1e-12)
 
 
@@ -240,17 +269,6 @@ def test_attention_weights_normalized_and_aggregate_exact():
     h_hat, alpha = aggregate_attention_matrix(h, w_m)
     assert abs(alpha.values.sum() - 1.0) <= 1e-9
     assert np.allclose(h_hat.values, h.values @ alpha.values.T, atol=1e-12)
-
-
-def test_attention_list_form_matches_matrix_form():
-    rng = np.random.default_rng(11)
-    cols = [T.Tensor(rng.normal(size=(4, 1))) for _ in range(3)]
-    w_m = T.Tensor(rng.normal(size=(1, 4)))
-    from_list, alpha_list = aggregate_attention(cols, w_m)
-    stacked = T.Tensor(np.hstack([c.values for c in cols]))
-    from_matrix, alpha_matrix = aggregate_attention_matrix(stacked, w_m)
-    assert np.allclose(from_list.values, from_matrix.values, atol=1e-12)
-    assert np.allclose(alpha_list.values, alpha_matrix.values, atol=1e-12)
 
 
 def test_attention_shape_validation():

@@ -17,13 +17,15 @@ from .errors import (ConfigError, FormatError, GraphDictError, IoError,
 from .model import (ForwardOverrides, GraphDictionaryModel, LossConfig,
                     ModelConfig, init_base_dictionary, load_checkpoint,
                     save_checkpoint)
-from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, TransportPlan,
-                   aggregate_attention_matrix, cost_matrix, select_lambdas,
-                   sinkhorn, sinkhorn_grid)
+from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, PlanStack,
+                   TransportPlan, aggregate_attention_matrix, cost_matrix,
+                   embed_keys_multi, select_lambdas, sinkhorn, sinkhorn_grid,
+                   sinkhorn_keys)
 from .training import (Adam, CvResult, FoldResult, TrainConfig,
                        export_diagnostics, run_cv, train_one_fold)
-from .vgda import (AdaptedKey, SamplingFactor, adapt_key, bernoulli_kl,
-                   sample_factor, sampling_probability, select_substructure)
+from .vgda import (AdaptedKey, SamplingFactor, adapt_key, adapt_keys,
+                   bernoulli_kl, sample_factor, sampling_probability,
+                   select_substructure, stack_keys)
 
 __version__ = "0.1.0"
 
@@ -37,12 +39,13 @@ __all__ = [
     "IoError",
     "ForwardOverrides", "GraphDictionaryModel", "LossConfig", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
-    "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "TransportPlan",
-    "aggregate_attention_matrix", "cost_matrix", "select_lambdas",
-    "sinkhorn", "sinkhorn_grid",
+    "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "PlanStack", "TransportPlan",
+    "aggregate_attention_matrix", "cost_matrix", "embed_keys_multi",
+    "select_lambdas", "sinkhorn", "sinkhorn_grid", "sinkhorn_keys",
     "Adam", "CvResult", "FoldResult", "TrainConfig", "export_diagnostics",
     "run_cv", "train_one_fold",
-    "AdaptedKey", "SamplingFactor", "adapt_key", "bernoulli_kl",
-    "sample_factor", "sampling_probability", "select_substructure",
+    "AdaptedKey", "SamplingFactor", "adapt_key", "adapt_keys",
+    "bernoulli_kl", "sample_factor", "sampling_probability",
+    "select_substructure", "stack_keys",
     "__version__",
 ]

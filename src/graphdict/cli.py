@@ -46,13 +46,27 @@ def _parse_value(name, raw):
         kind = typing.get_args(kind)[0]
     try:
         if typing.get_origin(kind) is tuple:
-            item = typing.get_args(kind)[0]
-            return tuple(item(p) for p in raw.replace(",", " ").split())
+            return _parse_tuple(name, raw, typing.get_args(kind))
         if kind in (int, float):
             return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
     return raw
+
+
+def _parse_tuple(name, raw, items):
+    """``tuple[X, ...]`` takes one or more values; ``tuple[X, Y, ...]`` with
+    fixed items takes exactly one value per item."""
+    parts = raw.replace(",", " ").split()
+    if items[-1] is Ellipsis:
+        if not parts:
+            raise ConfigError(f"bad value for {name}: expected at least one "
+                              "value, got none")
+        return tuple(items[0](p) for p in parts)
+    if len(parts) != len(items):
+        raise ConfigError(f"bad value for {name}: {raw!r} (expected "
+                          f"{len(items)} values, got {len(parts)})")
+    return tuple(item(p) for item, p in zip(items, parts))
 
 
 def load_config_file(path):

@@ -93,7 +93,6 @@ class DictionaryKey:
     adjacency: np.ndarray
     a_hat: np.ndarray
     features: T.Tensor            # trainable (psi)
-    encoded: T.Tensor | None = None
 
     @property
     def node_count(self):
@@ -102,7 +101,17 @@ class DictionaryKey:
 
 @dataclass
 class BaseGraphDictionary:
+    """The keys, plus their stacked encodings once refreshed.
+
+    Key j owns rows offsets[j]:offsets[j+1] of ``encoded``.
+    """
+
     keys: list[DictionaryKey]
+    encoded: T.Tensor | None = None
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.offsets = np.cumsum([0] + [key.node_count for key in self.keys])
 
     def __len__(self):
         return len(self.keys)
@@ -201,7 +210,6 @@ class Diagnostics:
     masks: list
     costs: list
     plan_stacks: list
-    plan_meta: list
     h_matrix: np.ndarray
     alpha: np.ndarray
     probabilities: np.ndarray
@@ -294,47 +302,46 @@ class GraphDictionaryModel:
     # -- forward ------------------------------------------------------------
 
     def refresh_key_encodings(self):
-        """Re-encode every key through the momentum branch.
+        """Re-encode every key through the momentum branch and stack them.
 
         Call once per optimizer step inside the active tape (gradients flow
         to the trainable node features through the frozen branch weights),
         or once before a batch of evaluation passes.
         """
-        for key in self.dictionary.keys:
-            key.encoded = encode(key.features, key.a_hat, self.encoder_dict)
+        self.dictionary.encoded = T.concat_rows(
+            [encode(key.features, key.a_hat, self.encoder_dict)
+             for key in self.dictionary.keys])
 
     def forward(self, prepared, mode, rng=None, overrides=None,
                 collect=False, use_vgda=True):
-        """One pass: class probabilities, total KL, and embeddings."""
+        """One pass: class probabilities, total KL, and embeddings.
+
+        Every key is adapted and embedded at once, as one stacked matrix.
+        """
         cfg = self.config
-        if self.dictionary.keys[0].encoded is None:
+        keys = self.dictionary
+        if keys.encoded is None:
             raise ConfigError("call refresh_key_encodings() before forward()")
         f_full = encode(prepared.features, prepared.a_hat, self.encoder_input)
         f_real = T.row_select(f_full, prepared.real_mask)
 
-        adapted = []
-        factors = []
-        kl_terms = []
-        for j, key in enumerate(self.dictionary.keys):
-            if use_vgda:
-                mask_override = None
-                if overrides is not None and overrides.masks is not None:
-                    mask_override = overrides.masks[j]
-                adapted_key, factor, kl_j = vgda.adapt_key(
-                    f_full, key.encoded, self.vgda_params.w_r, mode,
-                    rng=rng, temperature=cfg.temperature,
-                    p_hat=cfg.loss.p_hat, key_id=key.key_id,
-                    mask_override=mask_override)
-                factors.append(factor)
-                kl_terms.append(kl_j)
-            else:
-                adapted_key = vgda.AdaptedKey(
-                    indices=np.arange(key.node_count),
-                    features=key.encoded, key_id=key.key_id)
-            adapted.append(adapted_key)
+        factor = None
+        if use_vgda:
+            mask_override = None
+            if overrides is not None and overrides.masks is not None:
+                mask_override = np.concatenate(overrides.masks)
+            adapted, factor, kl_total = vgda.adapt_keys(
+                f_full, keys.encoded, keys.offsets, self.vgda_params.w_r,
+                mode, rng=rng, temperature=cfg.temperature,
+                p_hat=cfg.loss.p_hat, mask_override=mask_override)
+        else:
+            adapted = vgda.AdaptedKey(
+                indices=T.segment_index(keys.offsets)[1],
+                features=keys.encoded, offsets=keys.offsets)
+            kl_total = T.constant(0.0)
 
         plans_override = overrides.plans if overrides is not None else None
-        h_matrix, costs, plan_meta = mswe.embed_keys_multi(
+        h_matrix, cost, transport = mswe.embed_keys_multi(
             f_real, adapted, cfg.loss.lambdas,
             max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol,
             plans_override=plans_override)
@@ -343,22 +350,23 @@ class GraphDictionaryModel:
         hidden = T.relu(T.matmul(T.transpose(h_hat), self.head.w1))
         logits = T.matmul(hidden, self.head.w2)
         probabilities = T.row_softmax(logits)
-        kl_total = T.add_n(kl_terms) if kl_terms else T.constant(0.0)
 
         diagnostics = None
         if collect:
             if plans_override is not None:
                 stacks = [np.asarray(p) for p in plans_override]
             else:
-                stacks = [np.stack([p.values for p in per_key])
-                          for per_key in plan_meta]
+                stacks = transport.per_key()
+            key_split = keys.offsets[1:-1]
             diagnostics = Diagnostics(
-                sampling_probabilities=[f.p.values[:, 0].copy()
-                                        for f in factors],
-                masks=[f.z.copy() for f in factors],
-                costs=[c.values.copy() for c in costs],
+                sampling_probabilities=(
+                    np.split(factor.p.values[:, 0].copy(), key_split)
+                    if factor is not None else []),
+                masks=(np.split(factor.z.copy(), key_split)
+                       if factor is not None else []),
+                costs=np.split(cost.values.copy(), adapted.offsets[1:-1],
+                               axis=1),
                 plan_stacks=stacks,
-                plan_meta=plan_meta,
                 h_matrix=h_matrix.values.copy(),
                 alpha=alpha.values[0].copy(),
                 probabilities=probabilities.values[0].copy(),

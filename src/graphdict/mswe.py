@@ -5,12 +5,17 @@ matrices, entropic optimal transport plans at several sensitivities solved
 by Sinkhorn iteration, per-key embedding values <plan, cost>, and attention
 aggregation across sensitivities.
 
-Plans are solved outside the differentiation tape and re-enter it as
-constants (the envelope rule): gradients flow through the cost matrices
-only.  One loop solves all sensitivities for a cost matrix in a batch,
-retiring each at the iteration where it converges; a sensitivity takes the
-scaling update while ``lam * max(M) <= 30`` and the log-domain potential
-update beyond that, to avoid underflow.
+The keys' selected rows are stacked, so one cost op gives the (n, sum m_j)
+matrix of every key's costs side by side.  Plans are solved outside the
+differentiation tape and re-enter it as constants (the envelope rule):
+gradients flow through the cost matrices only.  One loop solves every
+(key, sensitivity) slice in one batch padded to the widest key, freezing
+each slice at the iteration where it converges.  A slice takes the scaling
+update while ``lam * max(M_j) <= 30`` and the log-domain potential update
+beyond that, to avoid underflow; log-domain slices are laid out as a
+(sensitivity, key) grid, so each key's cost matrix is shared by all its
+sensitivities rather than copied per slice.  A single key is the case
+K = 1.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, NumericsError, ShapeError
+from .vgda import AdaptedKey, stack_keys
 
 LOG_DOMAIN_THRESHOLD = 30.0
 DEFAULT_MAX_ITER = 200
@@ -61,19 +67,41 @@ class TransportPlan:
     converged: bool
 
 
+@dataclass
+class PlanStack:
+    """Transport plans of one input against K keys at C sensitivities.
+
+    ``values[j, c]`` is key j's plan at ``lams[c]``; key j spans cost columns
+    offsets[j]:offsets[j+1], and its plans are zero-padded to the widest
+    key's width.
+    """
+
+    values: np.ndarray             # (K, C, n, max m_j)
+    offsets: np.ndarray            # (K + 1,)
+    lams: np.ndarray               # (C,)
+    iterations: np.ndarray         # (K, C) iterations used
+    converged: np.ndarray          # (K, C)
+
+    def per_key(self):
+        """Each key's (C, n, m_j) plan stack, padding removed."""
+        return np.split(T.unpad_segments(self.values, self.offsets),
+                        self.offsets[1:-1], axis=-1)
+
+
 def uniform_marginal(n):
     """The uniform node-mass vector of length n."""
     return np.full(n, 1.0 / n)
 
 
-def _check_marginal(name, vec, length):
+def _check_marginal(name, vec, offsets):
+    """A strictly positive marginal summing to 1 over each segment."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (length,):
+    if vec.shape != (offsets[-1],):
         raise ShapeError(f"sinkhorn: marginal {name} has shape {vec.shape}, "
-                         f"expected ({length},)")
+                         f"expected ({offsets[-1]},)")
     if (vec <= 0.0).any():
         raise ConfigError(f"sinkhorn: marginal {name} must be strictly positive")
-    if abs(vec.sum() - 1.0) > 1e-9:
+    if (np.abs(np.add.reduceat(vec, offsets[:-1]) - 1.0) > 1e-9).any():
         raise ConfigError(f"sinkhorn: marginal {name} must sum to 1")
     return vec
 
@@ -84,139 +112,195 @@ def _logsumexp(x, axis):
 
 
 def _marginal_violation(plans, a, b):
-    """Worst row/column marginal violation per plan in a (c, n, m) stack."""
-    row = np.abs(plans.sum(axis=2) - a[None, :]).max(axis=1)
-    col = np.abs(plans.sum(axis=1) - b[None, :]).max(axis=1)
+    """Worst row/column marginal violation of each (n, m) plan in a stack."""
+    row = np.abs(plans.sum(axis=-1) - a).max(axis=-1)
+    col = np.abs(plans.sum(axis=-2) - b).max(axis=-1)
     return np.maximum(row, col)
 
 
-def _round_to_feasible(plans, a, b):
-    """Project a (c, n, m) plan stack onto the exact transport polytope.
+def _capped_ratio(target, total):
+    """min(target / total, 1), taking 1 where total is 0."""
+    return np.divide(target, total, out=np.ones_like(total),
+                     where=target < total)
 
-    Scale rows down to at most ``a``, then columns down to at most ``b``,
-    then add the rank-one correction that restores both marginals exactly.
-    All three steps keep entries nonnegative.  Near-converged plans move by
-    no more than their marginal violation; plans cut off at the iteration
-    cap become feasible couplings instead of approximate ones.
+
+def _round_to_feasible(plans, a, b):
+    """Project an (s, n, m) plan stack onto the exact transport polytope.
+
+    ``b`` holds each plan's column marginal; padded columns carry zero mass
+    and stay zero.  Scale rows down to at most ``a``, then columns down to
+    at most ``b``, then add the rank-one correction that restores both
+    marginals exactly.  All three steps keep entries nonnegative.
+    Near-converged plans move by no more than their marginal violation;
+    plans cut off at the iteration cap become feasible couplings instead of
+    approximate ones.
     """
-    rows = plans.sum(axis=2)
-    scaled = plans * np.minimum(a[None, :] / rows, 1.0)[:, :, None]
-    cols = scaled.sum(axis=1)
-    scaled = scaled * np.minimum(b[None, :] / cols, 1.0)[:, None, :]
+    scaled = plans * _capped_ratio(a[None, :], plans.sum(axis=2))[:, :, None]
+    scaled *= _capped_ratio(b, scaled.sum(axis=1))[:, None, :]
     err_a = np.maximum(a[None, :] - scaled.sum(axis=2), 0.0)
-    err_b = np.maximum(b[None, :] - scaled.sum(axis=1), 0.0)
+    err_b = np.maximum(b - scaled.sum(axis=1), 0.0)
     missing = err_a.sum(axis=1)
-    needs = missing > 0.0
-    if needs.any():
-        correction = np.einsum("cn,cm->cnm", err_a, err_b)
-        scaled[needs] += correction[needs] / missing[needs, None, None]
+    # a plan missing no mass has err_a = 0, so its correction is exactly 0
+    correction = err_a[:, :, None] * err_b[:, None, :]
+    correction /= np.where(missing > 0.0, missing, 1.0)[:, None, None]
+    scaled += correction
     return scaled
 
 
 def _scaling_step(a, b, kernel, v):
-    """u/v scaling update; u is rebuilt from v, so the state is (kernel, v)."""
-    u = a[None, :] / np.einsum("cnm,cm->cn", kernel, v)
-    v = b[None, :] / np.einsum("cnm,cn->cm", kernel, u)
+    """u/v scaling update; u is rebuilt from v, so the state is (b, kernel, v)."""
+    u = a / np.einsum("rknm,rkm->rkn", kernel, v)
+    v = b / np.einsum("rknm,rkn->rkm", kernel, u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericsError("sinkhorn: non-finite scaling vector "
                             "(use the log-domain branch)")
-    return (kernel, v), u[:, :, None] * kernel * v[:, None, :]
+    plans = u[:, :, :, None] * kernel * v[:, :, None, :]
+    return (b, kernel, v), plans, _marginal_violation(plans, a, b)
 
 
-def _log_domain_step(M, log_a, log_b, eps, g):
-    """Log-domain update; f is rebuilt from g, so the state is (eps, g)."""
-    eps_col = eps[:, None]
-    f = eps_col * log_a[None, :] - eps_col * _logsumexp(
-        (g[:, None, :] - M[None, :, :]) / eps[:, None, None], axis=2)
-    g = eps_col * log_b[None, :] - eps_col * _logsumexp(
-        (f[:, :, None] - M[None, :, :]) / eps[:, None, None], axis=1)
-    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+def _log_domain_step(a, M, b, eps, eps_log_a, eps_log_b, g):
+    """Log-domain update; f is rebuilt from g, so the state is
+    (eps, eps * log a, eps * log b, g).  ``M`` stacks the keys' cost
+    matrices, shared by every sensitivity row.  Padded columns have b = 0,
+    so g and eps * log b are -inf there."""
+    eps_3d = eps[:, None, None]
+    eps_4d = eps[:, None, None, None]
+    f = eps_log_a - eps_3d * _logsumexp((g[:, :, None, :] - M) / eps_4d,
+                                        axis=3)
+    g = eps_log_b - eps_3d * _logsumexp((f[:, :, :, None] - M) / eps_4d,
+                                        axis=2)
+    # padded columns hold g = -inf; mask them only once a check fails
+    if not (np.isfinite(f).all()
+            and (np.isfinite(g).all() or (np.isfinite(g) | (b == 0.0)).all())):
         raise NumericsError("sinkhorn: non-finite log-domain potentials")
-    return (eps, g), np.exp((f[:, :, None] + g[:, None, :] - M[None, :, :])
-                            / eps[:, None, None])
+    plans = np.exp((f[:, :, :, None] + g[:, :, None, :] - M) / eps_4d)
+    return ((eps, eps_log_a, eps_log_b, g), plans,
+            _marginal_violation(plans, a, b))
 
 
-def _solve(step, state, a, b, max_iter, tol):
-    """Iterate ``step`` on a batch; return (plans, iterations, converged).
+def _solve(step, state, ids, live, out, max_iter, tol):
+    """Iterate ``step`` on a batch of slice rows, filling ``out``.
 
-    ``step`` maps a state tuple, batched on axis 0, to the next state and its
-    (c, n, m) plans.  A slice is frozen at the first iteration whose plan
-    meets ``tol``, or at ``max_iter``, and dropped from every state array.
+    State arrays are batched on axis 0, one row each; ``ids`` (r, k) holds
+    the flat index, key * C + sensitivity, of every slice in every row.
+    ``step`` maps a state tuple to the next state, the (r, k, n, m) plans
+    and their (r, k) marginal violations.  ``live`` marks the slices to
+    solve; the others ride along unused.  A live slice is frozen into
+    ``out`` = (plans, iterations, converged) at the first iteration whose
+    plan meets ``tol``, or at ``max_iter``; a row leaves every state array
+    once all its slices are frozen.
     """
-    c = state[0].shape[0]
-    plans = np.empty((c, a.shape[0], b.shape[0]))
-    iterations = np.empty(c, dtype=np.int64)
-    done = np.empty(c, dtype=bool)
-    active = np.arange(c)
+    plans, iterations, done = out
     for it in range(1, max_iter + 1):
-        state, current = step(*state)
-        newly = _marginal_violation(current, a, b) < tol
-        retire = newly if it < max_iter else np.ones_like(newly)
+        state, current, violation = step(*state)
+        newly = live & (violation < tol)
+        retire = newly if it < max_iter else live
         if retire.any():
-            idx = active[retire]
+            idx = ids[retire]
             plans[idx], iterations[idx], done[idx] = (current[retire], it,
                                                       newly[retire])
-            keep = ~retire
+            live = live & ~retire
+            keep = live.any(axis=1)
             if not keep.any():
                 break
-            active = active[keep]
-            state = tuple(x[keep] for x in state)
-    return plans, iterations, done
+            if not keep.all():
+                ids, live = ids[keep], live[keep]
+                state = tuple(x[keep] for x in state)
+
+
+def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
+                  max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+    """Entropic transport plans of one input against K keys at C sensitivities.
+
+    ``M`` is (n, sum m_j): key j's cost matrix fills columns
+    offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
+    is None).  ``a`` is the input's node mass and ``b`` stacks each key's,
+    summing to 1 per key; both default to uniform.  All K*C (key,
+    sensitivity) slices are solved together, padded to the widest key with
+    zero-mass columns.  A slice takes the log domain when
+    lam * max(M_j) > 30 and the scaling update otherwise.  Scaling slices
+    form a batch of one slice per row, each leaving at the iteration where
+    it converges; log-domain slices form a (sensitivity, key) grid that
+    shares each key's cost matrix across its sensitivities, each slice
+    frozen at its own convergence.  Every plan is then rounded onto the
+    exact transport polytope (row/column downscaling plus a rank-one
+    correction), so marginals hold to machine precision even when iteration
+    stopped at the cap.  Plans that did not meet the convergence tolerance
+    are flagged in ``converged`` with a warning each; callers decide how to
+    proceed.  Returns a :class:`PlanStack`.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
+    n, total = M.shape
+    offsets = T.as_offsets(offsets, total).reshape(-1)
+    widths = np.diff(offsets)
+    if (n == 0 or widths.size == 0 or offsets[0] != 0
+            or offsets[-1] != total or (widths < 1).any()):
+        raise ShapeError(f"sinkhorn: cost matrix {M.shape} with key offsets "
+                         f"{offsets.tolist()} leaves an empty side")
+    if not np.isfinite(M).all():
+        raise NumericsError("sinkhorn: cost matrix has non-finite entries")
+    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
+    if (lams <= 0.0).any():
+        raise ConfigError("sinkhorn: every sensitivity must be positive")
+    a = uniform_marginal(n) if a is None else _check_marginal("a", a, (0, n))
+    b = (np.repeat(1.0 / widths, widths) if b is None
+         else _check_marginal("b", b, offsets))
+    if max_iter < 1:
+        raise ConfigError("sinkhorn: max_iter must be >= 1")
+
+    keys, lam_count = widths.shape[0], lams.shape[0]
+    ids = np.arange(keys * lam_count).reshape(keys, lam_count)
+    costs = T.pad_segments(M, offsets)          # (K, n, max m_j)
+    masses = T.pad_segments(b, offsets)         # (K, max m_j)
+    peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
+    use_log = peak[:, None] * lams[None, :] > LOG_DOMAIN_THRESHOLD  # (K, C)
+    out = (np.empty((keys * lam_count, n, costs.shape[2])),
+           np.empty(keys * lam_count, dtype=np.int64),
+           np.empty(keys * lam_count, dtype=bool))
+    key, lam = np.nonzero(~use_log)
+    if key.size:
+        kernel = np.exp(-lams[lam, None, None] * costs[key])[:, None]
+        b_rows = masses[key][:, None]
+        state = (b_rows, kernel, (b_rows > 0.0) * 1.0)
+        _solve(partial(_scaling_step, a), state, ids[key, lam][:, None],
+               np.ones((key.size, 1), dtype=bool), out, max_iter, tol)
+    rows = np.flatnonzero(use_log.any(axis=0))
+    if rows.size:
+        eps = 1.0 / lams[rows]
+        with np.errstate(divide="ignore"):
+            eps_log_b = eps[:, None, None] * np.log(masses)
+        g = np.broadcast_to(np.where(masses > 0.0, 0.0, -np.inf),
+                            eps_log_b.shape)
+        state = (eps, eps[:, None, None] * np.log(a), eps_log_b, g)
+        _solve(partial(_log_domain_step, a, costs, masses), state,
+               ids[:, rows].T, use_log[:, rows].T, out, max_iter, tol)
+    plans, iterations, done = out
+    plans = _round_to_feasible(plans, a, np.repeat(masses, lam_count, axis=0))
+
+    for s in np.flatnonzero(~done):
+        warnings.warn(f"sinkhorn did not converge within {max_iter} "
+                      f"iterations at sensitivity {lams[s % lam_count]:g}",
+                      RuntimeWarning)
+    return PlanStack(values=plans.reshape(keys, lam_count, n, -1),
+                     offsets=offsets, lams=lams,
+                     iterations=iterations.reshape(keys, lam_count),
+                     converged=done.reshape(keys, lam_count))
 
 
 def sinkhorn_grid(M, lams, a=None, b=None, max_iter=DEFAULT_MAX_ITER,
                   tol=DEFAULT_TOL):
     """Entropic transport plans for one cost matrix at several sensitivities.
 
-    Returns one :class:`TransportPlan` per entry of ``lams``, solved in a
-    vectorized batch split between the scaling and log domains.  Every
-    returned plan is rounded onto the exact transport polytope (row/column
-    downscaling plus a rank-one correction), so marginals hold to machine
-    precision even when iteration stopped at the cap.  Plans that did not
-    meet the convergence tolerance are flagged ``converged=False`` with a
-    warning; callers decide how to proceed.
+    :func:`sinkhorn_keys` with one key; returns one :class:`TransportPlan`
+    per entry of ``lams``.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
-    if not np.isfinite(M).all():
-        raise NumericsError("sinkhorn: cost matrix has non-finite entries")
-    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
-    if (lams <= 0.0).any():
-        raise ConfigError("sinkhorn: every sensitivity must be positive")
-    a = uniform_marginal(M.shape[0]) if a is None else _check_marginal("a", a, M.shape[0])
-    b = uniform_marginal(M.shape[1]) if b is None else _check_marginal("b", b, M.shape[1])
-    if max_iter < 1:
-        raise ConfigError("sinkhorn: max_iter must be >= 1")
-
-    peak = M.max() if M.size else 0.0
-    use_log = lams * peak > LOG_DOMAIN_THRESHOLD
-    plans = np.empty((lams.shape[0], M.shape[0], M.shape[1]))
-    iterations = np.zeros(lams.shape[0], dtype=np.int64)
-    done = np.zeros(lams.shape[0], dtype=bool)
-    scaling = ~use_log
-    if scaling.any():
-        kernel = np.exp(-lams[scaling][:, None, None] * M[None, :, :])
-        state = (kernel, np.ones((kernel.shape[0], M.shape[1])))
-        plans[scaling], iterations[scaling], done[scaling] = _solve(
-            partial(_scaling_step, a, b), state, a, b, max_iter, tol)
-    if use_log.any():
-        eps = 1.0 / lams[use_log]
-        state = (eps, np.zeros((eps.shape[0], M.shape[1])))
-        plans[use_log], iterations[use_log], done[use_log] = _solve(
-            partial(_log_domain_step, M, np.log(a), np.log(b)), state, a, b,
-            max_iter, tol)
-    plans = _round_to_feasible(plans, a, b)
-
-    results = []
-    for i, lam in enumerate(lams):
-        if not done[i]:
-            warnings.warn(f"sinkhorn did not converge within {max_iter} "
-                          f"iterations at sensitivity {lam:g}", RuntimeWarning)
-        results.append(TransportPlan(values=plans[i], lam=float(lam),
-                                     iterations_used=int(iterations[i]),
-                                     converged=bool(done[i])))
-    return results
+    solved = sinkhorn_keys(M, lams, a=a, b=b, max_iter=max_iter, tol=tol)
+    return [TransportPlan(values=solved.values[0, i], lam=float(lam),
+                          iterations_used=int(solved.iterations[0, i]),
+                          converged=bool(solved.converged[0, i]))
+            for i, lam in enumerate(solved.lams)]
 
 
 def sinkhorn(M, lam, a=None, b=None, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
@@ -229,31 +313,32 @@ def cost_matrix(f_input, key_features):
     return T.pairwise_sqdist(f_input, key_features)
 
 
-def embed_keys_multi(f_input, adapted_keys, lams, max_iter=DEFAULT_MAX_ITER,
+def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                      tol=DEFAULT_TOL, plans_override=None):
     """Transport embedding of one input against every adapted key.
 
-    Returns (H, cost_tensors, plan_meta) where H is a K-by-C tensor whose
-    (j, c) entry is <plan_{j,c}, M_j>; plans are constants on the tape.
-    ``plans_override`` (a list of (C, n, m_j) stacks, one per key) replaces
-    the solves entirely — used to freeze plans during gradient checks.
+    ``adapted`` is one stacked :class:`~graphdict.vgda.AdaptedKey` (or a
+    sequence of them, stacked in order).  One cost op covers every selected
+    key row and one :func:`sinkhorn_keys` batch solves all (key,
+    sensitivity) pairs.  Returns (H, cost, plans): H is a K-by-C tensor
+    whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on the
+    tape; ``cost`` is the (n, sum m_j) cost tensor; ``plans`` is the
+    :class:`PlanStack`.  ``plans_override`` (a list of (C, n, m_j) stacks,
+    one per key) replaces the solve entirely, and ``plans`` is then None —
+    used to freeze plans during gradient checks.
     """
-    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
-    rows = []
-    costs = []
-    meta = []
-    for j, key in enumerate(adapted_keys):
-        m_j = cost_matrix(f_input, key.features)
-        costs.append(m_j)
-        if plans_override is not None:
-            stack = np.asarray(plans_override[j], dtype=np.float64)
-            meta.append(None)
-        else:
-            solved = sinkhorn_grid(m_j.values, lams, max_iter=max_iter, tol=tol)
-            stack = np.stack([p.values for p in solved])
-            meta.append(solved)
-        rows.append(T.plan_costs(m_j, stack))
-    return T.concat_rows(rows), costs, meta
+    if not isinstance(adapted, AdaptedKey):
+        adapted = stack_keys(adapted)
+    cost = cost_matrix(f_input, adapted.features)
+    if plans_override is not None:
+        solved = None
+        padded = T.pad_segments(np.concatenate(plans_override, axis=-1),
+                                adapted.offsets)
+    else:
+        solved = sinkhorn_keys(cost.values, lams, offsets=adapted.offsets,
+                               max_iter=max_iter, tol=tol)
+        padded = solved.values
+    return T.plan_costs(cost, padded, adapted.offsets), cost, solved
 
 
 def aggregate_attention_matrix(h_matrix, w_m):

@@ -502,21 +502,74 @@ def bernoulli_kl_sum(p, p_hat):
     return _record(total, (p,), backward)
 
 
-def plan_costs(m, plans):
-    """Frobenius inner products <plan_c, M> for a stack of constant plans.
+def as_offsets(offsets, total):
+    """Segment offsets as an int64 array; None means one segment of ``total``."""
+    return np.asarray((0, total) if offsets is None else offsets,
+                      dtype=np.int64)
 
-    ``plans`` has shape (C, n, k) and is treated as constant: gradients flow
-    only through the cost matrix ``m`` (the envelope rule for transport
-    plans).  Returns a 1xC tensor.
+
+def segment_index(offsets):
+    """Column layout of K segments: key j owns columns offsets[j]:offsets[j+1].
+
+    Returns each column's segment id, its position within the segment, and
+    the widest segment's width.
     """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    widths = np.diff(offsets)
+    seg = np.repeat(np.arange(widths.shape[0]), widths)
+    return seg, np.arange(offsets[-1]) - offsets[seg], int(widths.max())
+
+
+def pad_segments(x, offsets):
+    """Split the last axis of ``x`` at ``offsets`` into a leading key axis.
+
+    (..., sum m_j) becomes (K, ..., max m_j), each segment zero-padded on the
+    right; a single segment is returned as a view.
+    """
+    if len(offsets) == 2:
+        return x[None]
+    seg, pos, width = segment_index(offsets)
+    out = np.zeros((len(offsets) - 1,) + x.shape[:-1] + (width,))
+    out[seg, ..., pos] = np.moveaxis(x, -1, 0)
+    return out
+
+
+def unpad_segments(x, offsets):
+    """Inverse of :func:`pad_segments`: (K, ..., max m_j) -> (..., sum m_j)."""
+    if len(offsets) == 2:
+        return x[0]
+    seg, pos, _ = segment_index(offsets)
+    return np.moveaxis(x[seg, ..., pos], 0, -1)
+
+
+def plan_costs(m, plans, offsets=None):
+    """Frobenius inner products <plan_{j,c}, M_j> for stacks of constant plans.
+
+    ``m`` is (n, sum m_j): key j's cost matrix M_j fills columns
+    offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
+    is None).  ``plans`` has shape (K, C, n, max m_j), each key's plans
+    zero-padded like :func:`pad_segments`; a single key's may be given as
+    (C, n, m_j).  Plans are constant: gradients flow only through ``m`` (the
+    envelope rule for transport plans).  Returns a K x C tensor.
+    """
+    mv = m.values
+    offsets = as_offsets(offsets, mv.shape[1])
+    padded = pad_segments(mv, offsets)
     plans = np.asarray(plans, dtype=np.float64)
-    if plans.ndim != 3 or plans.shape[1:] != m.values.shape:
+    if plans.ndim == 3:
+        plans = plans[None]
+    if (plans.ndim != 4 or plans.shape[0] != padded.shape[0]
+            or plans.shape[2:] != padded.shape[1:]):
         raise ShapeError(f"plan_costs: plans {plans.shape} do not stack over "
-                         f"cost matrix {m.shape}")
-    vals = np.tensordot(plans, m.values, axes=([1, 2], [0, 1]))[None, :]
+                         f"cost matrix {m.shape} in {len(offsets) - 1} keys")
+    k, c = plans.shape[:2]
+    flat = plans.reshape(k, c, -1)
+    vals = (flat @ padded.reshape(k, -1, 1))[:, :, 0]
+    shape = padded.shape
 
     def backward(g):
-        return (np.tensordot(g[0], plans, axes=([0], [0])),)
+        return (unpad_segments((g[:, None, :] @ flat).reshape(shape),
+                               offsets),)
 
     return _record(vals, (m,), backward)
 

@@ -1,11 +1,13 @@
 """Variational adaptation of dictionary keys to one input graph.
 
-For each (input, key) pair: node-level sampling probabilities from the
-cosine similarity of encoded features projected through a learned vector,
-a differentiable binary node mask (relaxed Bernoulli with a hard
-straight-through forward), substructure selection on the key's encoded
+For one input and every key at once: node-level sampling probabilities
+from the cosine similarity of encoded features projected through a learned
+vector, a differentiable binary node mask (relaxed Bernoulli with a hard
+straight-through forward), substructure selection on the keys' encoded
 features, and the Bernoulli KL penalty against a fixed expected
-probability.
+probability.  The K keys are stacked as one (sum m_j, d) matrix with
+segment offsets, so each step is one set of tape ops; a single key is the
+case K = 1.
 
 Input features are zero-padded to one shared node count so a single
 projection vector serves all graphs; padded rows are all-zero, so their
@@ -41,28 +43,33 @@ class VgdaParams:
 
 @dataclass
 class SamplingFactor:
-    """Sampling state for one (input, key) pair."""
+    """Sampling state for one input against its stacked key rows."""
 
-    p: T.Tensor                    # (n_key, 1) probabilities in (0, 1)
-    z: np.ndarray                  # (n_key,) boolean mask, at least one True
+    p: T.Tensor                    # (sum m_j, 1) probabilities in (0, 1)
+    z: np.ndarray                  # (sum m_j,) boolean mask, >= 1 True per key
     z_tilde: T.Tensor | None       # relaxed surrogate in train mode
     p_hat: float
 
 
 @dataclass
 class AdaptedKey:
-    """The substructure of one key selected for one input."""
+    """The substructures selected from one or more stacked keys.
 
-    indices: np.ndarray            # strictly increasing selected node indices
-    features: T.Tensor             # (n_selected, d) rows of the encoded key
-    key_id: int
+    Key j's selected rows are ``features[offsets[j]:offsets[j + 1]]``;
+    ``indices`` gives each row's node index within its own key.
+    """
+
+    indices: np.ndarray            # increasing within each key
+    features: T.Tensor             # (sum n_selected, d) rows of the encoded keys
+    offsets: np.ndarray            # (K + 1,) segment bounds of the rows
 
 
 def sampling_probability(f_input, f_key, w_r):
     """Per-key-node selection probabilities.
 
     p = clamp(sigmoid(cosine(F_input, F_key)^T w_r)) with one entry per key
-    node; differentiable in both feature matrices and the projection vector.
+    node (stacked keys give one entry per row); differentiable in both
+    feature matrices and the projection vector.
     """
     cos = T.cosine_matrix(f_input, f_key)
     scores = T.matmul(T.transpose(cos), w_r)
@@ -70,16 +77,19 @@ def sampling_probability(f_input, f_key, w_r):
 
 
 def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
-                  p_hat=0.5, mask_override=None):
-    """Draw (or threshold) the binary node mask for one key.
+                  p_hat=0.5, mask_override=None, offsets=None):
+    """Draw (or threshold) the binary node mask for stacked keys.
 
     Train mode draws uniform noise per node, forms the relaxed surrogate
     z_tilde = sigmoid((logit(p) + logit(u)) / temperature) and thresholds it
     at 0.5 for the hard mask; gradients flow through the surrogate only.
-    Eval mode thresholds the probabilities deterministically.  If the mask
-    comes out all-zero, the single highest-probability node is selected
-    (first index on ties).  ``mask_override`` replaces the mask outright
-    (used by ablations and gradient checks); no surrogate is attached.
+    The noise is one draw of shape (sum m_j, 1), which consumes the stream
+    exactly as one draw per key in key order would.  Eval mode thresholds
+    the probabilities deterministically.  A key (a segment of ``offsets``,
+    default one key) whose mask comes out all-zero selects its single
+    highest-probability node (first index on ties).  ``mask_override``
+    replaces the mask outright (used by ablations and gradient checks); no
+    surrogate is attached.
     """
     probs = p.values[:, 0]
     if mask_override is not None:
@@ -99,27 +109,49 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
         z = probs > 0.5
     else:
         raise ConfigError(f"unknown sampling mode: {mode!r}")
-    if not z.any():
-        z = z.copy()
-        z[int(np.argmax(probs))] = True
+    offsets = T.as_offsets(offsets, probs.shape[0])
+    empty = ~np.logical_or.reduceat(z, offsets[:-1])
+    if empty.any():
+        # per key, the first row whose probability equals the key's peak
+        seg, _, _ = T.segment_index(offsets)
+        peak = np.maximum.reduceat(probs, offsets[:-1])
+        rows = np.arange(probs.shape[0])
+        first = np.minimum.reduceat(
+            np.where(probs == peak[seg], rows, rows.shape[0]), offsets[:-1])
+        z[first[empty]] = True
     return SamplingFactor(p=p, z=z, z_tilde=z_tilde, p_hat=p_hat)
 
 
-def select_substructure(key_features, z, z_tilde=None, key_id=0):
-    """Select the masked rows of an encoded key, preserving node order.
+def select_substructure(key_features, z, z_tilde=None, offsets=None):
+    """Select the masked rows of encoded keys, preserving node order.
 
-    With a relaxed surrogate attached (train mode), the surviving rows pass
-    through a straight-through multiplier: forward values are the rows
-    unchanged (hard mask), backward routes each row's gradient into its
-    surrogate so the sampling probabilities learn.
+    ``offsets`` bounds each key's rows (default: one key).  With a relaxed
+    surrogate attached (train mode), the surviving rows pass through a
+    straight-through multiplier: forward values are the rows unchanged
+    (hard mask), backward routes each row's gradient into its surrogate so
+    the sampling probabilities learn.
     """
     z = np.asarray(z, dtype=bool).reshape(-1)
+    offsets = T.as_offsets(offsets, z.shape[0])
     features = T.row_select(key_features, z)
     if z_tilde is not None:
         surrogate = T.row_select(z_tilde, z)
         features = T.straight_through_scale(features, surrogate)
-    return AdaptedKey(indices=np.flatnonzero(z), features=features,
-                      key_id=key_id)
+    _, pos, _ = T.segment_index(offsets)
+    selected_before = np.concatenate(([0], np.cumsum(z)))
+    return AdaptedKey(indices=pos[z], features=features,
+                      offsets=selected_before[offsets])
+
+
+def stack_keys(adapted_keys):
+    """Concatenate adapted keys, in order, into one stacked AdaptedKey."""
+    keys = list(adapted_keys)
+    starts = np.cumsum([0] + [k.offsets[-1] for k in keys])
+    offsets = np.concatenate([[0]] + [k.offsets[1:] + s
+                                      for k, s in zip(keys, starts)])
+    return AdaptedKey(indices=np.concatenate([k.indices for k in keys]),
+                      features=T.concat_rows([k.features for k in keys]),
+                      offsets=offsets)
 
 
 def bernoulli_kl(p_hat, p):
@@ -133,15 +165,29 @@ def bernoulli_kl(p_hat, p):
     return T.bernoulli_kl_sum(p, p_hat)
 
 
-def adapt_key(f_input, key_features, w_r, mode, rng=None,
-              temperature=DEFAULT_TEMPERATURE, p_hat=0.5, key_id=0,
-              mask_override=None):
-    """Full adaptation of one key to one input: probabilities, mask,
-    selection, and KL penalty.  Returns (AdaptedKey, SamplingFactor, kl)."""
+def adapt_keys(f_input, key_features, offsets, w_r, mode, rng=None,
+               temperature=DEFAULT_TEMPERATURE, p_hat=0.5, mask_override=None):
+    """Adapt K stacked keys to one input in one pass.
+
+    ``key_features`` stacks the encoded keys as (sum m_j, d) rows, key j in
+    rows offsets[j]:offsets[j+1].  Probabilities, the mask, the selection
+    and the KL summed over all keys are each one set of tape ops.  Returns
+    (AdaptedKey, SamplingFactor, kl).
+    """
     p = sampling_probability(f_input, key_features, w_r)
     factor = sample_factor(p, mode, rng=rng, temperature=temperature,
-                           p_hat=p_hat, mask_override=mask_override)
+                           p_hat=p_hat, mask_override=mask_override,
+                           offsets=offsets)
     adapted = select_substructure(key_features, factor.z, factor.z_tilde,
-                                  key_id=key_id)
+                                  offsets=offsets)
     kl = bernoulli_kl(p_hat, p)
     return adapted, factor, kl
+
+
+def adapt_key(f_input, key_features, w_r, mode, rng=None,
+              temperature=DEFAULT_TEMPERATURE, p_hat=0.5, mask_override=None):
+    """Full adaptation of one key to one input: :func:`adapt_keys` with
+    K = 1.  Returns (AdaptedKey, SamplingFactor, kl)."""
+    return adapt_keys(f_input, key_features, None, w_r, mode, rng=rng,
+                      temperature=temperature, p_hat=p_hat,
+                      mask_override=mask_override)

@@ -73,6 +73,23 @@ def test_config_file_bad_value_reports_location(tmp_path):
         load_config_file(str(path))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("adam_betas = 0.9", r"bad value for adam_betas.*expected 2 values, got 1"),
+    ("adam_betas = 0.9 0.99 0.999",
+     r"bad value for adam_betas.*expected 2 values, got 3"),
+    ("lambdas =", "bad value for lambdas: expected at least one value"),
+    ("encoder_dims = ,", "bad value for encoder_dims: expected at least one"),
+])
+def test_config_file_enforces_tuple_arity(tmp_path, line, message):
+    path = tmp_path / "arity.cfg"
+    path.write_text(f"dataset = X\n{line}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config_file(str(path))
+    path.write_text("adam_betas = 0.8, 0.99\nlambdas = 5\n")
+    assert load_config_file(str(path)) == {"adam_betas": (0.8, 0.99),
+                                           "lambdas": (5.0,)}
+
+
 def test_config_file_missing_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         load_config_file(str(tmp_path / "absent.cfg"))

@@ -5,6 +5,7 @@ import pytest
 
 from graphdict import tensor as T
 from graphdict import vgda
+from graphdict.data import LabeledGraph
 from graphdict.errors import ConfigError
 from graphdict.model import (ForwardOverrides, ForwardResult, LossConfig,
                              GraphDictionaryModel, ModelConfig,
@@ -250,6 +251,40 @@ def test_diagnostics_collection_shapes():
     assert abs(diag.alpha.sum() - 1.0) <= 1e-9
     assert diag.probabilities.shape == (2,)
     assert diag.kl >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [vgda.TRAIN, vgda.EVAL])
+@pytest.mark.parametrize("max_iter", [3, 200])
+def test_every_forward_plan_meets_its_marginals(mode, max_iter):
+    # random graphs give ragged keys and uneven costs: with the masks held
+    # open, some slices take the log domain and some hit the cap at 3
+    rng = np.random.default_rng(8)
+    graphs = []
+    for i in range(10):
+        n = int(rng.integers(5, 10))
+        raw = np.triu((rng.uniform(size=(n, n)) < 0.4).astype(float), 1)
+        graphs.append(LabeledGraph(adjacency=raw + raw.T, class_label=i % 2))
+    config = ModelConfig(num_classes=2, feature_scheme="degree-onehot",
+                         feature_dim=7, n_padded=9, num_keys=6,
+                         encoder_dims=(8, 8, 8), head_hidden=8,
+                         sinkhorn_max_iter=max_iter,
+                         loss=LossConfig(lambdas=(0.01, 1.0, 100.0, 1e4)))
+    model = GraphDictionaryModel.build(config, graphs,
+                                       np.random.default_rng(5))
+    model.vgda_params.w_r.values[:] = 50.0
+    model.refresh_key_encodings()
+    for graph in graphs:
+        prepared = model.prepare(graph)
+        diag = model.forward(prepared, mode, rng=rng,
+                             collect=True).diagnostics
+        n = prepared.node_count
+        for stack, mask in zip(diag.plan_stacks, diag.masks):
+            m = int(mask.sum())
+            assert stack.shape == (4, n, m)
+            assert (stack >= 0.0).all()
+            assert np.abs(stack.sum(axis=2) - 1.0 / n).max() <= 1e-12
+            assert np.abs(stack.sum(axis=1) - 1.0 / m).max() <= 1e-12
 
 
 # --- checkpointing ----------------------------------------------------------

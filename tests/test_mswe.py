@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdict import tensor as T
+from graphdict import mswe, tensor as T
 from graphdict.errors import ConfigError, NumericsError, ShapeError
 from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
                             MASTER_LAMBDA_GRID, aggregate_attention_matrix,
                             cost_matrix, embed_keys_multi, select_lambdas,
-                            sinkhorn, sinkhorn_grid)
+                            sinkhorn, sinkhorn_grid, sinkhorn_keys)
 from graphdict.vgda import AdaptedKey
 
 
-def make_key(features, key_id=0):
+def make_key(features):
     features = np.asarray(features, dtype=float)
     return AdaptedKey(indices=np.arange(features.shape[0]),
-                      features=T.Tensor(features), key_id=key_id)
+                      features=T.Tensor(features),
+                      offsets=np.array([0, features.shape[0]]))
 
 
 # --- solver -----------------------------------------------------------------
@@ -107,6 +108,15 @@ def test_solver_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NumericsError, match="non-finite"):
             sinkhorn(np.array([[0.0, bad], [1.0, 1.0]]), 1.0)
+    for empty in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ShapeError, match="empty side"):
+            sinkhorn(np.zeros(empty), 1.0)
+    M = np.ones((2, 5))
+    for offsets in ([0, 2, 2, 5], [0, 5, 4], [1, 5], [0, 4], [0]):
+        with pytest.raises(ShapeError, match="empty side"):
+            sinkhorn_keys(M, [1.0], offsets=offsets)
+    with pytest.raises(ConfigError, match="sum to 1"):
+        sinkhorn_keys(M, [1.0], offsets=[0, 2, 5], b=np.full(5, 0.2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,6 +142,81 @@ def test_grid_slices_match_single_solves(n, m, seed, log_scale, exponents,
         assert plan.values.tobytes() == single.values.tobytes()
         assert plan.iterations_used == single.iterations_used
         assert plan.converged == single.converged
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 28),
+       keys=st.lists(st.tuples(st.integers(1, 28), st.floats(-3.0, 2.0)),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1),
+       lams=st.sampled_from([DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID,
+                             (0.5,), (3.0, 0.01, 100.0)]),
+       max_iter=st.sampled_from([3, 200]),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_stacked_keys_match_one_key_solves(n, keys, seed, lams, max_iter,
+                                           tol):
+    """Padding ragged keys into one batch leaves every slice's solve as is."""
+    widths = [w for w, _ in keys]
+    offsets = np.cumsum([0] + widths)
+    rng = np.random.default_rng(seed)
+    # each key has its own cost scale, so keys split differently between
+    # the scaling and the log domain
+    M = np.hstack([rng.uniform(0.0, 1.0, size=(n, w)) * 10.0 ** scale
+                   for w, scale in keys])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked = sinkhorn_keys(M, lams, offsets=offsets, max_iter=max_iter,
+                                tol=tol)
+        singles = [sinkhorn_grid(M[:, lo:hi], lams, max_iter=max_iter,
+                                 tol=tol)
+                   for lo, hi in zip(offsets[:-1], offsets[1:])]
+    assert stacked.values.shape == (len(keys), len(lams), n, max(widths))
+    for j, (plans, single) in enumerate(zip(stacked.per_key(), singles)):
+        assert stacked.iterations[j].tolist() == [p.iterations_used
+                                                  for p in single]
+        assert stacked.converged[j].tolist() == [p.converged for p in single]
+        assert np.abs(plans - [p.values for p in single]).max() <= 1e-12
+        assert (plans >= 0.0).all()
+        assert np.abs(plans.sum(axis=2) - 1.0 / n).max() <= 1e-12
+        assert np.abs(plans.sum(axis=1) - 1.0 / widths[j]).max() <= 1e-12
+        padding = stacked.values[j, :, :, widths[j]:]
+        assert not padding.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_embedding_matches_per_key_embeddings():
+    rng = np.random.default_rng(11)
+    f = T.Tensor(rng.normal(size=(5, 6)))
+    keys = [make_key(rng.normal(size=(w, 6))) for w in (1, 4, 2, 7)]
+    lams = DEFAULT_LAMBDA_GRID
+    stacked, cost, plans = embed_keys_multi(f, keys, lams)
+    for j, key in enumerate(keys):
+        single, single_cost, _ = embed_keys_multi(f, [key], lams)
+        assert np.abs(stacked.values[j] - single.values[0]).max() <= 1e-12
+        lo, hi = plans.offsets[j], plans.offsets[j + 1]
+        assert np.array_equal(cost.values[:, lo:hi], single_cost.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_log_domain_grid_shares_each_key_cost_matrix(monkeypatch):
+    """Log-domain slices run as (sensitivity, key) rows over one key stack."""
+    shapes = []
+    step = mswe._log_domain_step
+
+    def spy(a, M, b, *state):
+        shapes.append((M.shape, state[-1].shape))
+        return step(a, M, b, *state)
+
+    monkeypatch.setattr(mswe, "_log_domain_step", spy)
+    widths = (3, 5, 2)
+    M = np.random.default_rng(12).uniform(size=(4, sum(widths))) * 50.0
+    sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=np.cumsum([0, *widths]))
+    log_lams = sum(lam * 50.0 > LOG_DOMAIN_THRESHOLD
+                   for lam in DEFAULT_LAMBDA_GRID)
+    assert shapes
+    for cost_shape, g_shape in shapes:
+        assert cost_shape == (3, 4, 5)  # each key's matrix once, padded
+        assert g_shape[0] <= log_lams and g_shape[1:] == (3, 5)
 
 
 def test_nonconvergence_warns_but_stays_feasible():
@@ -189,10 +274,12 @@ def test_cost_matrix_matches_double_loop():
 def test_embedding_matrix_shape():
     rng = np.random.default_rng(5)
     f = T.Tensor(rng.normal(size=(4, 8)))
-    keys = [make_key(rng.normal(size=(3, 8)), key_id=j) for j in range(3)]
-    h_matrix, costs, meta = embed_keys_multi(f, keys, (0.5, 1.0, 5.0, 10.0))
+    keys = [make_key(rng.normal(size=(3, 8))) for _ in range(3)]
+    h_matrix, cost, plans = embed_keys_multi(f, keys, (0.5, 1.0, 5.0, 10.0))
     assert h_matrix.values.shape == (3, 4)
-    assert len(costs) == len(meta) == 3
+    assert cost.values.shape == (4, 9)
+    assert plans.values.shape == (3, 4, 4, 3)
+    assert plans.iterations.shape == plans.converged.shape == (3, 4)
     assert (h_matrix.values >= 0.0).all()
 
 
@@ -214,7 +301,7 @@ def test_single_sensitivity_matches_grid_column():
     rng = np.random.default_rng(7)
     f = T.Tensor(rng.normal(size=(4, 8)))
     keys = [make_key(rng.normal(size=(3, 8))),
-            make_key(rng.normal(size=(5, 8)), key_id=1)]
+            make_key(rng.normal(size=(5, 8)))]
     multi, _, _ = embed_keys_multi(f, keys, (0.5, 5.0), max_iter=2000,
                                    tol=1e-9)
     single, _, _ = embed_keys_multi(f, keys, [0.5], max_iter=2000, tol=1e-9)
@@ -225,10 +312,10 @@ def test_frozen_plan_embedding_gradient_matches_fd():
     rng = np.random.default_rng(8)
     f = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     keys = [make_key(rng.normal(size=(2, 4))),
-            make_key(rng.normal(size=(4, 4)), key_id=1)]
+            make_key(rng.normal(size=(4, 4)))]
     lams = (0.5, 5.0)
-    _, _, meta = embed_keys_multi(f, keys, lams, max_iter=2000, tol=1e-9)
-    frozen = [np.stack([p.values for p in per_key]) for per_key in meta]
+    _, _, plans = embed_keys_multi(f, keys, lams, max_iter=2000, tol=1e-9)
+    frozen = plans.per_key()
 
     def closure():
         h_matrix, _, _ = embed_keys_multi(f, keys, lams,

@@ -7,9 +7,9 @@ import pytest
 
 from graphdict import tensor as T
 from graphdict.errors import ConfigError
-from graphdict.vgda import (EVAL, TRAIN, adapt_key, bernoulli_kl,
-                            sample_factor, sampling_probability,
-                            select_substructure)
+from graphdict.vgda import (EVAL, TRAIN, adapt_key, adapt_keys,
+                            bernoulli_kl, sample_factor,
+                            sampling_probability, select_substructure)
 
 
 def tens(values, requires_grad=False):
@@ -182,6 +182,41 @@ def test_eval_adaptation_is_deterministic():
     assert np.array_equal(first[0].indices, second[0].indices)
     assert np.array_equal(first[0].features.values, second[0].features.values)
     assert first[2].values == second[2].values
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_stacked_adaptation_matches_per_key_calls(mode):
+    fallbacks = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        widths = [1, 4, 7, 3, 2]
+        f_in = tens(rng.normal(size=(6, 8)))
+        keys = [tens(rng.normal(size=(w, 8))) for w in widths]
+        w_r = tens(rng.normal(0.0, 2.0, size=(6, 1)))
+        stacked_rng = np.random.default_rng(100 + seed)
+        single_rng = np.random.default_rng(100 + seed)
+        adapted, factor, kl = adapt_keys(f_in, T.concat_rows(keys),
+                                         np.cumsum([0] + widths), w_r, mode,
+                                         rng=stacked_rng)
+        singles = [adapt_key(f_in, key, w_r, mode, rng=single_rng)
+                   for key in keys]
+        assert np.array_equal(factor.z,
+                              np.concatenate([s[1].z for s in singles]))
+        assert np.abs(factor.p.values - np.vstack(
+            [s[1].p.values for s in singles])).max() <= 1e-12
+        assert abs(kl.item() - sum(s[2].item() for s in singles)) <= 1e-12
+        assert np.array_equal(adapted.indices, np.concatenate(
+            [s[0].indices for s in singles]))
+        assert np.array_equal(adapted.features.values, np.vstack(
+            [s[0].features.values for s in singles]))
+        assert np.array_equal(np.diff(adapted.offsets),
+                              [s[0].features.values.shape[0]
+                               for s in singles])
+        assert stacked_rng.uniform() == single_rng.uniform()
+        surrogate = factor.z_tilde if mode == TRAIN else factor.p
+        fallbacks += sum(not (part > 0.5).any() for part in np.split(
+            surrogate.values[:, 0], np.cumsum(widths)[:-1]))
+    assert fallbacks > 0  # the per-key fallback was exercised
 
 
 # --- substructure selection -------------------------------------------------

@@ -20,8 +20,6 @@ import sys
 import types
 import typing
 
-import numpy as np
-
 from .data import load_tu_dataset
 from .errors import ConfigError, GraphDictError, IoError
 from .model import load_checkpoint
@@ -152,13 +150,8 @@ def build_parser():
 
 
 def _resolve_dataset(args):
-    values = load_config_file(args.config) if args.config else {}
-    dataset = args.dataset or values.get("dataset")
-    data_dir = args.data_dir or values.get("data_dir")
-    if not dataset or not data_dir:
-        raise ConfigError("both --dataset and --data-dir are required "
-                          "(flags or config file)")
-    return load_tu_dataset(data_dir, dataset)
+    config = build_train_config(args)
+    return load_tu_dataset(config.data_dir, config.dataset)
 
 
 def cmd_train(args):
@@ -174,10 +167,7 @@ def cmd_eval(args):
     bundle = _resolve_dataset(args)
     model = load_checkpoint(args.checkpoint)
     prepared = [model.prepare(g) for g in bundle.graphs]
-    model.refresh_key_encodings()
-    predictions = [int(np.argmax(model.predict(p))) for p in prepared]
-    labels = [p.label for p in prepared]
-    accuracy = float(np.mean([p == y for p, y in zip(predictions, labels)]))
+    predictions, accuracy = model.evaluate(prepared)
     print(f"graphs: {len(prepared)}")
     print(f"accuracy: {accuracy:.4f}")
     if args.out:
@@ -190,8 +180,8 @@ def cmd_eval(args):
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["graph_id", "true_label", "predicted_label"])
-                for i, (y, p) in enumerate(zip(labels, predictions)):
-                    writer.writerow([i, y, p])
+                for i, (g, p) in enumerate(zip(prepared, predictions)):
+                    writer.writerow([i, g.label, p])
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from exc
         print(f"predictions written to {path}")

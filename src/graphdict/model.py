@@ -402,14 +402,11 @@ class GraphDictionaryModel:
         return result.probabilities.values[0]
 
     def evaluate(self, prepared_list):
-        """Accuracy over prepared graphs in eval mode."""
+        """Eval-mode predicted labels of prepared graphs, and the accuracy."""
         self.refresh_key_encodings()
-        correct = 0
-        for prepared in prepared_list:
-            probs = self.predict(prepared)
-            if int(np.argmax(probs)) == prepared.label:
-                correct += 1
-        return correct / len(prepared_list) if prepared_list else 0.0
+        predicted = [int(np.argmax(self.predict(p))) for p in prepared_list]
+        correct = sum(y == p.label for y, p in zip(predicted, prepared_list))
+        return predicted, (correct / len(predicted) if predicted else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,9 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
 
     Raises IoError when ``path`` cannot be read and FormatError when it is
-    not a complete checkpoint, naming the path and any missing array.
+    not a complete checkpoint, naming the path and any missing array, or any
+    array whose shape does not fit the stored config or that holds
+    non-finite values.
     """
     try:
         data = np.load(path)
@@ -450,14 +449,28 @@ def load_checkpoint(path):
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise FormatError(f"checkpoint {path} is not an .npz archive")
 
-    def array(name):
+    def check_shape(name, values, shape):
+        """``shape`` lists each axis's size; None takes any size."""
+        if values.ndim != len(shape) or any(
+                want not in (None, got)
+                for want, got in zip(shape, values.shape)):
+            raise FormatError(f"checkpoint {path}: array {name!r} has shape "
+                              f"{values.shape}, expected {shape}")
+
+    def array(name, shape=None):
         if name not in data.files:
             raise FormatError(f"checkpoint {path} lacks array {name!r}")
         try:
-            return data[name]
+            values = data[name]
         except (ValueError, zipfile.BadZipFile) as exc:
             raise FormatError(f"checkpoint {path}: array {name!r} is "
                               f"corrupt: {exc}") from exc
+        if shape is not None:
+            check_shape(name, values, shape)
+        if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
+            raise FormatError(f"checkpoint {path}: array {name!r} must hold "
+                              "finite numbers")
+        return values
 
     with data:
         try:
@@ -466,30 +479,40 @@ def load_checkpoint(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"checkpoint {path} has a malformed config: "
                               f"{exc!r}") from exc
+        dims = (config.feature_dim, *config.encoder_dims)
         enc_input = EncoderParams(
-            weights=[T.Tensor(array(f"enc_input_{i}"), requires_grad=True)
+            weights=[T.Tensor(array(f"enc_input_{i}", dims[i:i + 2]),
+                              requires_grad=True)
                      for i in range(len(config.encoder_dims))],
             trainable=True)
         enc_dict = EncoderParams(
-            weights=[T.Tensor(array(f"enc_dict_{i}"), requires_grad=False)
+            weights=[T.Tensor(array(f"enc_dict_{i}", dims[i:i + 2]),
+                              requires_grad=False)
                      for i in range(len(config.encoder_dims))],
             trainable=False)
         keys = []
         for key_id in range(config.num_keys):
-            adjacency = array(f"key_{key_id}_adjacency")
+            adjacency = array(f"key_{key_id}_adjacency", (None, None))
+            check_shape(f"key_{key_id}_adjacency", adjacency,
+                        (len(adjacency),) * 2)
+            features = array(f"key_{key_id}_features",
+                             (len(adjacency), config.feature_dim))
             keys.append(DictionaryKey(
                 key_id=key_id,
-                source_class=int(array(f"key_{key_id}_class")[0]),
+                source_class=int(array(f"key_{key_id}_class", (1,))[0]),
                 adjacency=adjacency,
                 a_hat=normalize_adjacency(adjacency),
-                features=T.Tensor(array(f"key_{key_id}_features"),
-                                  requires_grad=True)))
-        vgda_params = vgda.VgdaParams(w_r=T.Tensor(array("w_r"),
-                                                   requires_grad=True))
-        w_m = T.Tensor(array("w_m"), requires_grad=True)
+                features=T.Tensor(features, requires_grad=True)))
+        vgda_params = vgda.VgdaParams(
+            w_r=T.Tensor(array("w_r", (config.n_padded, 1)),
+                         requires_grad=True))
+        w_m = T.Tensor(array("w_m", (1, config.num_keys)), requires_grad=True)
         head = ClassifierHead(
-            w1=T.Tensor(array("head_w1"), requires_grad=True),
-            w2=T.Tensor(array("head_w2"), requires_grad=True))
+            w1=T.Tensor(array("head_w1", (config.num_keys, config.head_hidden)),
+                        requires_grad=True),
+            w2=T.Tensor(array("head_w2",
+                              (config.head_hidden, config.num_classes)),
+                        requires_grad=True))
     return GraphDictionaryModel(config, enc_input, enc_dict,
                                 BaseGraphDictionary(keys=keys), vgda_params,
                                 w_m, head)

@@ -9,8 +9,10 @@ The keys' selected rows are stacked, so one cost op gives the (n, sum m_j)
 matrix of every key's costs side by side.  Plans are solved outside the
 differentiation tape and re-enter it as constants (the envelope rule):
 gradients flow through the cost matrices only.  One loop solves every
-(key, sensitivity) slice in one batch padded to the widest key, freezing
-each slice at the iteration where it converges.  A slice takes the scaling
+(key, sensitivity) slice in one batch padded to the widest key.  It tests
+convergence on each slice's scaling vectors (or potentials) and freezes them
+at the iteration where the slice converges; each plan is built once, after
+the loop, by the feasibility rounding.  A slice takes the scaling
 update while ``lam * max(M_j) <= 30`` and the log-domain potential update
 beyond that, to avoid underflow; log-domain slices are laid out as a
 (sensitivity, key) grid, so each key's cost matrix is shared by all its
@@ -111,71 +113,82 @@ def _logsumexp(x, axis):
     return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
-def _marginal_violation(plans, a, b):
-    """Worst row/column marginal violation of each (n, m) plan in a stack."""
-    row = np.abs(plans.sum(axis=-1) - a).max(axis=-1)
-    col = np.abs(plans.sum(axis=-2) - b).max(axis=-1)
-    return np.maximum(row, col)
-
-
 def _capped_ratio(target, total):
     """min(target / total, 1), taking 1 where total is 0."""
     return np.divide(target, total, out=np.ones_like(total),
                      where=target < total)
 
 
-def _round_to_feasible(plans, a, b):
-    """Project an (s, n, m) plan stack onto the exact transport polytope.
+def _round_to_feasible(x, base, y, a, b):
+    """Round the plans diag(x) base diag(y) of an (s, n, m) stack onto the
+    exact transport polytope, building each plan once, in place of ``base``.
 
     ``b`` holds each plan's column marginal; padded columns carry zero mass
-    and stay zero.  Scale rows down to at most ``a``, then columns down to
+    and stay zero.  Scale x so rows are at most ``a``, then y so columns are
     at most ``b``, then add the rank-one correction that restores both
-    marginals exactly.  All three steps keep entries nonnegative.
-    Near-converged plans move by no more than their marginal violation;
-    plans cut off at the iteration cap become feasible couplings instead of
-    approximate ones.
+    marginals exactly (Altschuler, Weed & Rigollet, Alg. 2, with both
+    rescalings on the scaling vectors).  All three steps keep entries
+    nonnegative.  Near-converged plans move by no more than their marginal
+    violation; plans cut off at the iteration cap become feasible couplings
+    instead of approximate ones.
     """
-    scaled = plans * _capped_ratio(a[None, :], plans.sum(axis=2))[:, :, None]
-    scaled *= _capped_ratio(b, scaled.sum(axis=1))[:, None, :]
-    err_a = np.maximum(a[None, :] - scaled.sum(axis=2), 0.0)
-    err_b = np.maximum(b - scaled.sum(axis=1), 0.0)
+    x = x * _capped_ratio(a, x * np.einsum("snm,sm->sn", base, y))
+    cols = y * np.einsum("snm,sn->sm", base, x)
+    col_ratio = _capped_ratio(b, cols)
+    y = y * col_ratio
+    err_a = np.maximum(a - x * np.einsum("snm,sm->sn", base, y), 0.0)
+    err_b = np.maximum(b - cols * col_ratio, 0.0)
     missing = err_a.sum(axis=1)
     # a plan missing no mass has err_a = 0, so its correction is exactly 0
-    correction = err_a[:, :, None] * err_b[:, None, :]
-    correction /= np.where(missing > 0.0, missing, 1.0)[:, None, None]
-    scaled += correction
-    return scaled
+    err_a /= np.where(missing > 0.0, missing, 1.0)[:, None]
+    base *= x[:, :, None]
+    base *= y[:, None, :]
+    base += err_a[:, :, None] * err_b[:, None, :]
+    return base
 
 
-def _scaling_step(a, b, kernel, v):
-    """u/v scaling update; u is rebuilt from v, so the state is (b, kernel, v)."""
-    u = a / np.einsum("rknm,rkm->rkn", kernel, v)
+def _scaling_step(a, b, kernel, v, kv):
+    """u/v scaling update on the state (b, kernel, v, K v).
+
+    Columns are exact after the v-update, so the iterate's marginal
+    violation is its row error |u * K v - a|, read off the product the next
+    u needs anyway.  Returns the next state, the iterate (u, v) and that
+    violation.
+    """
+    u = a / kv
     v = b / np.einsum("rknm,rkn->rkm", kernel, u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericsError("sinkhorn: non-finite scaling vector "
                             "(use the log-domain branch)")
-    plans = u[:, :, :, None] * kernel * v[:, :, None, :]
-    return (b, kernel, v), plans, _marginal_violation(plans, a, b)
+    kv = np.einsum("rknm,rkm->rkn", kernel, v)
+    return (b, kernel, v, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
 
 
-def _log_domain_step(a, M, b, eps, eps_log_a, eps_log_b, g):
-    """Log-domain update; f is rebuilt from g, so the state is
-    (eps, eps * log a, eps * log b, g).  ``M`` stacks the keys' cost
-    matrices, shared by every sensitivity row.  Padded columns have b = 0,
-    so g and eps * log b are -inf there."""
-    eps_3d = eps[:, None, None]
-    eps_4d = eps[:, None, None, None]
-    f = eps_log_a - eps_3d * _logsumexp((g[:, :, None, :] - M) / eps_4d,
-                                        axis=3)
-    g = eps_log_b - eps_3d * _logsumexp((f[:, :, :, None] - M) / eps_4d,
-                                        axis=2)
+def _log_potential(eps_log_mass, eps, other, M, axis):
+    """One half-step: eps * log(mass) - eps * logsumexp((other - M) / eps)."""
+    return eps_log_mass - eps[:, None, None] * _logsumexp(
+        (other - M) / eps[:, None, None, None], axis=axis)
+
+
+def _log_domain_step(a, M, b, eps, eps_log_a, eps_log_b, f):
+    """Log-domain update on the state (eps, eps * log a, eps * log b, f).
+
+    ``M`` stacks the keys' cost matrices, shared by every sensitivity row.
+    Padded columns have b = 0, so g and eps * log b are -inf there.  The
+    rows of exp((f + g - M) / eps) sum to a * exp((f - f_next) / eps), so
+    the iterate's violation comes from the next half-step's f_next, which
+    the state carries forward.  Returns the next state, the iterate (f, g)
+    and that violation.
+    """
+    g = _log_potential(eps_log_b, eps, f[:, :, :, None], M, axis=2)
     # padded columns hold g = -inf; mask them only once a check fails
     if not (np.isfinite(f).all()
             and (np.isfinite(g).all() or (np.isfinite(g) | (b == 0.0)).all())):
         raise NumericsError("sinkhorn: non-finite log-domain potentials")
-    plans = np.exp((f[:, :, :, None] + g[:, :, None, :] - M) / eps_4d)
-    return ((eps, eps_log_a, eps_log_b, g), plans,
-            _marginal_violation(plans, a, b))
+    f_next = _log_potential(eps_log_a, eps, g[:, :, None, :], M, axis=3)
+    violation = (a * np.abs(np.expm1((f - f_next) / eps[:, None, None]))
+                 ).max(axis=-1)
+    return (eps, eps_log_a, eps_log_b, f_next), (f, g), violation
 
 
 def _solve(step, state, ids, live, out, max_iter, tol):
@@ -183,29 +196,29 @@ def _solve(step, state, ids, live, out, max_iter, tol):
 
     State arrays are batched on axis 0, one row each; ``ids`` (r, k) holds
     the flat index, key * C + sensitivity, of every slice in every row.
-    ``step`` maps a state tuple to the next state, the (r, k, n, m) plans
-    and their (r, k) marginal violations.  ``live`` marks the slices to
-    solve; the others ride along unused.  A live slice is frozen into
-    ``out`` = (plans, iterations, converged) at the first iteration whose
-    plan meets ``tol``, or at ``max_iter``; a row leaves every state array
-    once all its slices are frozen.
+    ``step`` maps a state tuple to the next state, the iterate's (r, k, n)
+    and (r, k, m) vectors and their (r, k) marginal violations.  ``live``
+    marks the slices to solve; the others ride along unused.  A live
+    slice's vectors are frozen into ``out`` = (x, y, iterations, converged)
+    at the first iteration that meets ``tol``, or at ``max_iter``; a row
+    leaves every state array once all its slices are frozen.
     """
-    plans, iterations, done = out
+    xs, ys, iterations, done = out
     for it in range(1, max_iter + 1):
-        state, current, violation = step(*state)
+        state, (x, y), violation = step(*state)
         newly = live & (violation < tol)
         retire = newly if it < max_iter else live
         if retire.any():
             idx = ids[retire]
-            plans[idx], iterations[idx], done[idx] = (current[retire], it,
-                                                      newly[retire])
+            xs[idx], ys[idx] = x[retire], y[retire]
+            iterations[idx], done[idx] = it, newly[retire]
             live = live & ~retire
             keep = live.any(axis=1)
             if not keep.any():
                 break
             if not keep.all():
                 ids, live = ids[keep], live[keep]
-                state = tuple(x[keep] for x in state)
+                state = tuple(s[keep] for s in state)
 
 
 def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
@@ -222,12 +235,13 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
     form a batch of one slice per row, each leaving at the iteration where
     it converges; log-domain slices form a (sensitivity, key) grid that
     shares each key's cost matrix across its sensitivities, each slice
-    frozen at its own convergence.  Every plan is then rounded onto the
-    exact transport polytope (row/column downscaling plus a rank-one
-    correction), so marginals hold to machine precision even when iteration
-    stopped at the cap.  Plans that did not meet the convergence tolerance
-    are flagged in ``converged`` with a warning each; callers decide how to
-    proceed.  Returns a :class:`PlanStack`.
+    frozen at its own convergence.  Every plan is then built once from its
+    frozen vectors and rounded onto the exact transport polytope
+    (row/column downscaling plus a rank-one correction), so marginals hold
+    to machine precision even when iteration stopped at the cap.  Plans
+    that did not meet the convergence tolerance are flagged in
+    ``converged`` with a warning each; callers decide how to proceed.
+    Returns a :class:`PlanStack`.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -251,33 +265,51 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
         raise ConfigError("sinkhorn: max_iter must be >= 1")
 
     keys, lam_count = widths.shape[0], lams.shape[0]
-    ids = np.arange(keys * lam_count).reshape(keys, lam_count)
+    count = keys * lam_count
+    ids = np.arange(count).reshape(keys, lam_count)
     costs = T.pad_segments(M, offsets)          # (K, n, max m_j)
     masses = T.pad_segments(b, offsets)         # (K, max m_j)
+    width = costs.shape[2]
     peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
     use_log = peak[:, None] * lams[None, :] > LOG_DOMAIN_THRESHOLD  # (K, C)
-    out = (np.empty((keys * lam_count, n, costs.shape[2])),
-           np.empty(keys * lam_count, dtype=np.int64),
-           np.empty(keys * lam_count, dtype=bool))
+    # each slice's frozen iterate: scaling vectors (u, v) or potentials (f, g)
+    xs, ys = np.empty((count, n)), np.empty((count, width))
+    iterations = np.empty(count, dtype=np.int64)
+    done = np.empty(count, dtype=bool)
+    out = (xs, ys, iterations, done)
+    # every slice's Gibbs kernel; log-domain slices replace theirs below
+    base = np.exp(-lams[None, :, None, None] * costs[:, None]).reshape(
+        count, n, width)
     key, lam = np.nonzero(~use_log)
     if key.size:
-        kernel = np.exp(-lams[lam, None, None] * costs[key])[:, None]
+        slices = ids[key, lam]
+        # a view of base when every slice takes the scaling update
+        kernel = (base if key.size == count else base[slices])[:, None]
         b_rows = masses[key][:, None]
-        state = (b_rows, kernel, (b_rows > 0.0) * 1.0)
-        _solve(partial(_scaling_step, a), state, ids[key, lam][:, None],
+        v = (b_rows > 0.0) * 1.0
+        state = (b_rows, kernel, v, np.einsum("rknm,rkm->rkn", kernel, v))
+        _solve(partial(_scaling_step, a), state, slices[:, None],
                np.ones((key.size, 1), dtype=bool), out, max_iter, tol)
     rows = np.flatnonzero(use_log.any(axis=0))
     if rows.size:
         eps = 1.0 / lams[rows]
         with np.errstate(divide="ignore"):
             eps_log_b = eps[:, None, None] * np.log(masses)
-        g = np.broadcast_to(np.where(masses > 0.0, 0.0, -np.inf),
-                            eps_log_b.shape)
-        state = (eps, eps[:, None, None] * np.log(a), eps_log_b, g)
-        _solve(partial(_log_domain_step, a, costs, masses), state,
-               ids[:, rows].T, use_log[:, rows].T, out, max_iter, tol)
-    plans, iterations, done = out
-    plans = _round_to_feasible(plans, a, np.repeat(masses, lam_count, axis=0))
+        g = np.where(masses > 0.0, 0.0, -np.inf)
+        eps_log_a = eps[:, None, None] * np.log(a)
+        f = _log_potential(eps_log_a, eps, g[None, :, None, :], costs, axis=3)
+        _solve(partial(_log_domain_step, a, costs, masses),
+               (eps, eps_log_a, eps_log_b, f), ids[:, rows].T,
+               use_log[:, rows].T, out, max_iter, tol)
+        # each log-domain plan is built once from its frozen potentials and
+        # rounded with unit scaling vectors
+        key, lam = np.nonzero(use_log)
+        slices = ids[key, lam]
+        base[slices] = np.exp((xs[slices, :, None] + ys[slices, None, :]
+                               - costs[key]) / (1.0 / lams[lam])[:, None, None])
+        xs[slices], ys[slices] = 1.0, 1.0
+    plans = _round_to_feasible(xs, base, ys, a,
+                               np.repeat(masses, lam_count, axis=0))
 
     for s in np.flatnonzero(~done):
         warnings.warn(f"sinkhorn did not converge within {max_iter} "

@@ -56,6 +56,21 @@ class TrainConfig:
     workers: int = 1
     out_dir: str | None = None
 
+    def __post_init__(self):
+        counts = {"batch_size": self.batch_size, "epochs": self.epochs,
+                  "workers": self.workers, "head_hidden": self.head_hidden,
+                  "sinkhorn_max_iter": self.sinkhorn_max_iter}
+        counts.update((f"encoder_dims[{i}]", d)
+                      for i, d in enumerate(self.encoder_dims))
+        for name, value in counts.items():
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not self.encoder_dims:
+            raise ConfigError("encoder_dims must hold at least one layer")
+        if not self.sinkhorn_tol > 0.0:
+            raise ConfigError(f"sinkhorn_tol must be > 0, got "
+                              f"{self.sinkhorn_tol}")
+
     def resolved_lambdas(self):
         if self.lambdas is not None:
             return tuple(float(v) for v in self.lambdas)
@@ -182,7 +197,7 @@ def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):
             batch_losses.append(loss.item())
         loss_trace.append(float(np.mean(batch_losses)))
 
-    accuracy = model.evaluate(prepared_test)
+    _, accuracy = model.evaluate(prepared_test)
     result = FoldResult(fold=fold_index, accuracy=accuracy,
                         loss_trace=loss_trace,
                         wall_time=time.perf_counter() - started,

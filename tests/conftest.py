@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from graphdict.data import DatasetBundle, LabeledGraph, save_tu_dataset
-from graphdict.model import GraphDictionaryModel, LossConfig, ModelConfig
+from graphdict.model import (GraphDictionaryModel, LossConfig, ModelConfig,
+                             save_checkpoint)
 
 
 def cycle_adjacency(n):
@@ -72,6 +73,19 @@ def build_tiny_model(seed=7, lambdas=(0.5, 5.0), beta=0.001, num_keys=2,
                                        np.random.default_rng(seed))
     prepared = [model.prepare(g) for g in (g0, g1)]
     return model, prepared
+
+
+def rewrite_checkpoint(tmp_path, name, change):
+    """Save the tiny model's checkpoint with array ``name`` replaced by
+    ``change(array)``; returns the new file's path."""
+    full = tmp_path / "full.npz"
+    save_checkpoint(build_tiny_model()[0], full)
+    with np.load(full) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[name] = change(arrays[name])
+    path = tmp_path / "edited.npz"
+    np.savez(path, **arrays)
+    return path
 
 
 def write_tu_dataset(bundle, data_dir, name):

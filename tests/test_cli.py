@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from graphdict.cli import (build_parser, build_train_config, load_config_file,
                            main)
 from graphdict.errors import ConfigError, IoError
 from graphdict.model import save_checkpoint
-from conftest import build_tiny_model, make_synthetic_bundle, write_tu_dataset
+from conftest import (build_tiny_model, make_synthetic_bundle,
+                      rewrite_checkpoint, write_tu_dataset)
 
 
 # --- parser -----------------------------------------------------------------
@@ -256,6 +258,20 @@ def test_non_npz_checkpoint_exits_with_error(fast_cfg_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+@pytest.mark.parametrize("change, message", [
+    (lambda w_r: w_r[:-1], r"'w_r' has shape \(4, 1\), expected \(5, 1\)"),
+    (lambda w_r: w_r * np.nan, "'w_r' must hold finite numbers"),
+], ids=["short", "nan"])
+def test_bad_checkpoint_array_names_path_and_array(fast_cfg_file, tmp_path,
+                                                   capsys, command, change,
+                                                   message):
+    edited = rewrite_checkpoint(tmp_path, "w_r", change)
+    line = _load_fails_with_one_error_line(fast_cfg_file, edited, tmp_path,
+                                           capsys, command)
+    assert re.search(message, line)
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
 def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
                                                 capsys, command):
     full = tmp_path / "full.npz"
@@ -267,3 +283,25 @@ def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
     line = _load_fails_with_one_error_line(fast_cfg_file, partial, tmp_path,
                                            capsys, command)
     assert "lacks array 'w_r'" in line
+
+
+@pytest.mark.parametrize("line, field", [
+    ("batch_size = 0", "batch_size"),
+    ("epochs = -1", "epochs"),
+    ("epochs = 0", "epochs"),
+    ("workers = 0", "workers"),
+    ("head_hidden = 0", "head_hidden"),
+    ("encoder_dims = 8 0 8", r"encoder_dims\[1\]"),
+    ("sinkhorn_max_iter = 0", "sinkhorn_max_iter"),
+    ("sinkhorn_tol = -1", "sinkhorn_tol"),
+    ("sinkhorn_tol = 0", "sinkhorn_tol"),
+])
+def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
+                                   field):
+    path = tmp_path / "range.cfg"
+    with open(fast_cfg_file) as fh:
+        path.write_text(fh.read() + line + "\n")
+    code = main(["train", "--config", str(path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and re.match(f"error: {field} must be", lines[0])

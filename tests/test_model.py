@@ -6,13 +6,14 @@ import pytest
 from graphdict import tensor as T
 from graphdict import vgda
 from graphdict.data import LabeledGraph
-from graphdict.errors import ConfigError
+from graphdict.errors import ConfigError, FormatError
 from graphdict.model import (ForwardOverrides, ForwardResult, LossConfig,
                              GraphDictionaryModel, ModelConfig,
                              init_base_dictionary, load_checkpoint,
                              save_checkpoint)
 from graphdict.training import Adam
-from conftest import build_tiny_model, make_synthetic_bundle, tiny_graph_pair
+from conftest import (build_tiny_model, make_synthetic_bundle,
+                      rewrite_checkpoint, tiny_graph_pair)
 
 
 # --- dictionary initialization ----------------------------------------------
@@ -308,3 +309,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for graph in prepared:
         assert np.array_equal(model.predict(graph),
                               restored.predict(graph))
+
+
+@pytest.mark.parametrize("name", ["enc_input_0", "enc_input_2", "enc_dict_1",
+                                  "key_0_adjacency", "key_1_features", "w_r",
+                                  "w_m", "head_w1", "head_w2"])
+@pytest.mark.parametrize("edit", ["short", "wide", "nan", "inf"])
+def test_checkpoint_rejects_misshapen_or_nonfinite_arrays(tmp_path, name,
+                                                          edit):
+    change = {"short": lambda x: x[:-1],
+              "wide": lambda x: np.hstack([x, x[:, :1]]),
+              "nan": lambda x: np.where(x == x.flat[0], np.nan, x),
+              "inf": lambda x: np.full_like(x, np.inf, dtype=float)}[edit]
+    path = rewrite_checkpoint(tmp_path, name, change)
+    with pytest.raises(FormatError, match=f"{path}.*'{name}'"):
+        load_checkpoint(path)

@@ -204,8 +204,9 @@ def test_log_domain_grid_shares_each_key_cost_matrix(monkeypatch):
     step = mswe._log_domain_step
 
     def spy(a, M, b, *state):
-        shapes.append((M.shape, state[-1].shape))
-        return step(a, M, b, *state)
+        result = step(a, M, b, *state)
+        shapes.append((M.shape, result[1][1].shape))  # the iterate's g
+        return result
 
     monkeypatch.setattr(mswe, "_log_domain_step", spy)
     widths = (3, 5, 2)
@@ -217,6 +218,69 @@ def test_log_domain_grid_shares_each_key_cost_matrix(monkeypatch):
     for cost_shape, g_shape in shapes:
         assert cost_shape == (3, 4, 5)  # each key's matrix once, padded
         assert g_shape[0] <= log_lams and g_shape[1:] == (3, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, domain", [(0.5, "_scaling_step"),
+                                           (50.0, "_log_domain_step")])
+def test_plans_are_built_once_per_solve(monkeypatch, scale, domain):
+    """Steps carry vectors or potentials, never plans; the rounding builds
+    every plan once, however many iterations run."""
+    widths, n = (3, 5, 2), 4
+    calls = []
+
+    def spy_on(name):
+        original = getattr(mswe, name)
+
+        def spy(*args):
+            result = original(*args)
+            calls.append((name, result))
+            return result
+        monkeypatch.setattr(mswe, name, spy)
+
+    for name in ("_scaling_step", "_log_domain_step", "_round_to_feasible"):
+        spy_on(name)
+    M = np.random.default_rng(13).uniform(size=(n, sum(widths))) * scale
+    solved = sinkhorn_keys(M, (1.0, 2.0), offsets=np.cumsum([0, *widths]),
+                           max_iter=40, tol=0.0)
+    assert (solved.iterations == 40).all()
+    assert [name for name, _ in calls] == [domain] * 40 + ["_round_to_feasible"]
+    for _, (_, iterate, violation) in calls[:-1]:
+        arrays = iterate if isinstance(iterate, tuple) else (iterate,)
+        assert all(x.shape[-2:] != (n, 5) for x in arrays)
+        assert violation.ndim == 2
+    assert calls[-1][1].shape == (6, n, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 28),
+       keys=st.lists(st.tuples(st.integers(1, 28), st.floats(-1.0, 0.0)),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.floats(-6.0, 4.0), min_size=1, max_size=8),
+       max_iter=st.sampled_from([1, 3, 200]))
+def test_plans_feasible_across_shapes_and_sensitivity_scales(
+        n, keys, seed, exponents, max_iter):
+    """Exact marginals, nonnegative entries and zero padding, in both domains
+    and at any iteration cap."""
+    widths = [w for w, _ in keys]
+    rng = np.random.default_rng(seed)
+    # key j's largest cost is 10**scale_j, and key 0's is 1, so lam * max M_0
+    # runs over 1e-6 to 1e4 and crosses the log-domain threshold
+    blocks = [rng.uniform(0.0, 1.0, size=(n, w)) for w in widths]
+    blocks = [block / block.max() * (10.0 ** scale if j else 1.0)
+              for j, (block, (_, scale)) in enumerate(zip(blocks, keys))]
+    lams = [10.0 ** e for e in exponents]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solved = sinkhorn_keys(np.hstack(blocks), lams,
+                               offsets=np.cumsum([0] + widths),
+                               max_iter=max_iter)
+    for j, plans in enumerate(solved.per_key()):
+        assert (plans >= 0.0).all()
+        assert np.abs(plans.sum(axis=2) - 1.0 / n).max() <= 1e-12
+        assert np.abs(plans.sum(axis=1) - 1.0 / widths[j]).max() <= 1e-12
+        assert not solved.values[j, :, :, widths[j]:].any()
 
 
 def test_nonconvergence_warns_but_stays_feasible():

@@ -317,6 +317,8 @@ class GraphDictionaryModel:
         """One pass: class probabilities, total KL, and embeddings.
 
         Every key is adapted and embedded at once, as one stacked matrix.
+        Raises NumericsError when the probabilities or the KL come out
+        non-finite, in eval mode (no tape) as in training.
         """
         cfg = self.config
         keys = self.dictionary
@@ -350,6 +352,8 @@ class GraphDictionaryModel:
         hidden = T.relu(T.matmul(T.transpose(h_hat), self.head.w1))
         logits = T.matmul(hidden, self.head.w2)
         probabilities = T.row_softmax(logits)
+        T.check_finite("model.forward: class probabilities and KL",
+                       probabilities, kl_total)
 
         diagnostics = None
         if collect:
@@ -413,9 +417,14 @@ class GraphDictionaryModel:
 # checkpointing
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FORMAT_VERSION = 1
+
+
 def save_checkpoint(model, path):
-    """Serialize all parameters plus config to one .npz, bit-exactly."""
-    arrays = {"config": np.frombuffer(model.config.to_json().encode("utf-8"),
+    """Serialize all parameters plus config to one .npz, bit-exactly,
+    tagged with :data:`CHECKPOINT_FORMAT_VERSION`."""
+    arrays = {"format_version": np.asarray([CHECKPOINT_FORMAT_VERSION]),
+              "config": np.frombuffer(model.config.to_json().encode("utf-8"),
                                       dtype=np.uint8).copy()}
     for i, w in enumerate(model.encoder_input.weights):
         arrays[f"enc_input_{i}"] = w.values
@@ -438,7 +447,9 @@ def load_checkpoint(path):
     Raises IoError when ``path`` cannot be read and FormatError when it is
     not a complete checkpoint, naming the path and any missing array, or any
     array whose shape does not fit the stored config or that holds
-    non-finite values.
+    non-finite values.  A checkpoint without a ``format_version``, or with
+    one other than :data:`CHECKPOINT_FORMAT_VERSION`, raises FormatError
+    naming the path and the version.
     """
     try:
         data = np.load(path)
@@ -473,6 +484,13 @@ def load_checkpoint(path):
         return values
 
     with data:
+        version = (array("format_version", (1,))[0].item()
+                   if "format_version" in data.files else None)
+        if version != CHECKPOINT_FORMAT_VERSION:
+            found = ("no format_version" if version is None
+                     else f"format_version {version!r}")
+            raise FormatError(f"checkpoint {path} has {found}; this build "
+                              f"reads version {CHECKPOINT_FORMAT_VERSION}")
         try:
             text = bytes(array("config")).decode("utf-8")
             config = ModelConfig.from_json(text)

@@ -267,8 +267,9 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
     keys, lam_count = widths.shape[0], lams.shape[0]
     count = keys * lam_count
     ids = np.arange(count).reshape(keys, lam_count)
-    costs = T.pad_segments(M, offsets)          # (K, n, max m_j)
-    masses = T.pad_segments(b, offsets)         # (K, max m_j)
+    layout = T.segment_index(offsets)
+    costs = T.pad_segments(M, offsets, layout)      # (K, n, max m_j)
+    masses = T.pad_segments(b, offsets, layout)     # (K, max m_j)
     width = costs.shape[2]
     peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
     use_log = peak[:, None] * lams[None, :] > LOG_DOMAIN_THRESHOLD  # (K, C)

@@ -3,11 +3,15 @@
 Every gradient in the package is defined in this module and nowhere else.
 Values are plain NumPy arrays.  A :class:`Tape` records each primitive
 application; :meth:`Tape.backward` replays the recording in exact reverse
-order and accumulates gradients with ``+=`` so a value used twice receives
-the sum of both path contributions.
+order and accumulates gradients so a value used twice receives the sum of
+both path contributions.
 
 Running primitives outside any active tape skips recording entirely, which
 is how evaluation mode avoids autodiff overhead.
+
+Op outputs are not scanned for NaN or infinity when built; finiteness is
+checked where values leave the tape, by :meth:`Tape.backward` and
+:func:`check_finite`.
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ def _active_tape():
 class Tensor:
     """A 2-D float64 value, optionally tracked for differentiation.
 
-    ``grad`` is allocated (as zeros) exactly when ``requires_grad`` is true;
-    scalars are represented as 1x1 and row/column vectors as 1xn / nx1.
+    The constructor validates its values (2-D after promotion, all finite)
+    and gives a tensor built with ``requires_grad`` a zeros ``grad``; scalars
+    are represented as 1x1 and row/column vectors as 1xn / nx1.  Op outputs
+    skip both: their values are taken as computed, and a tracked one gets
+    its ``grad`` only when :meth:`Tape.backward` first reaches it.
     """
 
     __slots__ = ("values", "requires_grad", "grad")
@@ -102,27 +109,71 @@ class Tape:
         return False
 
     def backward(self, root):
-        """Accumulate d(root)/d(input) into ``grad`` of every tracked tensor."""
+        """Accumulate d(root)/d(input) into ``grad`` of every tracked tensor.
+
+        A non-finite root raises NumericsError naming the first recorded op
+        whose output is non-finite.  A tensor without a ``grad`` (an op
+        output backward has not reached yet) takes a C-ordered copy of its
+        first piece, so no two tensors share a buffer; later pieces are
+        added in place.
+        """
         if root.values.shape != (1, 1):
             raise ShapeError("backward root must be a 1x1 scalar")
-        if root.grad is None:
+        if not np.isfinite(root.values).all():
+            raise NumericsError("backward: the root is non-finite"
+                                + _origin(self))
+        if not root.requires_grad:
             # The root does not depend on any tracked tensor (e.g. a
             # constant closure); every gradient is identically zero.
             return
-        root.grad += 1.0
+        if root.grad is None:
+            root.grad = np.ones((1, 1))
+        else:
+            root.grad += 1.0
         for out, inputs, backward_fn in reversed(self.nodes):
             g = out.grad
             if g is None or not g.any():
                 continue
             for tensor, piece in zip(inputs, backward_fn(g)):
                 if piece is not None and tensor.requires_grad:
-                    tensor.grad += piece
+                    if tensor.grad is None:
+                        tensor.grad = np.array(piece, order="C")
+                    else:
+                        tensor.grad += piece
+
+
+def _origin(tape):
+    """' (first non-finite op output: <op>)' for ``tape``, or ''."""
+    if tape is not None:
+        for out, _, backward_fn in tape.nodes:
+            if not np.isfinite(out.values).all():
+                op = backward_fn.__qualname__.split(".")[0]
+                return f" (first non-finite op output: {op})"
+    return ""
+
+
+def check_finite(what, *tensors):
+    """Raise NumericsError unless every value of ``tensors`` is finite.
+
+    Op outputs are not scanned when built, so callers check the values
+    that leave the tape.  Under an active tape the message names the first
+    recorded op whose output is non-finite.
+    """
+    for t in tensors:
+        if not np.isfinite(t.values).all():
+            raise NumericsError(f"{what} must be finite"
+                                + _origin(_active_tape()))
 
 
 def _record(values, inputs, backward_fn):
+    """Wrap an op's 2-D float64 ``values`` as its output tensor.
+
+    The one path for op outputs: no validation and no ``grad`` buffer.
+    """
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(values, requires_grad=track)
+    out = Tensor.__new__(Tensor)
+    out.values, out.requires_grad, out.grad = values, track, None
     if track:
         tape.nodes.append((out, inputs, backward_fn))
     return out
@@ -251,7 +302,7 @@ def sum_all(a):
     def backward(g):
         return (np.full(shape, g[0, 0]),)
 
-    return _record(a.values.sum(), (a,), backward)
+    return _record(np.full((1, 1), a.values.sum()), (a,), backward)
 
 
 def mean_all(a):
@@ -261,7 +312,7 @@ def mean_all(a):
     def backward(g):
         return (np.full(shape, g[0, 0] / size),)
 
-    return _record(a.values.mean(), (a,), backward)
+    return _record(np.full((1, 1), a.values.mean()), (a,), backward)
 
 
 def concat_rows(tensors):
@@ -499,7 +550,7 @@ def bernoulli_kl_sum(p, p_hat):
     def backward(g):
         return (g[0, 0] * (-p_hat / pv + (1.0 - p_hat) / (1.0 - pv)),)
 
-    return _record(total, (p,), backward)
+    return _record(np.full((1, 1), total), (p,), backward)
 
 
 def as_offsets(offsets, total):
@@ -520,25 +571,26 @@ def segment_index(offsets):
     return seg, np.arange(offsets[-1]) - offsets[seg], int(widths.max())
 
 
-def pad_segments(x, offsets):
+def pad_segments(x, offsets, layout=None):
     """Split the last axis of ``x`` at ``offsets`` into a leading key axis.
 
     (..., sum m_j) becomes (K, ..., max m_j), each segment zero-padded on the
-    right; a single segment is returned as a view.
+    right; a single segment is returned as a view.  ``layout`` is
+    ``segment_index(offsets)`` when the caller already holds it.
     """
     if len(offsets) == 2:
         return x[None]
-    seg, pos, width = segment_index(offsets)
+    seg, pos, width = segment_index(offsets) if layout is None else layout
     out = np.zeros((len(offsets) - 1,) + x.shape[:-1] + (width,))
     out[seg, ..., pos] = np.moveaxis(x, -1, 0)
     return out
 
 
-def unpad_segments(x, offsets):
+def unpad_segments(x, offsets, layout=None):
     """Inverse of :func:`pad_segments`: (K, ..., max m_j) -> (..., sum m_j)."""
     if len(offsets) == 2:
         return x[0]
-    seg, pos, _ = segment_index(offsets)
+    seg, pos, _ = segment_index(offsets) if layout is None else layout
     return np.moveaxis(x[seg, ..., pos], 0, -1)
 
 
@@ -554,7 +606,8 @@ def plan_costs(m, plans, offsets=None):
     """
     mv = m.values
     offsets = as_offsets(offsets, mv.shape[1])
-    padded = pad_segments(mv, offsets)
+    layout = segment_index(offsets)  # shared by the pad and backward's unpad
+    padded = pad_segments(mv, offsets, layout)
     plans = np.asarray(plans, dtype=np.float64)
     if plans.ndim == 3:
         plans = plans[None]
@@ -569,7 +622,7 @@ def plan_costs(m, plans, offsets=None):
 
     def backward(g):
         return (unpad_segments((g[:, None, :] @ flat).reshape(shape),
-                               offsets),)
+                               offsets, layout),)
 
     return _record(vals, (m,), backward)
 

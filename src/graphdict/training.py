@@ -22,7 +22,7 @@ from . import tensor as T, vgda
 from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
 from .encoder import DEFAULT_HIDDEN_DIMS, momentum_update
-from .errors import ConfigError, GraphDictError, IoError
+from .errors import ConfigError, GraphDictError, IoError, NumericsError
 from .model import (GraphDictionaryModel, LossConfig, ModelConfig,
                     save_checkpoint)
 from .mswe import DEFAULT_MAX_ITER, DEFAULT_TOL, select_lambdas
@@ -117,6 +117,16 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        """One update of every parameter from its ``grad``.
+
+        Every gradient is checked finite first, so a non-finite one raises
+        NumericsError with no parameter or moment changed.
+        """
+        for i, p in enumerate(self.params):
+            if not np.isfinite(p.grad).all():
+                raise NumericsError(f"Adam.step: the gradient of parameter "
+                                    f"{i} (shape {p.shape}) is non-finite; "
+                                    "no parameter was updated")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count

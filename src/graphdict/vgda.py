@@ -89,8 +89,9 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
     default one key) whose mask comes out all-zero selects its single
     highest-probability node (first index on ties).  ``mask_override``
     replaces the mask outright (used by ablations and gradient checks); no
-    surrogate is attached.
+    surrogate is attached.  Non-finite probabilities raise NumericsError.
     """
+    T.check_finite("vgda: sampling probabilities", p)
     probs = p.values[:, 0]
     if mask_override is not None:
         z = np.asarray(mask_override, dtype=bool).reshape(-1).copy()

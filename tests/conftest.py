@@ -77,12 +77,15 @@ def build_tiny_model(seed=7, lambdas=(0.5, 5.0), beta=0.001, num_keys=2,
 
 def rewrite_checkpoint(tmp_path, name, change):
     """Save the tiny model's checkpoint with array ``name`` replaced by
-    ``change(array)``; returns the new file's path."""
+    ``change(array)``, or dropped when that is None; returns the new
+    file's path."""
     full = tmp_path / "full.npz"
     save_checkpoint(build_tiny_model()[0], full)
     with np.load(full) as data:
         arrays = {key: data[key] for key in data.files}
     arrays[name] = change(arrays[name])
+    if arrays[name] is None:
+        del arrays[name]
     path = tmp_path / "edited.npz"
     np.savez(path, **arrays)
     return path

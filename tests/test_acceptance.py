@@ -233,21 +233,26 @@ def test_acceptance_8_runtime_ordering():
     single = build((1.0,))
     multi = build(DEFAULT_LAMBDA_GRID)
 
+    variants = [(single, False), (single, True), (multi, False),
+                (multi, True)]
+
     def batch_time(model_prepared, use_vgda):
         model, prepared = model_prepared
-        samples = []
-        for _ in range(7):
-            start = time.perf_counter()
-            for graph in prepared:
-                model.forward(graph, vgda.EVAL, use_vgda=use_vgda)
-            samples.append(time.perf_counter() - start)
-        return float(np.median(samples))
+        start = time.perf_counter()
+        for graph in prepared:
+            model.forward(graph, vgda.EVAL, use_vgda=use_vgda)
+        return time.perf_counter() - start
 
-    batch_time(single, False)  # warm-up
-    baseline = batch_time(single, use_vgda=False)
-    with_vgda = batch_time(single, use_vgda=True)
-    with_mswe = batch_time(multi, use_vgda=False)
-    with_both = batch_time(multi, use_vgda=True)
+    for variant in variants:  # warm-up
+        batch_time(*variant)
+    # the four variants take turns within each repetition, so a swing in
+    # host speed hits all of them alike instead of reordering their medians
+    samples = [[] for _ in variants]
+    for _ in range(7):
+        for times, variant in zip(samples, variants):
+            times.append(batch_time(*variant))
+    baseline, with_vgda, with_mswe, with_both = (float(np.median(t))
+                                                 for t in samples)
     assert baseline < with_vgda < with_mswe < with_both
     print(f"ACCEPTANCE 8 runtime ordering: PASS (per-batch "
           f"{baseline * 1e3:.1f} < {with_vgda * 1e3:.1f} < "

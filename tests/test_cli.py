@@ -272,6 +272,15 @@ def test_bad_checkpoint_array_names_path_and_array(fast_cfg_file, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+def test_version_less_checkpoint_exits_with_error(fast_cfg_file, tmp_path,
+                                                  capsys, command):
+    edited = rewrite_checkpoint(tmp_path, "format_version", lambda v: None)
+    line = _load_fails_with_one_error_line(fast_cfg_file, edited, tmp_path,
+                                           capsys, command)
+    assert "has no format_version" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
 def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
                                                 capsys, command):
     full = tmp_path / "full.npz"

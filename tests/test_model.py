@@ -1,16 +1,18 @@
 """End-to-end model: dictionary init, forward pass, loss, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
 from graphdict import tensor as T
 from graphdict import vgda
 from graphdict.data import LabeledGraph
-from graphdict.errors import ConfigError, FormatError
-from graphdict.model import (ForwardOverrides, ForwardResult, LossConfig,
-                             GraphDictionaryModel, ModelConfig,
-                             init_base_dictionary, load_checkpoint,
-                             save_checkpoint)
+from graphdict.errors import ConfigError, FormatError, NumericsError
+from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardOverrides,
+                             ForwardResult, LossConfig, GraphDictionaryModel,
+                             ModelConfig, init_base_dictionary,
+                             load_checkpoint, save_checkpoint)
 from graphdict.training import Adam
 from conftest import (build_tiny_model, make_synthetic_bundle,
                       rewrite_checkpoint, tiny_graph_pair)
@@ -324,3 +326,39 @@ def test_checkpoint_rejects_misshapen_or_nonfinite_arrays(tmp_path, name,
     path = rewrite_checkpoint(tmp_path, name, change)
     with pytest.raises(FormatError, match=f"{path}.*'{name}'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_stores_its_format_version(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(build_tiny_model()[0], path)
+    with np.load(path) as data:
+        assert data["format_version"].tolist() == [CHECKPOINT_FORMAT_VERSION]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda version: None, "has no format_version"),
+    (lambda version: version + 1,
+     f"has format_version {CHECKPOINT_FORMAT_VERSION + 1};"),
+], ids=["missing", "unknown"])
+def test_checkpoint_rejects_missing_or_unknown_format_version(tmp_path,
+                                                              change,
+                                                              message):
+    path = rewrite_checkpoint(tmp_path, "format_version", change)
+    with pytest.raises(FormatError,
+                       match=re.escape(f"checkpoint {path} {message}")):
+        load_checkpoint(path)
+
+
+# --- numerics ---------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [vgda.TRAIN, vgda.EVAL])
+def test_overflowing_encoder_raises_numerics_error(mode):
+    """Op outputs are not scanned when built, so the first consumer of a
+    non-finite value outside the tape must check it."""
+    model, prepared = build_tiny_model()
+    for w in model.encoder_input.weights:
+        w.values *= 1e200
+    model.refresh_key_encodings()
+    with pytest.raises(NumericsError, match="sampling probabilities"):
+        model.forward(prepared[1], mode, rng=np.random.default_rng(0))

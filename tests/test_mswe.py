@@ -144,6 +144,20 @@ def test_grid_slices_match_single_solves(n, m, seed, log_scale, exponents,
         assert plan.converged == single.converged
 
 
+def test_stacked_solve_builds_one_padding_layout(monkeypatch):
+    calls = []
+    real = T.segment_index
+
+    def counted(offsets):
+        calls.append(1)
+        return real(offsets)
+
+    monkeypatch.setattr(T, "segment_index", counted)
+    M = np.random.default_rng(6).uniform(size=(5, 9))
+    sinkhorn_keys(M, (0.5, 5.0), offsets=[0, 2, 7, 9])
+    assert len(calls) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 28),
        keys=st.lists(st.tuples(st.integers(1, 28), st.floats(-3.0, 2.0)),

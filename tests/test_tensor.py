@@ -10,6 +10,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdict import tensor as T
 from graphdict.errors import NumericsError, OracleError, ShapeError
@@ -60,6 +61,67 @@ def test_backward_on_untracked_root_leaves_grads_zero():
     root = T.Tensor(1.0)
     tape.backward(root)
     assert not x.grad.any()
+
+
+def test_op_outputs_get_grad_buffers_only_when_backward_reaches_them():
+    rng = np.random.default_rng(5)
+    x = T.Tensor(rng.uniform(size=(4, 6)), requires_grad=True)
+    plans = rng.uniform(size=(3, 2, 4, 3))
+    with T.Tape() as tape:
+        cost = T.scale(x, 1.0)
+        unused = T.relu(x)
+        h = T.plan_costs(cost, plans, offsets=[0, 1, 3, 6])
+        assert cost.grad is None and unused.grad is None
+        tape.backward(T.sum_all(h))
+    assert unused.grad is None
+    # plan_costs hands back a Fortran-ordered piece; the buffer is C-ordered
+    assert cost.grad.flags.c_contiguous
+    assert np.array_equal(cost.grad, x.grad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_backward_rejects_non_finite_root_naming_the_op():
+    x = T.Tensor(np.array([[1e200, 1.0]]), requires_grad=True)
+    with T.Tape() as tape:
+        square = T.multiply(x, x)  # op outputs are not scanned when built
+        assert np.isinf(square.values[0, 0])
+        y = T.sum_all(T.add_scalar(square, 1.0))
+        with pytest.raises(NumericsError, match=r"root is non-finite "
+                           r"\(first non-finite op output: multiply\)"):
+            tape.backward(y)
+    assert not x.grad.any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_check_finite_names_the_op_under_a_tape_only():
+    x = T.Tensor(np.array([[1e200]]), requires_grad=True)
+    with T.Tape():
+        out = T.scale(T.relu(x), 1e200)
+        with pytest.raises(NumericsError,
+                           match=r"out must be finite \(first non-finite op "
+                                 r"output: scale\)"):
+            T.check_finite("out", T.relu(x), out)
+    with pytest.raises(NumericsError, match=r"out must be finite$"):
+        T.check_finite("out", T.scale(x, 1e200))
+    T.check_finite("out", x, T.relu(x))
+
+
+def test_plan_costs_builds_one_padding_layout(monkeypatch):
+    calls = []
+    real = T.segment_index
+
+    def counted(offsets):
+        calls.append(1)
+        return real(offsets)
+
+    monkeypatch.setattr(T, "segment_index", counted)
+    m = T.Tensor(np.random.default_rng(3).uniform(size=(4, 6)),
+                 requires_grad=True)
+    plans = np.random.default_rng(4).uniform(size=(3, 2, 4, 3))
+    with T.Tape() as tape:
+        h = T.plan_costs(m, plans, offsets=[0, 1, 3, 6])
+        tape.backward(T.sum_all(h))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +274,78 @@ def test_plan_costs_gradient_is_the_plan_stack():
         assert h.values.shape == (1, 2)
         tape.backward(T.sum_all(h))
     assert np.allclose(m.grad, plans.sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# gradient routing properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_select_routes_each_selected_rows_gradient_home(n, m, seed, data):
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    if not mask.any():
+        mask[data.draw(st.integers(0, n - 1))] = True
+    rng = np.random.default_rng(seed)
+    a = _rand(rng, n, m)
+    weight = _probe(rng, int(mask.sum()), m)
+    closure = lambda: _weighted_sum(T.row_select(a, mask), weight)
+    assert T.grad_check(closure, [a]) <= FD_TOL
+    expected = np.zeros((n, m))
+    expected[mask] = weight
+    assert np.array_equal(a.grad, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_straight_through_scale_routes_rows_and_row_dots(n, m, seed):
+    rng = np.random.default_rng(seed)
+    x = _rand(rng, n, m)
+    z_tilde = T.Tensor(rng.uniform(0.01, 0.99, size=(n, 1)),
+                       requires_grad=True)
+    weight = _probe(rng, n, m)
+    with T.Tape() as tape:
+        out = T.straight_through_scale(x, z_tilde)
+        tape.backward(_weighted_sum(out, weight))
+    assert np.array_equal(out.values, x.values)
+    assert np.array_equal(x.grad, weight)
+    assert np.allclose(z_tilde.grad,
+                       (weight * x.values).sum(axis=1, keepdims=True),
+                       rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1),
+       factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_reused_tensor_gets_the_sum_of_its_paths_without_aliasing(
+        n, m, seed, factors):
+    """x feeds add_scalar twice; u also feeds scale ops recorded before the
+    add that consumes u and w together.  add and add_scalar hand back their
+    upstream gradient itself, so unless each tensor's first piece is
+    copied, u, w and the add's output share one buffer and the later
+    pieces into u leak into w."""
+    rng = np.random.default_rng(seed)
+    x = _rand(rng, n, m)
+    weight = _probe(rng, n, m)
+    with T.Tape() as tape:
+        u = T.add_scalar(x, 1.0)
+        w = T.add_scalar(x, -2.0)
+        scaled = [T.scale(u, c) for c in factors]
+        both = T.add(u, w)
+        total = T.add(T.add_n(scaled), both)
+        tape.backward(_weighted_sum(total, weight))
+    # paths: x -> u -> scale(c) for every c, x -> u -> add, x -> w -> add
+    expected = weight * (sum(factors) + 2.0)
+    assert np.allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(w.grad, weight)
+    grads = [u.grad, w.grad, both.grad, total.grad]
+    for i, first in enumerate(grads):
+        for second in grads[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 def test_tapes_are_thread_local():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from graphdict import tensor as T
-from graphdict import training
-from graphdict.errors import GraphDictError, IoError
+from graphdict import training, vgda
+from graphdict.encoder import momentum_update
+from graphdict.errors import GraphDictError, IoError, NumericsError
 from graphdict.training import (Adam, CvResult, FoldResult, TrainConfig,
                                 desk_scale, export_diagnostics,
                                 format_metrics_table, run_cv, train_one_fold,
@@ -81,6 +82,56 @@ def test_adam_zero_grad_resets_accumulated_gradients():
     p.grad = np.array([[3.0]])
     Adam([p], lr=0.1).zero_grad()
     assert not p.grad.any()
+
+
+def test_adam_non_finite_gradient_raises_and_changes_nothing():
+    p, q = param([[1.0, -2.0]]), param([[0.5]])
+    optimizer = Adam([p, q], lr=0.1, weight_decay=0.01)
+    p.grad, q.grad = np.array([[0.3, -0.1]]), np.array([[0.2]])
+    optimizer.step()  # leaves non-zero moments
+    before = [a.copy() for a in [p.values, q.values, *optimizer.m,
+                                 *optimizer.v]]
+    p.grad, q.grad = np.array([[0.3, 0.2]]), np.array([[np.nan]])
+    with pytest.raises(NumericsError, match="parameter 1"):
+        optimizer.step()
+    after = [p.values, q.values, *optimizer.m, *optimizer.v]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert optimizer.step_count == 1
+
+
+def _train_step(model, prepared, optimizer, rng):
+    """One optimizer step over ``prepared``, as ``train_one_fold`` takes it."""
+    optimizer.zero_grad()
+    with T.Tape() as tape:
+        model.refresh_key_encodings()
+        results = [model.forward(p, vgda.TRAIN, rng=rng) for p in prepared]
+        tape.backward(model.batch_loss(results, [p.label for p in prepared]))
+    optimizer.step()
+    momentum_update(model.encoder_dict, model.encoder_input, 0.999)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_step_names_the_op_and_changes_nothing():
+    model, prepared = build_tiny_model()
+    optimizer = Adam(model.parameters(), lr=0.01)
+    rng = np.random.default_rng(0)
+    _train_step(model, prepared, optimizer, rng)  # non-zero moments
+    # plan costs are nonnegative, so every logit overflows to +inf
+    model.head.w1.values[:] = 1e3
+    model.head.w2.values[:] = 1e308
+    tensors = model.parameters() + model.momentum_parameters()
+    before = [t.values.copy() for t in tensors] + [
+        a.copy() for a in optimizer.m + optimizer.v]
+    with pytest.raises(NumericsError, match=r"class probabilities and KL "
+                       r"must be finite \(first non-finite op output: "
+                       r"matmul\)"):
+        _train_step(model, prepared, optimizer, rng)
+    after = [t.values for t in tensors] + optimizer.m + optimizer.v
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert optimizer.step_count == 1
+    model.refresh_key_encodings()
+    with pytest.raises(NumericsError, match="class probabilities"):
+        model.predict(prepared[0])
 
 
 # --- fold training ----------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphdict import mswe
+from graphdict import mswe, oracles
 from graphdict import tensor as T
 from graphdict.errors import (NumericsError, OracleError, ShapeError,
                               SizeError)
@@ -77,6 +77,28 @@ def test_reference_sinkhorn_exact_marginals_after_rounding():
     assert plan.converged
     assert np.abs(plan.values.sum(axis=1) - a).max() < 1e-12
     assert np.abs(plan.values.sum(axis=0) - b).max() < 1e-12
+
+
+def test_oracle_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(3)
+    inputs = [rng.normal(scale=scale, size=(4, 5))
+              for scale in (1e-3, 1.0, 1e3)]
+    tied = rng.normal(size=(3, 4))
+    tied[1] = tied[0, 0]
+    inputs.append(tied)
+    edge = rng.normal(size=(3, 3))
+    edge[0] = -np.inf
+    edge[1, 2] = np.inf
+    edge[2, 0] = np.nan
+    inputs.append(edge)
+    for x in inputs:
+        for axis in (0, 1):
+            with np.errstate(all="ignore"):
+                want = logsumexp(x, axis=axis)
+            got = oracles._logsumexp(x, axis=axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_reference_sinkhorn_validation():

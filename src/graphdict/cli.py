@@ -15,7 +15,6 @@ file, which overrides built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import types
 import typing
@@ -24,7 +23,7 @@ from .data import load_tu_dataset
 from .errors import ConfigError, GraphDictError, IoError
 from .model import load_checkpoint
 from .training import (TrainConfig, export_diagnostics, format_metrics_table,
-                       run_cv)
+                       run_cv, write_csv)
 
 # config-file / flag aliases -> TrainConfig field names
 _ALIASES = {"lr": "learning_rate", "wd": "weight_decay", "out": "out_dir"}
@@ -171,19 +170,10 @@ def cmd_eval(args):
     print(f"graphs: {len(prepared)}")
     print(f"accuracy: {accuracy:.4f}")
     if args.out:
-        import os
-
-        from .training import _ensure_dir
-        _ensure_dir(args.out)
-        path = os.path.join(args.out, "predictions.csv")
-        try:
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["graph_id", "true_label", "predicted_label"])
-                for i, (g, p) in enumerate(zip(prepared, predictions)):
-                    writer.writerow([i, g.label, p])
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        path = write_csv(args.out, "predictions.csv",
+                         ["graph_id", "true_label", "predicted_label"],
+                         ([i, g.label, p] for i, (g, p)
+                          in enumerate(zip(prepared, predictions))))
         print(f"predictions written to {path}")
     return 0
 

@@ -29,12 +29,11 @@ def xavier_uniform(rng, fan_in, fan_out):
 class EncoderParams:
     """Weights of one encoder branch.
 
-    ``trainable`` distinguishes the backprop-trained input branch from the
-    momentum-updated dictionary branch (whose tensors never carry gradients).
+    The backprop-trained input branch's weights require gradients; the
+    momentum-updated dictionary branch's never carry them.
     """
 
     weights: list[T.Tensor]
-    trainable: bool
 
     @classmethod
     def initialize(cls, in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS,
@@ -43,13 +42,13 @@ class EncoderParams:
         weights = [T.Tensor(xavier_uniform(rng, dims[i], dims[i + 1]),
                             requires_grad=trainable)
                    for i in range(len(hidden_dims))]
-        return cls(weights=weights, trainable=trainable)
+        return cls(weights=weights)
 
     def copy_as_momentum_branch(self):
         """A frozen branch starting from identical weights."""
         weights = [T.Tensor(w.values.copy(), requires_grad=False)
                    for w in self.weights]
-        return EncoderParams(weights=weights, trainable=False)
+        return EncoderParams(weights=weights)
 
     @property
     def hidden_dims(self):

@@ -501,13 +501,11 @@ def load_checkpoint(path):
         enc_input = EncoderParams(
             weights=[T.Tensor(array(f"enc_input_{i}", dims[i:i + 2]),
                               requires_grad=True)
-                     for i in range(len(config.encoder_dims))],
-            trainable=True)
+                     for i in range(len(config.encoder_dims))])
         enc_dict = EncoderParams(
             weights=[T.Tensor(array(f"enc_dict_{i}", dims[i:i + 2]),
                               requires_grad=False)
-                     for i in range(len(config.encoder_dims))],
-            trainable=False)
+                     for i in range(len(config.encoder_dims))])
         keys = []
         for key_id in range(config.num_keys):
             adjacency = array(f"key_{key_id}_adjacency", (None, None))

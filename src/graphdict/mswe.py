@@ -14,10 +14,10 @@ convergence on each slice's scaling vectors (or potentials) and freezes them
 at the iteration where the slice converges; each plan is built once, after
 the loop, by the feasibility rounding.  A slice takes the scaling
 update while ``lam * max(M_j) <= 30`` and the log-domain potential update
-beyond that, to avoid underflow; log-domain slices are laid out as a
-(sensitivity, key) grid, so each key's cost matrix is shared by all its
-sensitivities rather than copied per slice.  A single key is the case
-K = 1.
+beyond that, to avoid underflow.  Both domains lay their slices out the
+same way: one (key, sensitivity) slice per batch row, carrying its own
+kernel or cost matrix, so a row leaves the batch as soon as its slice
+converges.  A single key is the case K = 1.
 """
 
 from __future__ import annotations
@@ -95,19 +95,6 @@ def uniform_marginal(n):
     return np.full(n, 1.0 / n)
 
 
-def _check_marginal(name, vec, offsets):
-    """A strictly positive marginal summing to 1 over each segment."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (offsets[-1],):
-        raise ShapeError(f"sinkhorn: marginal {name} has shape {vec.shape}, "
-                         f"expected ({offsets[-1]},)")
-    if (vec <= 0.0).any():
-        raise ConfigError(f"sinkhorn: marginal {name} must be strictly positive")
-    if (np.abs(np.add.reduceat(vec, offsets[:-1]) - 1.0) > 1e-9).any():
-        raise ConfigError(f"sinkhorn: marginal {name} must sum to 1")
-    return vec
-
-
 def _logsumexp(x, axis):
     peak = x.max(axis=axis, keepdims=True)
     return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
@@ -156,87 +143,80 @@ def _scaling_step(a, b, kernel, v, kv):
     violation.
     """
     u = a / kv
-    v = b / np.einsum("rknm,rkn->rkm", kernel, u)
+    v = b / np.einsum("rnm,rn->rm", kernel, u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericsError("sinkhorn: non-finite scaling vector "
                             "(use the log-domain branch)")
-    kv = np.einsum("rknm,rkm->rkn", kernel, v)
+    kv = np.einsum("rnm,rm->rn", kernel, v)
     return (b, kernel, v, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
 
 
 def _log_potential(eps_log_mass, eps, other, M, axis):
     """One half-step: eps * log(mass) - eps * logsumexp((other - M) / eps)."""
-    return eps_log_mass - eps[:, None, None] * _logsumexp(
-        (other - M) / eps[:, None, None, None], axis=axis)
+    return eps_log_mass - eps[:, None] * _logsumexp(
+        (other - M) / eps[:, None, None], axis=axis)
 
 
 def _log_domain_step(a, M, b, eps, eps_log_a, eps_log_b, f):
-    """Log-domain update on the state (eps, eps * log a, eps * log b, f).
+    """Log-domain update on the state (M, b, eps, eps * log a, eps * log b, f).
 
-    ``M`` stacks the keys' cost matrices, shared by every sensitivity row.
-    Padded columns have b = 0, so g and eps * log b are -inf there.  The
-    rows of exp((f + g - M) / eps) sum to a * exp((f - f_next) / eps), so
-    the iterate's violation comes from the next half-step's f_next, which
-    the state carries forward.  Returns the next state, the iterate (f, g)
-    and that violation.
+    Each row carries its own key's padded cost matrix ``M`` and column mass
+    ``b``.  Padded columns have b = 0, so g and eps * log b are -inf there.
+    The rows of exp((f + g - M) / eps) sum to a * exp((f - f_next) / eps),
+    so the iterate's violation comes from the next half-step's f_next,
+    which the state carries forward.  Returns the next state, the iterate
+    (f, g) and that violation.
     """
-    g = _log_potential(eps_log_b, eps, f[:, :, :, None], M, axis=2)
+    g = _log_potential(eps_log_b, eps, f[:, :, None], M, axis=1)
     # padded columns hold g = -inf; mask them only once a check fails
     if not (np.isfinite(f).all()
             and (np.isfinite(g).all() or (np.isfinite(g) | (b == 0.0)).all())):
         raise NumericsError("sinkhorn: non-finite log-domain potentials")
-    f_next = _log_potential(eps_log_a, eps, g[:, :, None, :], M, axis=3)
-    violation = (a * np.abs(np.expm1((f - f_next) / eps[:, None, None]))
+    f_next = _log_potential(eps_log_a, eps, g[:, None, :], M, axis=2)
+    violation = (a * np.abs(np.expm1((f - f_next) / eps[:, None]))
                  ).max(axis=-1)
-    return (eps, eps_log_a, eps_log_b, f_next), (f, g), violation
+    return (M, b, eps, eps_log_a, eps_log_b, f_next), (f, g), violation
 
 
-def _solve(step, state, ids, live, out, max_iter, tol):
-    """Iterate ``step`` on a batch of slice rows, filling ``out``.
+def _solve(step, state, ids, out, max_iter, tol):
+    """Iterate ``step`` on a batch of slices, one per row, filling ``out``.
 
-    State arrays are batched on axis 0, one row each; ``ids`` (r, k) holds
-    the flat index, key * C + sensitivity, of every slice in every row.
-    ``step`` maps a state tuple to the next state, the iterate's (r, k, n)
-    and (r, k, m) vectors and their (r, k) marginal violations.  ``live``
-    marks the slices to solve; the others ride along unused.  A live
-    slice's vectors are frozen into ``out`` = (x, y, iterations, converged)
-    at the first iteration that meets ``tol``, or at ``max_iter``; a row
-    leaves every state array once all its slices are frozen.
+    State arrays are batched on axis 0; ``ids`` holds each row's flat slice
+    index, key * C + sensitivity.  ``step`` maps a state tuple to the next
+    state, the iterate's (r, n) and (r, m) vectors and their (r,) marginal
+    violations.  A slice's vectors are frozen into ``out`` = (x, y,
+    iterations, converged) at the first iteration that meets ``tol``, or at
+    ``max_iter``, and its row leaves every state array there.
     """
     xs, ys, iterations, done = out
     for it in range(1, max_iter + 1):
         state, (x, y), violation = step(*state)
-        newly = live & (violation < tol)
-        retire = newly if it < max_iter else live
+        met = violation < tol
+        retire = met | (it == max_iter)
         if retire.any():
             idx = ids[retire]
             xs[idx], ys[idx] = x[retire], y[retire]
-            iterations[idx], done[idx] = it, newly[retire]
-            live = live & ~retire
-            keep = live.any(axis=1)
-            if not keep.any():
+            iterations[idx], done[idx] = it, met[retire]
+            if retire.all():
                 break
-            if not keep.all():
-                ids, live = ids[keep], live[keep]
-                state = tuple(s[keep] for s in state)
+            stay = ~retire
+            ids = ids[stay]
+            state = tuple(s[stay] for s in state)
 
 
-def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
-                  max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
+                  tol=DEFAULT_TOL):
     """Entropic transport plans of one input against K keys at C sensitivities.
 
     ``M`` is (n, sum m_j): key j's cost matrix fills columns
     offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
-    is None).  ``a`` is the input's node mass and ``b`` stacks each key's,
-    summing to 1 per key; both default to uniform.  All K*C (key,
-    sensitivity) slices are solved together, padded to the widest key with
-    zero-mass columns.  A slice takes the log domain when
-    lam * max(M_j) > 30 and the scaling update otherwise.  Scaling slices
-    form a batch of one slice per row, each leaving at the iteration where
-    it converges; log-domain slices form a (sensitivity, key) grid that
-    shares each key's cost matrix across its sensitivities, each slice
-    frozen at its own convergence.  Every plan is then built once from its
-    frozen vectors and rounded onto the exact transport polytope
+    is None).  Node masses are uniform on both sides, summing to 1 per key.
+    All K*C (key, sensitivity) slices are solved together, padded to the
+    widest key with zero-mass columns.  A slice takes the log domain when
+    lam * max(M_j) > 30 and the scaling update otherwise.  Each domain runs
+    as a batch of one slice per row, and a row leaves its batch at the
+    iteration where its slice converges.  Every plan is then built once
+    from its frozen vectors and rounded onto the exact transport polytope
     (row/column downscaling plus a rank-one correction), so marginals hold
     to machine precision even when iteration stopped at the cap.  Plans
     that did not meet the convergence tolerance are flagged in
@@ -258,21 +238,21 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
     lams = np.asarray(lams, dtype=np.float64).reshape(-1)
     if (lams <= 0.0).any():
         raise ConfigError("sinkhorn: every sensitivity must be positive")
-    a = uniform_marginal(n) if a is None else _check_marginal("a", a, (0, n))
-    b = (np.repeat(1.0 / widths, widths) if b is None
-         else _check_marginal("b", b, offsets))
     if max_iter < 1:
         raise ConfigError("sinkhorn: max_iter must be >= 1")
 
     keys, lam_count = widths.shape[0], lams.shape[0]
     count = keys * lam_count
-    ids = np.arange(count).reshape(keys, lam_count)
+    # slice s is key s // C at sensitivity lams[s % C]
+    key, lam = np.divmod(np.arange(count), lam_count)
+    a = uniform_marginal(n)
     layout = T.segment_index(offsets)
     costs = T.pad_segments(M, offsets, layout)      # (K, n, max m_j)
-    masses = T.pad_segments(b, offsets, layout)     # (K, max m_j)
+    masses = T.pad_segments(np.repeat(1.0 / widths, widths), offsets,
+                            layout)                 # (K, max m_j)
     width = costs.shape[2]
     peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
-    use_log = peak[:, None] * lams[None, :] > LOG_DOMAIN_THRESHOLD  # (K, C)
+    use_log = peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD
     # each slice's frozen iterate: scaling vectors (u, v) or potentials (f, g)
     xs, ys = np.empty((count, n)), np.empty((count, width))
     iterations = np.empty(count, dtype=np.int64)
@@ -281,33 +261,30 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
     # every slice's Gibbs kernel; log-domain slices replace theirs below
     base = np.exp(-lams[None, :, None, None] * costs[:, None]).reshape(
         count, n, width)
-    key, lam = np.nonzero(~use_log)
-    if key.size:
-        slices = ids[key, lam]
+    slices = np.flatnonzero(~use_log)
+    if slices.size:
         # a view of base when every slice takes the scaling update
-        kernel = (base if key.size == count else base[slices])[:, None]
-        b_rows = masses[key][:, None]
+        kernel = base if slices.size == count else base[slices]
+        b_rows = masses[key[slices]]
         v = (b_rows > 0.0) * 1.0
-        state = (b_rows, kernel, v, np.einsum("rknm,rkm->rkn", kernel, v))
-        _solve(partial(_scaling_step, a), state, slices[:, None],
-               np.ones((key.size, 1), dtype=bool), out, max_iter, tol)
-    rows = np.flatnonzero(use_log.any(axis=0))
-    if rows.size:
-        eps = 1.0 / lams[rows]
+        state = (b_rows, kernel, v, np.einsum("rnm,rm->rn", kernel, v))
+        _solve(partial(_scaling_step, a), state, slices, out, max_iter, tol)
+    slices = np.flatnonzero(use_log)
+    if slices.size:
+        cost_rows, b_rows = costs[key[slices]], masses[key[slices]]
+        eps = 1.0 / lams[lam[slices]]
         with np.errstate(divide="ignore"):
-            eps_log_b = eps[:, None, None] * np.log(masses)
-        g = np.where(masses > 0.0, 0.0, -np.inf)
-        eps_log_a = eps[:, None, None] * np.log(a)
-        f = _log_potential(eps_log_a, eps, g[None, :, None, :], costs, axis=3)
-        _solve(partial(_log_domain_step, a, costs, masses),
-               (eps, eps_log_a, eps_log_b, f), ids[:, rows].T,
-               use_log[:, rows].T, out, max_iter, tol)
+            eps_log_b = eps[:, None] * np.log(b_rows)
+        eps_log_a = eps[:, None] * np.log(a)
+        g = np.where(b_rows > 0.0, 0.0, -np.inf)
+        f = _log_potential(eps_log_a, eps, g[:, None, :], cost_rows, axis=2)
+        _solve(partial(_log_domain_step, a),
+               (cost_rows, b_rows, eps, eps_log_a, eps_log_b, f), slices,
+               out, max_iter, tol)
         # each log-domain plan is built once from its frozen potentials and
         # rounded with unit scaling vectors
-        key, lam = np.nonzero(use_log)
-        slices = ids[key, lam]
         base[slices] = np.exp((xs[slices, :, None] + ys[slices, None, :]
-                               - costs[key]) / (1.0 / lams[lam])[:, None, None])
+                               - cost_rows) / eps[:, None, None])
         xs[slices], ys[slices] = 1.0, 1.0
     plans = _round_to_feasible(xs, base, ys, a,
                                np.repeat(masses, lam_count, axis=0))
@@ -322,23 +299,22 @@ def sinkhorn_keys(M, lams, offsets=None, a=None, b=None,
                      converged=done.reshape(keys, lam_count))
 
 
-def sinkhorn_grid(M, lams, a=None, b=None, max_iter=DEFAULT_MAX_ITER,
-                  tol=DEFAULT_TOL):
+def sinkhorn_grid(M, lams, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Entropic transport plans for one cost matrix at several sensitivities.
 
     :func:`sinkhorn_keys` with one key; returns one :class:`TransportPlan`
     per entry of ``lams``.
     """
-    solved = sinkhorn_keys(M, lams, a=a, b=b, max_iter=max_iter, tol=tol)
+    solved = sinkhorn_keys(M, lams, max_iter=max_iter, tol=tol)
     return [TransportPlan(values=solved.values[0, i], lam=float(lam),
                           iterations_used=int(solved.iterations[0, i]),
                           converged=bool(solved.converged[0, i]))
             for i, lam in enumerate(solved.lams)]
 
 
-def sinkhorn(M, lam, a=None, b=None, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def sinkhorn(M, lam, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Entropic transport plan at a single sensitivity."""
-    return sinkhorn_grid(M, [lam], a=a, b=b, max_iter=max_iter, tol=tol)[0]
+    return sinkhorn_grid(M, [lam], max_iter=max_iter, tol=tol)[0]
 
 
 def cost_matrix(f_input, key_features):

@@ -132,7 +132,7 @@ class Tape:
             root.grad += 1.0
         for out, inputs, backward_fn in reversed(self.nodes):
             g = out.grad
-            if g is None or not g.any():
+            if g is None:
                 continue
             for tensor, piece in zip(inputs, backward_fn(g)):
                 if piece is not None and tensor.requires_grad:

@@ -285,6 +285,29 @@ def _ensure_dir(path):
         raise IoError(f"cannot create output directory {path}: {exc}") from exc
 
 
+def _write(out_dir, name, fill, newline=None):
+    """Create ``out_dir`` and write ``out_dir/name`` with ``fill(fh)``;
+    an OSError becomes an IoError naming the path.  Returns the path."""
+    _ensure_dir(out_dir)
+    path = os.path.join(out_dir, name)
+    try:
+        with open(path, "w", newline=newline) as fh:
+            fill(fh)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def write_csv(out_dir, name, header, rows):
+    """Write the CSV file ``out_dir/name``: one header row, then ``rows``.
+    Returns its path."""
+    def fill(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return _write(out_dir, name, fill, newline="")
+
+
 def format_metrics_table(cv):
     """Human-readable per-fold accuracy table with the mean +- std footer."""
     lines = [f"{'fold':>6}  {'train':>6}  {'test':>5}  {'accuracy':>8}"]
@@ -298,31 +321,18 @@ def format_metrics_table(cv):
 
 def write_metrics(cv, out_dir):
     """metrics.csv + metrics.txt (deterministic) and timings.csv (wall time)."""
-    _ensure_dir(out_dir)
-    try:
-        with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "n_train", "n_test", "accuracy"])
-            for r in cv.folds:
-                writer.writerow([r.fold, r.n_train, r.n_test,
-                                 repr(float(r.accuracy))])
-            writer.writerow(["mean", "", "", repr(cv.mean_accuracy)])
-            writer.writerow(["std", "", "", repr(cv.std_accuracy)])
-        with open(os.path.join(out_dir, "losses.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "epoch", "mean_loss"])
-            for r in cv.folds:
-                for epoch, value in enumerate(r.loss_trace):
-                    writer.writerow([r.fold, epoch, repr(float(value))])
-        with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
-            fh.write(format_metrics_table(cv) + "\n")
-        with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "wall_time_seconds"])
-            for r in cv.folds:
-                writer.writerow([r.fold, repr(float(r.wall_time))])
-    except OSError as exc:
-        raise IoError(f"cannot write metrics under {out_dir}: {exc}") from exc
+    write_csv(out_dir, "metrics.csv", ["fold", "n_train", "n_test", "accuracy"],
+              [*([r.fold, r.n_train, r.n_test, repr(float(r.accuracy))]
+                 for r in cv.folds),
+               ["mean", "", "", repr(cv.mean_accuracy)],
+               ["std", "", "", repr(cv.std_accuracy)]])
+    write_csv(out_dir, "losses.csv", ["fold", "epoch", "mean_loss"],
+              ([r.fold, epoch, repr(float(value))] for r in cv.folds
+               for epoch, value in enumerate(r.loss_trace)))
+    table = format_metrics_table(cv) + "\n"
+    _write(out_dir, "metrics.txt", lambda fh: fh.write(table))
+    write_csv(out_dir, "timings.csv", ["fold", "wall_time_seconds"],
+              ([r.fold, repr(float(r.wall_time))] for r in cv.folds))
 
 
 def export_diagnostics(model, prepared, input_id, out_dir):
@@ -332,51 +342,38 @@ def export_diagnostics(model, prepared, input_id, out_dir):
     plans per sensitivity, attention weights (one row per input, summing
     to 1), and a short text summary.  Byte-identical on re-export.
     """
-    _ensure_dir(out_dir)
     model.refresh_key_encodings()
     result = model.forward(prepared, vgda.EVAL, collect=True)
     diag = result.diagnostics
     lambdas = model.config.loss.lambdas
-    try:
-        with open(os.path.join(out_dir, "sampling_probabilities.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input_id", "key_id", "node_index", "probability"])
-            for key_id, probs in enumerate(diag.sampling_probabilities):
-                for node_index, value in enumerate(probs):
-                    writer.writerow([input_id, key_id, node_index,
-                                     repr(float(value))])
-        with open(os.path.join(out_dir, "costs.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input_id", "key_id", "row", "col", "value"])
-            for key_id, cost in enumerate(diag.costs):
-                for (row, col), value in np.ndenumerate(cost):
-                    writer.writerow([input_id, key_id, row, col,
-                                     repr(float(value))])
-        with open(os.path.join(out_dir, "plans.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input_id", "key_id", "lambda", "row", "col",
-                             "value"])
-            for key_id, stack in enumerate(diag.plan_stacks):
-                for c, lam in enumerate(lambdas):
-                    for (row, col), value in np.ndenumerate(stack[c]):
-                        writer.writerow([input_id, key_id, repr(float(lam)),
-                                         row, col, repr(float(value))])
-        with open(os.path.join(out_dir, "attention.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input_id"] + [f"weight_{lam:g}" for lam in lambdas])
-            writer.writerow([input_id] + [repr(float(v)) for v in diag.alpha])
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            predicted = int(np.argmax(diag.probabilities))
-            fh.write(f"input_id: {input_id}\n"
-                     f"true_label: {prepared.label}\n"
-                     f"predicted_label: {predicted}\n"
-                     f"probabilities: {np.array2string(diag.probabilities)}\n"
-                     f"kl_total: {float(diag.kl)!r}\n"
-                     f"keys: {len(model.dictionary.keys)}\n"
-                     f"sensitivities: {list(lambdas)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write diagnostics under {out_dir}: {exc}") from exc
+    write_csv(out_dir, "sampling_probabilities.csv",
+              ["input_id", "key_id", "node_index", "probability"],
+              ([input_id, key_id, node_index, repr(float(value))]
+               for key_id, probs in enumerate(diag.sampling_probabilities)
+               for node_index, value in enumerate(probs)))
+    write_csv(out_dir, "costs.csv", ["input_id", "key_id", "row", "col", "value"],
+              ([input_id, key_id, row, col, repr(float(value))]
+               for key_id, cost in enumerate(diag.costs)
+               for (row, col), value in np.ndenumerate(cost)))
+    write_csv(out_dir, "plans.csv",
+              ["input_id", "key_id", "lambda", "row", "col", "value"],
+              ([input_id, key_id, repr(float(lam)), row, col,
+                repr(float(value))]
+               for key_id, stack in enumerate(diag.plan_stacks)
+               for c, lam in enumerate(lambdas)
+               for (row, col), value in np.ndenumerate(stack[c])))
+    write_csv(out_dir, "attention.csv",
+              ["input_id"] + [f"weight_{lam:g}" for lam in lambdas],
+              [[input_id] + [repr(float(v)) for v in diag.alpha]])
+    predicted = int(np.argmax(diag.probabilities))
+    summary = (f"input_id: {input_id}\n"
+               f"true_label: {prepared.label}\n"
+               f"predicted_label: {predicted}\n"
+               f"probabilities: {np.array2string(diag.probabilities)}\n"
+               f"kl_total: {float(diag.kl)!r}\n"
+               f"keys: {len(model.dictionary.keys)}\n"
+               f"sensitivities: {list(lambdas)}\n")
+    _write(out_dir, "summary.txt", lambda fh: fh.write(summary))
     return result
 
 

@@ -48,7 +48,6 @@ class SamplingFactor:
     p: T.Tensor                    # (sum m_j, 1) probabilities in (0, 1)
     z: np.ndarray                  # (sum m_j,) boolean mask, >= 1 True per key
     z_tilde: T.Tensor | None       # relaxed surrogate in train mode
-    p_hat: float
 
 
 @dataclass
@@ -77,7 +76,7 @@ def sampling_probability(f_input, f_key, w_r):
 
 
 def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
-                  p_hat=0.5, mask_override=None, offsets=None):
+                  mask_override=None, offsets=None):
     """Draw (or threshold) the binary node mask for stacked keys.
 
     Train mode draws uniform noise per node, forms the relaxed surrogate
@@ -120,7 +119,7 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
         first = np.minimum.reduceat(
             np.where(probs == peak[seg], rows, rows.shape[0]), offsets[:-1])
         z[first[empty]] = True
-    return SamplingFactor(p=p, z=z, z_tilde=z_tilde, p_hat=p_hat)
+    return SamplingFactor(p=p, z=z, z_tilde=z_tilde)
 
 
 def select_substructure(key_features, z, z_tilde=None, offsets=None):
@@ -177,8 +176,7 @@ def adapt_keys(f_input, key_features, offsets, w_r, mode, rng=None,
     """
     p = sampling_probability(f_input, key_features, w_r)
     factor = sample_factor(p, mode, rng=rng, temperature=temperature,
-                           p_hat=p_hat, mask_override=mask_override,
-                           offsets=offsets)
+                           mask_override=mask_override, offsets=offsets)
     adapted = select_substructure(key_features, factor.z, factor.z_tilde,
                                   offsets=offsets)
     kl = bernoulli_kl(p_hat, p)

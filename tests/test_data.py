@@ -1,12 +1,16 @@
 """Graph data model, TU-format loading, featurization, folds."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_synthetic_bundle, path_adjacency
-from graphdict.data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, LabeledGraph,
-                            featurize, load_tu_dataset, normalize_adjacency,
-                            save_tu_dataset, stratified_folds)
+from graphdict.data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, DatasetBundle,
+                            LabeledGraph, featurize, load_tu_dataset,
+                            normalize_adjacency, save_tu_dataset,
+                            stratified_folds)
 from graphdict.errors import (ConfigError, FormatError, ParseError,
                               SchemeError, ShapeError)
 
@@ -115,6 +119,42 @@ def test_round_trip_save_and_load(tmp_path):
         assert np.array_equal(before.adjacency, after.adjacency)
         assert before.class_label == after.class_label
         assert np.array_equal(before.node_labels, after.node_labels)
+
+
+def _contiguous(values):
+    """Relabel integer ids onto 0..k-1 in sorted order, as loading does."""
+    return np.unique(values, return_inverse=True)[1].reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+       density=st.floats(0.0, 1.0), labeled=st.booleans())
+def test_round_trip_property(seed, sizes, density, labeled):
+    """Saving then loading returns every graph's adjacency and labels."""
+    rng = np.random.default_rng(seed)
+    class_labels = _contiguous(rng.integers(0, 3, size=len(sizes)))
+    node_labels = _contiguous(rng.integers(0, 4, size=sum(sizes)))
+    graphs, offset = [], 0
+    for n, label in zip(sizes, class_labels):
+        upper = np.triu(rng.uniform(size=(n, n)) < density, k=1)
+        graphs.append(LabeledGraph(
+            adjacency=(upper | upper.T).astype(float), class_label=int(label),
+            node_labels=node_labels[offset:offset + n] if labeled else None))
+        offset += n
+    bundle = DatasetBundle(graphs=graphs, num_classes=0, num_node_labels=0,
+                           name="P")
+    with tempfile.TemporaryDirectory() as root:
+        save_tu_dataset(bundle, root)
+        again = load_tu_dataset(root, "P")
+    assert len(again.graphs) == len(graphs)
+    for before, after in zip(graphs, again.graphs):
+        assert np.array_equal(before.adjacency, after.adjacency)
+        assert before.class_label == after.class_label
+        if labeled:
+            assert np.array_equal(before.node_labels, after.node_labels)
+        else:
+            assert after.node_labels is None
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +282,25 @@ def test_folds_deterministic_and_seed_sensitive():
     other = stratified_folds(labels, 4, seed=10)
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
     assert any(not np.array_equal(x, y) for x, y in zip(first, other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.integers(0, 3), min_size=2, max_size=60),
+       k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_folds_property(labels, k, seed):
+    """Every index lands in exactly one fold, each class spreads over the
+    folds within one, and the seed fixes the result."""
+    labels = np.asarray(labels)
+    k = min(k, labels.shape[0])
+    folds = stratified_folds(labels, k, seed)
+    assert len(folds) == k
+    assert np.array_equal(np.sort(np.concatenate(folds)),
+                          np.arange(labels.shape[0]))
+    for cls in np.unique(labels):
+        counts = [int((labels[fold] == cls).sum()) for fold in folds]
+        assert max(counts) - min(counts) <= 1
+    again = stratified_folds(labels, k, seed)
+    assert all(np.array_equal(x, y) for x, y in zip(folds, again))
 
 
 def test_folds_config_errors():

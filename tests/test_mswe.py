@@ -99,12 +99,6 @@ def test_solver_validation():
         sinkhorn(M, 1.0, max_iter=0)
     with pytest.raises(ShapeError):
         sinkhorn(np.ones(3), 1.0)
-    with pytest.raises(ShapeError):
-        sinkhorn(M, 1.0, a=np.array([0.5, 0.3, 0.2]))
-    with pytest.raises(ConfigError):
-        sinkhorn(M, 1.0, a=np.array([1.5, -0.5]))
-    with pytest.raises(ConfigError):
-        sinkhorn(M, 1.0, b=np.array([0.9, 0.9]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NumericsError, match="non-finite"):
             sinkhorn(np.array([[0.0, bad], [1.0, 1.0]]), 1.0)
@@ -115,8 +109,6 @@ def test_solver_validation():
     for offsets in ([0, 2, 2, 5], [0, 5, 4], [1, 5], [0, 4], [0]):
         with pytest.raises(ShapeError, match="empty side"):
             sinkhorn_keys(M, [1.0], offsets=offsets)
-    with pytest.raises(ConfigError, match="sum to 1"):
-        sinkhorn_keys(M, [1.0], offsets=[0, 2, 5], b=np.full(5, 0.2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,27 +203,69 @@ def test_stacked_embedding_matches_per_key_embeddings():
         assert np.array_equal(cost.values[:, lo:hi], single_cost.values)
 
 
+def _cost_scaled_keys(widths, scales, n, seed):
+    """A stacked cost matrix whose keys peak near their own scales."""
+    rng = np.random.default_rng(seed)
+    M = np.hstack([rng.uniform(size=(n, w)) * scale
+                   for w, scale in zip(widths, scales)])
+    return M, np.cumsum([0, *widths])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_log_domain_grid_shares_each_key_cost_matrix(monkeypatch):
-    """Log-domain slices run as (sensitivity, key) rows over one key stack."""
-    shapes = []
+def test_log_domain_rows_carry_their_own_key_cost(monkeypatch):
+    """Each log-domain row holds its own key's padded cost and mass."""
+    calls = []
     step = mswe._log_domain_step
 
     def spy(a, M, b, *state):
-        result = step(a, M, b, *state)
-        shapes.append((M.shape, result[1][1].shape))  # the iterate's g
-        return result
+        calls.append((M, b))
+        return step(a, M, b, *state)
 
     monkeypatch.setattr(mswe, "_log_domain_step", spy)
-    widths = (3, 5, 2)
-    M = np.random.default_rng(12).uniform(size=(4, sum(widths))) * 50.0
-    sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=np.cumsum([0, *widths]))
-    log_lams = sum(lam * 50.0 > LOG_DOMAIN_THRESHOLD
-                   for lam in DEFAULT_LAMBDA_GRID)
-    assert shapes
-    for cost_shape, g_shape in shapes:
-        assert cost_shape == (3, 4, 5)  # each key's matrix once, padded
-        assert g_shape[0] <= log_lams and g_shape[1:] == (3, 5)
+    widths, n = (3, 5, 2), 4
+    M, offsets = _cost_scaled_keys(widths, (50.0, 5.0, 20.0), n, seed=12)
+    sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=offsets)
+    costs = T.pad_segments(M, offsets)
+    peaks = [M[:, lo:hi].max() for lo, hi in zip(offsets[:-1], offsets[1:])]
+    log_keys = [j for j, peak in enumerate(peaks) for lam in DEFAULT_LAMBDA_GRID
+                if lam * peak > LOG_DOMAIN_THRESHOLD]
+    assert np.array_equal(calls[0][0], costs[log_keys])
+    for cost_rows, b_rows in calls:
+        assert cost_rows.shape == (b_rows.shape[0], n, max(widths))
+        for cost, b in zip(cost_rows, b_rows):
+            # the keys' widths differ, so a row's mass names its key
+            j = widths.index(int((b > 0.0).sum()))
+            assert np.array_equal(cost, costs[j])
+            assert np.array_equal(b[:widths[j]], np.full(widths[j],
+                                                         1.0 / widths[j]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_each_step_computes_only_unfrozen_slices(monkeypatch):
+    """A slice's row leaves its batch at the iteration that freezes it, so
+    each domain's step runs exactly its slices' iteration count."""
+    computed = {"_scaling_step": 0, "_log_domain_step": 0}
+
+    def spy_on(name):
+        original = getattr(mswe, name)
+
+        def spy(*args):
+            result = original(*args)
+            computed[name] += result[2].size  # one violation per slice
+            return result
+        monkeypatch.setattr(mswe, name, spy)
+
+    for name in computed:
+        spy_on(name)
+    widths, scales = (3, 5, 2), (50.0, 5.0, 20.0)
+    M, offsets = _cost_scaled_keys(widths, scales, 4, seed=12)
+    solved = sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=offsets)
+    peaks = np.array([M[:, lo:hi].max()
+                      for lo, hi in zip(offsets[:-1], offsets[1:])])
+    use_log = peaks[:, None] * solved.lams > LOG_DOMAIN_THRESHOLD
+    assert use_log.any() and not use_log.all()
+    assert computed["_log_domain_step"] == solved.iterations[use_log].sum()
+    assert computed["_scaling_step"] == solved.iterations[~use_log].sum()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -259,10 +293,9 @@ def test_plans_are_built_once_per_solve(monkeypatch, scale, domain):
                            max_iter=40, tol=0.0)
     assert (solved.iterations == 40).all()
     assert [name for name, _ in calls] == [domain] * 40 + ["_round_to_feasible"]
-    for _, (_, iterate, violation) in calls[:-1]:
-        arrays = iterate if isinstance(iterate, tuple) else (iterate,)
-        assert all(x.shape[-2:] != (n, 5) for x in arrays)
-        assert violation.ndim == 2
+    for _, (_, (x, y), violation) in calls[:-1]:
+        assert violation.shape == (6,)
+        assert x.shape == (6, n) and y.shape == (6, 5)
     assert calls[-1][1].shape == (6, n, 5)
 
 

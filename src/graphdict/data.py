@@ -48,6 +48,10 @@ class LabeledGraph:
             labels = np.asarray(self.node_labels, dtype=np.int64)
             if labels.shape != (adj.shape[0],):
                 raise FormatError("node_labels length must equal node count")
+            if (labels < 0).any():
+                node = int(np.argmax(labels < 0))
+                raise FormatError(f"node {node} has negative label "
+                                  f"{labels[node]}; node labels are 0-based")
             self.node_labels = labels
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class LossConfig:
         if not (0.0 < self.p_hat < 1.0):
             raise ConfigError(f"p_hat must lie in (0, 1), got {self.p_hat}")
 
-    @property
-    def num_sensitivities(self):
-        return len(self.lambdas)
-
 
 @dataclass
 class ModelConfig:
@@ -58,21 +54,12 @@ class ModelConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def to_json(self):
-        payload = {
-            "num_classes": self.num_classes,
-            "feature_scheme": self.feature_scheme,
-            "feature_dim": self.feature_dim,
-            "n_padded": self.n_padded,
-            "num_keys": self.num_keys,
-            "encoder_dims": list(self.encoder_dims),
-            "head_hidden": self.head_hidden,
-            "temperature": self.temperature,
-            "sinkhorn_max_iter": self.sinkhorn_max_iter,
-            "sinkhorn_tol": self.sinkhorn_tol,
-            "beta": self.loss.beta,
-            "p_hat": self.loss.p_hat,
-            "lambdas": list(self.loss.lambdas),
-        }
+        """The fields in declaration order, the loss knobs inlined last."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        loss = payload.pop("loss")
+        payload["encoder_dims"] = list(self.encoder_dims)
+        payload.update(beta=loss.beta, p_hat=loss.p_hat,
+                       lambdas=list(loss.lambdas))
         return json.dumps(payload)
 
     @classmethod
@@ -180,13 +167,15 @@ class ClassifierHead:
 
 @dataclass
 class PreparedGraph:
-    """A graph preprocessed for the model: padded features and adjacency."""
+    """A graph preprocessed for the model at its own node count n."""
 
-    features: np.ndarray        # (n_padded, feature_dim), zero pad rows
-    a_hat: np.ndarray           # (n_padded, n_padded), pad nodes isolated
-    real_mask: np.ndarray       # (n_padded,) boolean
+    features: np.ndarray        # (n, feature_dim)
+    a_hat: np.ndarray           # (n, n) normalized adjacency
     label: int
-    node_count: int
+
+    @property
+    def node_count(self):
+        return self.features.shape[0]
 
 
 @dataclass
@@ -282,22 +271,20 @@ class GraphDictionaryModel:
     # -- preprocessing ------------------------------------------------------
 
     def prepare(self, graph):
-        """Pad one graph's features/adjacency to the shared node count."""
+        """One graph's (n, d) features and (n, n) normalized adjacency.
+
+        The graph keeps its own node count n, which must not exceed
+        ``n_padded`` (the row count of the projection vector ``w_r``).
+        """
         cfg = self.config
         n = graph.node_count
         if n > cfg.n_padded:
             raise ConfigError(f"graph with {n} nodes exceeds the padded "
                               f"size {cfg.n_padded}")
-        features = np.zeros((cfg.n_padded, cfg.feature_dim))
-        features[:n] = featurize(graph, cfg.feature_scheme, cfg.feature_dim)
-        padded_adj = np.zeros((cfg.n_padded, cfg.n_padded))
-        padded_adj[:n, :n] = graph.adjacency
-        real_mask = np.zeros(cfg.n_padded, dtype=bool)
-        real_mask[:n] = True
-        return PreparedGraph(features=features,
-                             a_hat=normalize_adjacency(padded_adj),
-                             real_mask=real_mask, label=graph.class_label,
-                             node_count=n)
+        return PreparedGraph(
+            features=featurize(graph, cfg.feature_scheme, cfg.feature_dim),
+            a_hat=normalize_adjacency(graph.adjacency),
+            label=graph.class_label)
 
     # -- forward ------------------------------------------------------------
 
@@ -324,8 +311,7 @@ class GraphDictionaryModel:
         keys = self.dictionary
         if keys.encoded is None:
             raise ConfigError("call refresh_key_encodings() before forward()")
-        f_full = encode(prepared.features, prepared.a_hat, self.encoder_input)
-        f_real = T.row_select(f_full, prepared.real_mask)
+        f_input = encode(prepared.features, prepared.a_hat, self.encoder_input)
 
         factor = None
         if use_vgda:
@@ -333,7 +319,7 @@ class GraphDictionaryModel:
             if overrides is not None and overrides.masks is not None:
                 mask_override = np.concatenate(overrides.masks)
             adapted, factor, kl_total = vgda.adapt_keys(
-                f_full, keys.encoded, keys.offsets, self.vgda_params.w_r,
+                f_input, keys.encoded, keys.offsets, self.vgda_params.w_r,
                 mode, rng=rng, temperature=cfg.temperature,
                 p_hat=cfg.loss.p_hat, mask_override=mask_override)
         else:
@@ -344,7 +330,7 @@ class GraphDictionaryModel:
 
         plans_override = overrides.plans if overrides is not None else None
         h_matrix, cost, transport = mswe.embed_keys_multi(
-            f_real, adapted, cfg.loss.lambdas,
+            f_input, adapted, cfg.loss.lambdas,
             max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol,
             plans_override=plans_override)
         h_hat, alpha = mswe.aggregate_attention_matrix(h_matrix, self.w_m)

@@ -213,7 +213,10 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def backward(g):
-        return g @ bv.T, av.T @ g
+        # an untracked operand (an adjacency, a momentum-branch weight)
+        # would discard its piece, so it is not computed
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
 
     return _record(av @ bv, (a, b), backward)
 
@@ -441,10 +444,9 @@ def clamp(a, lo=None, hi=None):
 def cosine_matrix(a, b, eps=COSINE_EPS):
     """Pairwise cosine similarity: out[u, v] = <a_u, b_v> / (|a_u||b_v| + eps).
 
-    The epsilon guard keeps all-zero rows (which occur after aggressive
-    sampling or zero padding) well defined: their similarities are exactly 0
-    and the norm term of their gradient is taken as 0 (subgradient at the
-    origin).
+    The epsilon guard keeps all-zero rows (a node whose ReLU encoding is all
+    zero) well defined: their similarities are exactly 0 and the norm term
+    of their gradient is taken as 0 (subgradient at the origin).
     """
     if a.values.shape[1] != b.values.shape[1]:
         raise ShapeError(f"cosine_matrix: feature dims differ ({a.shape}, {b.shape})")

@@ -9,9 +9,9 @@ probability.  The K keys are stacked as one (sum m_j, d) matrix with
 segment offsets, so each step is one set of tape ops; a single key is the
 case K = 1.
 
-Input features are zero-padded to one shared node count so a single
-projection vector serves all graphs; padded rows are all-zero, so their
-cosine similarities vanish and they contribute nothing to any probability.
+Each input runs at its own node count n.  The projection vector has one
+weight per input node position, up to the largest graph's node count, and
+an n-node input uses its first n weights.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 PROB_CLAMP = 1e-6
 DEFAULT_TEMPERATURE = 1.0
@@ -31,9 +31,9 @@ EVAL = "eval"
 
 @dataclass
 class VgdaParams:
-    """The projection vector, one weight per (padded) input node."""
+    """The projection vector, one weight per input node position."""
 
-    w_r: T.Tensor  # (n_padded, 1)
+    w_r: T.Tensor  # (n_padded, 1); an n-node input uses rows [:n]
 
     @classmethod
     def initialize(cls, n_padded, rng, scale=0.01):
@@ -66,10 +66,17 @@ class AdaptedKey:
 def sampling_probability(f_input, f_key, w_r):
     """Per-key-node selection probabilities.
 
-    p = clamp(sigmoid(cosine(F_input, F_key)^T w_r)) with one entry per key
-    node (stacked keys give one entry per row); differentiable in both
-    feature matrices and the projection vector.
+    p = clamp(sigmoid(cosine(F_input, F_key)^T w_r[:n])) for an n-node
+    input, with one entry per key node (stacked keys give one entry per
+    row); differentiable in both feature matrices and the projection
+    vector.  An input with more rows than ``w_r`` raises ShapeError.
     """
+    n, positions = f_input.values.shape[0], w_r.values.shape[0]
+    if n > positions:
+        raise ShapeError(f"sampling_probability: {n} input nodes exceed the "
+                         f"{positions} projection weights")
+    if n < positions:
+        w_r = T.row_select(w_r, np.arange(positions) < n)
     cos = T.cosine_matrix(f_input, f_key)
     scores = T.matmul(T.transpose(cos), w_r)
     return T.clamp(T.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)

@@ -30,6 +30,13 @@ def test_graph_rejects_bad_adjacency():
         LabeledGraph(adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]), class_label=0)
 
 
+def test_graph_rejects_negative_node_label():
+    # a negative id would index the last one-hot bin from the end
+    with pytest.raises(FormatError, match="node 1 has negative label -2"):
+        LabeledGraph(adjacency=path_adjacency(3), class_label=0,
+                     node_labels=[0, -2, -1])
+
+
 def test_graph_degrees():
     g = LabeledGraph(adjacency=path_adjacency(3), class_label=0)
     assert np.array_equal(g.degrees(), [1.0, 2.0, 1.0])

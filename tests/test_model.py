@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphdict import tensor as T
+from graphdict import mswe, tensor as T
 from graphdict import vgda
-from graphdict.data import LabeledGraph
+from graphdict.data import LabeledGraph, featurize, normalize_adjacency
+from graphdict.encoder import encode
 from graphdict.errors import ConfigError, FormatError, NumericsError
 from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardOverrides,
                              ForwardResult, LossConfig, GraphDictionaryModel,
@@ -15,7 +17,7 @@ from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardOverrides,
                              load_checkpoint, save_checkpoint)
 from graphdict.training import Adam
 from conftest import (build_tiny_model, make_synthetic_bundle,
-                      rewrite_checkpoint, tiny_graph_pair)
+                      path_adjacency, rewrite_checkpoint, tiny_graph_pair)
 
 
 # --- dictionary initialization ----------------------------------------------
@@ -171,6 +173,99 @@ def test_padded_copies_predict_identically():
                            p_large.probabilities.values, atol=1e-12)
         assert np.allclose(p_small.h_matrix.values, p_large.h_matrix.values,
                            atol=1e-12)
+
+
+OWN_SIZE_PAD = 13
+
+
+def _own_size_model():
+    """A model whose padded size (13) matches no other row count it makes.
+
+    Keys of 3, 4 and 5 nodes stack 12 rows; K=3, C=2 and the layer widths
+    never make 13 rows either, so a 13-row tape node could only be padding.
+    No two key nodes encode alike (a 2-node key would), so no tie between
+    sampling probabilities leaves the fallback node to rounding.
+    """
+    graphs = [LabeledGraph(adjacency=path_adjacency(n), class_label=n % 2,
+                           node_labels=np.arange(n) % 4) for n in (3, 4, 5)]
+    config = ModelConfig(num_classes=2, feature_scheme="node-label-onehot",
+                         feature_dim=4, n_padded=OWN_SIZE_PAD, num_keys=3,
+                         encoder_dims=(8, 8, 8), head_hidden=6,
+                         loss=LossConfig(lambdas=(0.5, 5.0)))
+    model = GraphDictionaryModel.build(config, graphs,
+                                       np.random.default_rng(2))
+    model.vgda_params.w_r.values[:] = np.random.default_rng(3).normal(
+        0.0, 2.0, size=(OWN_SIZE_PAD, 1))  # mixed masks
+    model.refresh_key_encodings()
+    return model
+
+
+def _padded_reference(model, graph, mode, rng):
+    """The forward pass on inputs zero-padded to ``n_padded`` rows:
+    encode the padded graph, keep rows [:n] for transport, and score key
+    nodes through the full ``w_r``."""
+    cfg = model.config
+    n, size = graph.node_count, cfg.n_padded
+    features = np.zeros((size, cfg.feature_dim))
+    features[:n] = featurize(graph, cfg.feature_scheme, cfg.feature_dim)
+    adjacency = np.zeros((size, size))
+    adjacency[:n, :n] = graph.adjacency
+    f_full = encode(features, normalize_adjacency(adjacency),
+                    model.encoder_input)
+    keys = model.dictionary
+    adapted, factor, kl = vgda.adapt_keys(
+        f_full, keys.encoded, keys.offsets, model.vgda_params.w_r, mode,
+        rng=rng, temperature=cfg.temperature, p_hat=cfg.loss.p_hat)
+    h_matrix, _, _ = mswe.embed_keys_multi(
+        T.row_select(f_full, np.arange(size) < n), adapted, cfg.loss.lambdas,
+        max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
+    h_hat, _ = mswe.aggregate_attention_matrix(h_matrix, model.w_m)
+    hidden = T.relu(T.matmul(T.transpose(h_hat), model.head.w1))
+    probabilities = T.row_softmax(T.matmul(hidden, model.head.w2))
+    return probabilities, h_matrix, kl, factor.z
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, OWN_SIZE_PAD), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([vgda.TRAIN,
+                                                              vgda.EVAL]))
+def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
+    model = _own_size_model()
+    w_r = model.vgda_params.w_r
+    data = np.random.default_rng(seed)
+    upper = np.triu(data.uniform(size=(n, n)) < density, 1).astype(float)
+    graph = LabeledGraph(adjacency=upper + upper.T, class_label=0,
+                         node_labels=data.integers(0, 4, size=n))
+    prepared = model.prepare(graph)
+    assert prepared.features.shape == (n, 4)
+    assert prepared.a_hat.shape == (n, n)
+
+    def run(forward):
+        w_r.zero_grad()
+        with T.Tape() as tape:
+            probabilities, h_matrix, kl, mask = forward(
+                np.random.default_rng(seed))
+            tape.backward(model.loss(ForwardResult(
+                probabilities, kl, h_matrix, h_hat=None, alpha=None), 0))
+        values = [t.values for t in (probabilities, h_matrix, kl)]
+        return values, mask, w_r.grad.copy(), tape
+
+    def own_size(rng):
+        result = model.forward(prepared, mode, rng=rng, collect=True)
+        return (result.probabilities, result.h_matrix, result.kl,
+                np.concatenate(result.diagnostics.masks))
+
+    values, mask, grad, tape = run(own_size)
+    want_values, want_mask, want_grad, _ = run(
+        lambda rng: _padded_reference(model, graph, mode, rng))
+    for got, want in zip(values, want_values):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(mask, want_mask)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+    assert not grad[n:].any()  # positions past the input get no gradient
+    if n < OWN_SIZE_PAD:
+        assert all(out.values.shape[0] != OWN_SIZE_PAD
+                   for out, _, _ in tape.nodes)
 
 
 def test_parameter_partition_is_exhaustive_and_disjoint():

@@ -249,6 +249,22 @@ def test_detach_blocks_gradient_exactly():
     assert np.array_equal(x.grad, x.values)
 
 
+def test_matmul_backward_skips_untracked_operands():
+    rng = np.random.default_rng(2)
+    x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    g = rng.normal(size=(3, 2))
+    for a, b, want in [
+            (T.constant(x), T.Tensor(w, requires_grad=True), (None, x.T @ g)),
+            (T.Tensor(x, requires_grad=True), T.constant(w), (g @ w.T, None))]:
+        with T.Tape() as tape:
+            T.matmul(a, b)
+        pieces = tape.nodes[-1][2](g)
+        assert [p is None for p in pieces] == [p is None for p in want]
+        for got, expected in zip(pieces, want):
+            if expected is not None:
+                assert np.allclose(got, expected, atol=1e-12)
+
+
 def test_straight_through_scale_surrogate_backward():
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)

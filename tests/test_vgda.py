@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphdict import tensor as T
-from graphdict.errors import ConfigError
+from graphdict.errors import ConfigError, ShapeError
 from graphdict.vgda import (EVAL, TRAIN, adapt_key, adapt_keys,
                             bernoulli_kl, sample_factor,
                             sampling_probability, select_substructure)
@@ -76,6 +76,25 @@ def test_zero_padding_rows_do_not_change_probabilities():
     padded = sampling_probability(tens(padded_in), tens(f_key),
                                   tens(padded_w))
     assert np.allclose(padded.values, base.values, atol=1e-12)
+
+
+def test_input_uses_its_leading_projection_weights():
+    rng = np.random.default_rng(5)
+    f_in = tens(rng.normal(size=(3, 8)), requires_grad=True)
+    f_key = tens(rng.normal(size=(4, 8)))
+    w_r = tens(rng.normal(size=(5, 1)), requires_grad=True)
+    base = sampling_probability(f_in, f_key, tens(w_r.values[:3]))
+    with T.Tape() as tape:
+        p = sampling_probability(f_in, f_key, w_r)
+        tape.backward(T.sum_all(p))
+    assert np.array_equal(p.values, base.values)
+    assert w_r.grad[:3].any() and not w_r.grad[3:].any()
+    with T.Tape() as tape:  # an input as long as w_r takes it whole
+        sampling_probability(f_in, f_key, tens(w_r.values[:3],
+                                               requires_grad=True))
+    assert tape.nodes[0][2].__qualname__.startswith("cosine_matrix")
+    with pytest.raises(ShapeError, match="6 input nodes exceed the 5"):
+        sampling_probability(tens(rng.normal(size=(6, 8))), f_key, w_r)
 
 
 def test_probability_runtime_scales_linearly_in_key_size():

@@ -14,9 +14,8 @@ from .encoder import EncoderParams, encode, momentum_update
 from .errors import (ConfigError, FormatError, GraphDictError, IoError,
                      NumericsError, OracleError, ParseError, SchemeError,
                      ShapeError, SizeError)
-from .model import (ForwardOverrides, GraphDictionaryModel, LossConfig,
-                    ModelConfig, init_base_dictionary, load_checkpoint,
-                    save_checkpoint)
+from .model import (GraphDictionaryModel, ModelConfig, init_base_dictionary,
+                    load_checkpoint, save_checkpoint)
 from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, PlanStack,
                    TransportPlan, aggregate_attention_matrix, cost_matrix,
                    embed_keys_multi, select_lambdas, sinkhorn, sinkhorn_grid,
@@ -37,7 +36,7 @@ __all__ = [
     "GraphDictError", "FormatError", "ParseError", "SchemeError",
     "ConfigError", "ShapeError", "NumericsError", "OracleError", "SizeError",
     "IoError",
-    "ForwardOverrides", "GraphDictionaryModel", "LossConfig", "ModelConfig",
+    "GraphDictionaryModel", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
     "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "PlanStack", "TransportPlan",
     "aggregate_attention_matrix", "cost_matrix", "embed_keys_multi",

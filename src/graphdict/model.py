@@ -22,21 +22,6 @@ from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
 from .errors import ConfigError, FormatError, IoError, ShapeError
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Loss assembly knobs: -log p[y] + beta * KL, plus the sensitivity grid."""
-
-    beta: float = 0.001
-    p_hat: float = 0.5
-    lambdas: tuple = mswe.DEFAULT_LAMBDA_GRID
-
-    def __post_init__(self):
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if not (0.0 < self.p_hat < 1.0):
-            raise ConfigError(f"p_hat must lie in (0, 1), got {self.p_hat}")
-
-
 @dataclass
 class ModelConfig:
     """Everything needed to rebuild the model architecture."""
@@ -51,24 +36,28 @@ class ModelConfig:
     temperature: float = vgda.DEFAULT_TEMPERATURE
     sinkhorn_max_iter: int = mswe.DEFAULT_MAX_ITER
     sinkhorn_tol: float = mswe.DEFAULT_TOL
-    loss: LossConfig = field(default_factory=LossConfig)
+    # the loss, -log p[y] + beta * KL, and the sensitivity grid
+    beta: float = 0.001
+    p_hat: float = 0.5
+    lambdas: tuple = mswe.DEFAULT_LAMBDA_GRID
+
+    def __post_init__(self):
+        if self.beta < 0.0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not (0.0 < self.p_hat < 1.0):
+            raise ConfigError(f"p_hat must lie in (0, 1), got {self.p_hat}")
 
     def to_json(self):
-        """The fields in declaration order, the loss knobs inlined last."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        loss = payload.pop("loss")
-        payload["encoder_dims"] = list(self.encoder_dims)
-        payload.update(beta=loss.beta, p_hat=loss.p_hat,
-                       lambdas=list(loss.lambdas))
-        return json.dumps(payload)
+        """The fields in declaration order (tuples as JSON lists)."""
+        return json.dumps({f.name: getattr(self, f.name)
+                           for f in fields(self)})
 
     @classmethod
     def from_json(cls, text):
         raw = json.loads(text)
-        loss = LossConfig(beta=raw.pop("beta"), p_hat=raw.pop("p_hat"),
-                          lambdas=tuple(raw.pop("lambdas")))
         raw["encoder_dims"] = tuple(raw["encoder_dims"])
-        return cls(loss=loss, **raw)
+        raw["lambdas"] = tuple(raw["lambdas"])
+        return cls(**raw)
 
 
 @dataclass
@@ -179,40 +168,15 @@ class PreparedGraph:
 
 
 @dataclass
-class ForwardOverrides:
-    """Pinned discrete state for ablations and gradient checks.
-
-    ``masks`` replaces each key's sampled node mask (no straight-through
-    surrogate is attached); ``plans`` replaces the transport solves with
-    constant (C, n, m_j) stacks.
-    """
-
-    masks: list | None = None
-    plans: list | None = None
-
-
-@dataclass
-class Diagnostics:
-    """Per-forward exportable state (NumPy copies, detached)."""
-
-    sampling_probabilities: list
-    masks: list
-    costs: list
-    plan_stacks: list
-    h_matrix: np.ndarray
-    alpha: np.ndarray
-    probabilities: np.ndarray
-    kl: float
-
-
-@dataclass
 class ForwardResult:
     probabilities: T.Tensor     # (1, num_classes)
     kl: T.Tensor                # (1, 1)
     h_matrix: T.Tensor          # (K, C)
     h_hat: T.Tensor             # (K, 1)
     alpha: T.Tensor             # (1, C)
-    diagnostics: Diagnostics | None = None
+    factor: vgda.SamplingFactor | None = None  # None when use_vgda=False
+    cost: T.Tensor | None = None               # (n, sum of selected m_j)
+    plans: mswe.PlanStack | None = None        # None when plans were given
 
 
 class GraphDictionaryModel:
@@ -299,11 +263,16 @@ class GraphDictionaryModel:
             [encode(key.features, key.a_hat, self.encoder_dict)
              for key in self.dictionary.keys])
 
-    def forward(self, prepared, mode, rng=None, overrides=None,
-                collect=False, use_vgda=True):
-        """One pass: class probabilities, total KL, and embeddings.
+    def forward(self, prepared, mode, rng=None, masks=None, plans=None,
+                use_vgda=True):
+        """One pass: class probabilities, total KL, embeddings, and
+        references to the stacked state they were built from.
 
         Every key is adapted and embedded at once, as one stacked matrix.
+        Frozen state goes back in as the result holds it: ``masks``, the
+        (sum m_j,) array of ``result.factor.z``, replaces the sampled mask
+        (no straight-through surrogate is attached); ``plans``, the padded
+        array of ``result.plans.values``, replaces the transport solves.
         Raises NumericsError when the probabilities or the KL come out
         non-finite, in eval mode (no tape) as in training.
         """
@@ -315,24 +284,18 @@ class GraphDictionaryModel:
 
         factor = None
         if use_vgda:
-            mask_override = None
-            if overrides is not None and overrides.masks is not None:
-                mask_override = np.concatenate(overrides.masks)
             adapted, factor, kl_total = vgda.adapt_keys(
                 f_input, keys.encoded, keys.offsets, self.vgda_params.w_r,
-                mode, rng=rng, temperature=cfg.temperature,
-                p_hat=cfg.loss.p_hat, mask_override=mask_override)
+                mode, rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat,
+                mask_override=masks)
         else:
-            adapted = vgda.AdaptedKey(
-                indices=T.segment_index(keys.offsets)[1],
-                features=keys.encoded, offsets=keys.offsets)
+            adapted = vgda.AdaptedKey(features=keys.encoded,
+                                      offsets=keys.offsets)
             kl_total = T.constant(0.0)
 
-        plans_override = overrides.plans if overrides is not None else None
-        h_matrix, cost, transport = mswe.embed_keys_multi(
-            f_input, adapted, cfg.loss.lambdas,
-            max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol,
-            plans_override=plans_override)
+        h_matrix, cost, solved = mswe.embed_keys_multi(
+            f_input, adapted, cfg.lambdas, max_iter=cfg.sinkhorn_max_iter,
+            tol=cfg.sinkhorn_tol, plans_override=plans)
         h_hat, alpha = mswe.aggregate_attention_matrix(h_matrix, self.w_m)
 
         hidden = T.relu(T.matmul(T.transpose(h_hat), self.head.w1))
@@ -340,31 +303,9 @@ class GraphDictionaryModel:
         probabilities = T.row_softmax(logits)
         T.check_finite("model.forward: class probabilities and KL",
                        probabilities, kl_total)
-
-        diagnostics = None
-        if collect:
-            if plans_override is not None:
-                stacks = [np.asarray(p) for p in plans_override]
-            else:
-                stacks = transport.per_key()
-            key_split = keys.offsets[1:-1]
-            diagnostics = Diagnostics(
-                sampling_probabilities=(
-                    np.split(factor.p.values[:, 0].copy(), key_split)
-                    if factor is not None else []),
-                masks=(np.split(factor.z.copy(), key_split)
-                       if factor is not None else []),
-                costs=np.split(cost.values.copy(), adapted.offsets[1:-1],
-                               axis=1),
-                plan_stacks=stacks,
-                h_matrix=h_matrix.values.copy(),
-                alpha=alpha.values[0].copy(),
-                probabilities=probabilities.values[0].copy(),
-                kl=kl_total.item(),
-            )
         return ForwardResult(probabilities=probabilities, kl=kl_total,
                              h_matrix=h_matrix, h_hat=h_hat, alpha=alpha,
-                             diagnostics=diagnostics)
+                             factor=factor, cost=cost, plans=solved)
 
     # -- loss ---------------------------------------------------------------
 
@@ -377,7 +318,7 @@ class GraphDictionaryModel:
         onehot[label, 0] = 1.0
         p_true = T.matmul(result.probabilities, T.constant(onehot))
         cross_entropy = T.neg(T.log(T.clamp(p_true, 1e-12, None)))
-        return T.add(cross_entropy, T.scale(result.kl, cfg.loss.beta))
+        return T.add(cross_entropy, T.scale(result.kl, cfg.beta))
 
     def batch_loss(self, results, labels):
         """Mean loss over a batch of forward results."""

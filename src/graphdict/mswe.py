@@ -332,17 +332,15 @@ def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
     sensitivity) pairs.  Returns (H, cost, plans): H is a K-by-C tensor
     whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on the
     tape; ``cost`` is the (n, sum m_j) cost tensor; ``plans`` is the
-    :class:`PlanStack`.  ``plans_override`` (a list of (C, n, m_j) stacks,
-    one per key) replaces the solve entirely, and ``plans`` is then None —
-    used to freeze plans during gradient checks.
+    :class:`PlanStack`.  ``plans_override`` (padded (K, C, n, max m_j)
+    plans, like a PlanStack's ``values``) replaces the solve entirely, and
+    ``plans`` is then None — used to freeze plans during gradient checks.
     """
     if not isinstance(adapted, AdaptedKey):
         adapted = stack_keys(adapted)
     cost = cost_matrix(f_input, adapted.features)
     if plans_override is not None:
-        solved = None
-        padded = T.pad_segments(np.concatenate(plans_override, axis=-1),
-                                adapted.offsets)
+        solved, padded = None, plans_override
     else:
         solved = sinkhorn_keys(cost.values, lams, offsets=adapted.offsets,
                                max_iter=max_iter, tol=tol)

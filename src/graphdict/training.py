@@ -23,8 +23,7 @@ from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
 from .encoder import DEFAULT_HIDDEN_DIMS, momentum_update
 from .errors import ConfigError, GraphDictError, IoError, NumericsError
-from .model import (GraphDictionaryModel, LossConfig, ModelConfig,
-                    save_checkpoint)
+from .model import GraphDictionaryModel, ModelConfig, save_checkpoint
 from .mswe import DEFAULT_MAX_ITER, DEFAULT_TOL, select_lambdas
 
 
@@ -163,8 +162,9 @@ def model_config_for_fold(bundle, train_graphs, config):
         temperature=config.temperature,
         sinkhorn_max_iter=config.sinkhorn_max_iter,
         sinkhorn_tol=config.sinkhorn_tol,
-        loss=LossConfig(beta=config.beta, p_hat=config.p_hat,
-                        lambdas=config.resolved_lambdas()),
+        beta=config.beta,
+        p_hat=config.p_hat,
+        lambdas=config.resolved_lambdas(),
     )
 
 
@@ -196,10 +196,13 @@ def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):
             optimizer.zero_grad()
             with T.Tape() as tape:
                 model.refresh_key_encodings()
-                results = [model.forward(prepared_train[i], vgda.TRAIN,
-                                         rng=noise_rng) for i in batch]
-                loss = model.batch_loss(results,
-                                        [prepared_train[i].label for i in batch])
+                # each record references its graph's factor, cost and plans;
+                # a list kept past this call would hold them into the next
+                # batch's forward
+                loss = model.batch_loss(
+                    [model.forward(prepared_train[i], vgda.TRAIN,
+                                   rng=noise_rng) for i in batch],
+                    [prepared_train[i].label for i in batch])
                 tape.backward(loss)
             optimizer.step()
             momentum_update(model.encoder_dict, model.encoder_input,
@@ -343,34 +346,37 @@ def export_diagnostics(model, prepared, input_id, out_dir):
     to 1), and a short text summary.  Byte-identical on re-export.
     """
     model.refresh_key_encodings()
-    result = model.forward(prepared, vgda.EVAL, collect=True)
-    diag = result.diagnostics
-    lambdas = model.config.loss.lambdas
+    result = model.forward(prepared, vgda.EVAL)
+    probabilities = result.probabilities.values[0]
+    lambdas = model.config.lambdas
     write_csv(out_dir, "sampling_probabilities.csv",
               ["input_id", "key_id", "node_index", "probability"],
               ([input_id, key_id, node_index, repr(float(value))]
-               for key_id, probs in enumerate(diag.sampling_probabilities)
+               for key_id, probs in enumerate(
+                   np.split(result.factor.p.values[:, 0],
+                            model.dictionary.offsets[1:-1]))
                for node_index, value in enumerate(probs)))
     write_csv(out_dir, "costs.csv", ["input_id", "key_id", "row", "col", "value"],
               ([input_id, key_id, row, col, repr(float(value))]
-               for key_id, cost in enumerate(diag.costs)
+               for key_id, cost in enumerate(np.split(
+                   result.cost.values, result.plans.offsets[1:-1], axis=1))
                for (row, col), value in np.ndenumerate(cost)))
     write_csv(out_dir, "plans.csv",
               ["input_id", "key_id", "lambda", "row", "col", "value"],
               ([input_id, key_id, repr(float(lam)), row, col,
                 repr(float(value))]
-               for key_id, stack in enumerate(diag.plan_stacks)
+               for key_id, stack in enumerate(result.plans.per_key())
                for c, lam in enumerate(lambdas)
                for (row, col), value in np.ndenumerate(stack[c])))
     write_csv(out_dir, "attention.csv",
               ["input_id"] + [f"weight_{lam:g}" for lam in lambdas],
-              [[input_id] + [repr(float(v)) for v in diag.alpha]])
-    predicted = int(np.argmax(diag.probabilities))
+              [[input_id] + [repr(float(v)) for v in result.alpha.values[0]]])
+    predicted = int(np.argmax(probabilities))
     summary = (f"input_id: {input_id}\n"
                f"true_label: {prepared.label}\n"
                f"predicted_label: {predicted}\n"
-               f"probabilities: {np.array2string(diag.probabilities)}\n"
-               f"kl_total: {float(diag.kl)!r}\n"
+               f"probabilities: {np.array2string(probabilities)}\n"
+               f"kl_total: {result.kl.item()!r}\n"
                f"keys: {len(model.dictionary.keys)}\n"
                f"sensitivities: {list(lambdas)}\n")
     _write(out_dir, "summary.txt", lambda fh: fh.write(summary))

@@ -54,11 +54,9 @@ class SamplingFactor:
 class AdaptedKey:
     """The substructures selected from one or more stacked keys.
 
-    Key j's selected rows are ``features[offsets[j]:offsets[j + 1]]``;
-    ``indices`` gives each row's node index within its own key.
+    Key j's selected rows are ``features[offsets[j]:offsets[j + 1]]``.
     """
 
-    indices: np.ndarray            # increasing within each key
     features: T.Tensor             # (sum n_selected, d) rows of the encoded keys
     offsets: np.ndarray            # (K + 1,) segment bounds of the rows
 
@@ -93,7 +91,10 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
     exactly as one draw per key in key order would.  Eval mode thresholds
     the probabilities deterministically.  A key (a segment of ``offsets``,
     default one key) whose mask comes out all-zero selects its single
-    highest-probability node (first index on ties).  ``mask_override``
+    highest-probability node, the first index among equal computed
+    probabilities.  Nodes that encode identically (both nodes of any 2-node
+    key, say) can still differ in the last bit of p, so which of them is
+    picked follows rounding.  ``mask_override``
     replaces the mask outright (used by ablations and gradient checks); no
     surrogate is attached.  Non-finite probabilities raise NumericsError.
     """
@@ -144,10 +145,8 @@ def select_substructure(key_features, z, z_tilde=None, offsets=None):
     if z_tilde is not None:
         surrogate = T.row_select(z_tilde, z)
         features = T.straight_through_scale(features, surrogate)
-    _, pos, _ = T.segment_index(offsets)
     selected_before = np.concatenate(([0], np.cumsum(z)))
-    return AdaptedKey(indices=pos[z], features=features,
-                      offsets=selected_before[offsets])
+    return AdaptedKey(features=features, offsets=selected_before[offsets])
 
 
 def stack_keys(adapted_keys):
@@ -156,8 +155,7 @@ def stack_keys(adapted_keys):
     starts = np.cumsum([0] + [k.offsets[-1] for k in keys])
     offsets = np.concatenate([[0]] + [k.offsets[1:] + s
                                       for k, s in zip(keys, starts)])
-    return AdaptedKey(indices=np.concatenate([k.indices for k in keys]),
-                      features=T.concat_rows([k.features for k in keys]),
+    return AdaptedKey(features=T.concat_rows([k.features for k in keys]),
                       offsets=offsets)
 
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from graphdict.data import DatasetBundle, LabeledGraph, save_tu_dataset
-from graphdict.model import (GraphDictionaryModel, LossConfig, ModelConfig,
-                             save_checkpoint)
+from graphdict.model import GraphDictionaryModel, ModelConfig, save_checkpoint
 
 
 def cycle_adjacency(n):
@@ -67,8 +66,7 @@ def build_tiny_model(seed=7, lambdas=(0.5, 5.0), beta=0.001, num_keys=2,
                          encoder_dims=(8, 8, 8), head_hidden=8,
                          sinkhorn_max_iter=sinkhorn_max_iter,
                          sinkhorn_tol=sinkhorn_tol,
-                         loss=LossConfig(beta=beta, p_hat=0.5,
-                                         lambdas=tuple(lambdas)))
+                         beta=beta, p_hat=0.5, lambdas=tuple(lambdas))
     model = GraphDictionaryModel.build(config, [g0, g1],
                                        np.random.default_rng(seed))
     prepared = [model.prepare(g) for g in (g0, g1)]

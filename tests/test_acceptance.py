@@ -15,8 +15,7 @@ import pytest
 from graphdict import tensor as T
 from graphdict import vgda
 from graphdict.data import LabeledGraph, load_tu_dataset
-from graphdict.model import (ForwardOverrides, GraphDictionaryModel,
-                             LossConfig, ModelConfig)
+from graphdict.model import GraphDictionaryModel, ModelConfig
 from graphdict.mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID,
                             embed_keys_multi, sinkhorn, sinkhorn_grid)
 from graphdict.oracles import (exact_ot_by_enumeration, make_report,
@@ -98,16 +97,13 @@ def test_acceptance_3_gradient_integrity():
     # discrete draw held at its sampled value
     with T.Tape():
         model.refresh_key_encodings()
-        results = [model.forward(g, vgda.TRAIN, rng=rng, collect=True)
-                   for g in prepared]
-    overrides = [ForwardOverrides(masks=r.diagnostics.masks,
-                                  plans=r.diagnostics.plan_stacks)
-                 for r in results]
+        results = [model.forward(g, vgda.TRAIN, rng=rng) for g in prepared]
+    frozen_state = [(r.factor.z, r.plans.values) for r in results]
 
     def closure():
         model.refresh_key_encodings()
-        frozen = [model.forward(g, vgda.TRAIN, overrides=o)
-                  for g, o in zip(prepared, overrides)]
+        frozen = [model.forward(g, vgda.TRAIN, masks=masks, plans=plans)
+                  for g, (masks, plans) in zip(prepared, frozen_state)]
         return model.batch_loss(frozen, labels)
 
     params = model.parameters()
@@ -141,11 +137,9 @@ def test_acceptance_4_kl_closed_form():
 def test_acceptance_5_sampling_free_ablation():
     model, prepared = build_tiny_model(beta=0.0)
     model.refresh_key_encodings()
-    masks = [np.ones(key.node_count, dtype=bool)
-             for key in model.dictionary.keys]
+    masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
     for graph in prepared:
-        forced = model.forward(graph, vgda.EVAL,
-                               overrides=ForwardOverrides(masks=masks))
+        forced = model.forward(graph, vgda.EVAL, masks=masks)
         removed = model.forward(graph, vgda.EVAL, use_vgda=False)
         assert np.array_equal(forced.h_matrix.values,
                               removed.h_matrix.values)
@@ -223,7 +217,7 @@ def test_acceptance_8_runtime_ordering():
                              feature_dim=12, n_padded=20, num_keys=6,
                              encoder_dims=(32, 32, 16), head_hidden=16,
                              sinkhorn_max_iter=50,
-                             loss=LossConfig(lambdas=lambdas))
+                             lambdas=lambdas)
         model = GraphDictionaryModel.build(config, graphs,
                                            np.random.default_rng(3))
         model.vgda_params.w_r.values[:] = 50.0  # all-ones masks when sampling

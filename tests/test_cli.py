@@ -9,9 +9,10 @@ import pytest
 
 from graphdict.cli import (build_parser, build_train_config, load_config_file,
                            main)
+from graphdict.data import DatasetBundle, LabeledGraph
 from graphdict.errors import ConfigError, IoError
 from graphdict.model import save_checkpoint
-from conftest import (build_tiny_model, make_synthetic_bundle,
+from conftest import (build_tiny_model, cycle_adjacency, make_synthetic_bundle,
                       rewrite_checkpoint, write_tu_dataset)
 
 
@@ -294,6 +295,35 @@ def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
     assert "lacks array 'w_r'" in line
 
 
+# --- dataset that does not fit the checkpoint ---------------------------------
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+@pytest.mark.parametrize("graph, message", [
+    (LabeledGraph(adjacency=cycle_adjacency(11), class_label=0,
+                  node_labels=np.arange(11) % 2),
+     "error: graph with 11 nodes exceeds the padded size 5"),
+    (LabeledGraph(adjacency=cycle_adjacency(4), class_label=0,
+                  node_labels=np.array([0, 1, 2, 1])),
+     "error: node label id 2 does not fit feature dim 2"),
+], ids=["too-large", "label-id"])
+def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
+        tmp_path, capsys, command, graph, message):
+    # the tiny model: n_padded 5, two node-label one-hot features
+    checkpoint = tmp_path / "tiny.npz"
+    save_checkpoint(build_tiny_model()[0], checkpoint)
+    other = LabeledGraph(adjacency=cycle_adjacency(4), class_label=1,
+                         node_labels=np.array([0, 1, 0, 1]))
+    root = write_tu_dataset(
+        DatasetBundle(graphs=[graph, other], num_classes=2,
+                      num_node_labels=3, name="MISFIT"), tmp_path, "MISFIT")
+    extra = (["--graph-id", "0", "--out", str(tmp_path / "d")]
+             if command == "export-diagnostics" else [])
+    code = main([command, "--dataset", "MISFIT", "--data-dir", root,
+                 "--checkpoint", str(checkpoint), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("line, field", [
     ("batch_size = 0", "batch_size"),
     ("epochs = -1", "epochs"),
@@ -304,6 +334,7 @@ def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
     ("sinkhorn_max_iter = 0", "sinkhorn_max_iter"),
     ("sinkhorn_tol = -1", "sinkhorn_tol"),
     ("sinkhorn_tol = 0", "sinkhorn_tol"),
+    ("beta = -1", "beta"),
 ])
 def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
                                    field):

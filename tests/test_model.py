@@ -11,10 +11,10 @@ from graphdict import vgda
 from graphdict.data import LabeledGraph, featurize, normalize_adjacency
 from graphdict.encoder import encode
 from graphdict.errors import ConfigError, FormatError, NumericsError
-from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardOverrides,
-                             ForwardResult, LossConfig, GraphDictionaryModel,
-                             ModelConfig, init_base_dictionary,
-                             load_checkpoint, save_checkpoint)
+from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardResult,
+                             GraphDictionaryModel, ModelConfig,
+                             init_base_dictionary, load_checkpoint,
+                             save_checkpoint)
 from graphdict.training import Adam
 from conftest import (build_tiny_model, make_synthetic_bundle,
                       path_adjacency, rewrite_checkpoint, tiny_graph_pair)
@@ -69,8 +69,7 @@ def test_dictionary_adjacency_fixed_and_features_trainable():
 def fixed_result(probabilities, kl):
     probs = T.Tensor(np.asarray(probabilities, dtype=float)[None, :])
     return ForwardResult(probabilities=probs, kl=T.constant(kl),
-                         h_matrix=None, h_hat=None, alpha=None,
-                         diagnostics=None)
+                         h_matrix=None, h_hat=None, alpha=None)
 
 
 def test_loss_zero_for_perfect_confidence_without_penalty():
@@ -127,14 +126,24 @@ def test_eval_forward_is_bit_deterministic():
 def test_forced_full_masks_match_sampling_free_pipeline():
     model, prepared = build_tiny_model(beta=0.0)
     model.refresh_key_encodings()
-    masks = [np.ones(key.node_count, dtype=bool)
-             for key in model.dictionary.keys]
-    overridden = model.forward(prepared[0], vgda.EVAL,
-                               overrides=ForwardOverrides(masks=masks))
+    masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
+    overridden = model.forward(prepared[0], vgda.EVAL, masks=masks)
     plain = model.forward(prepared[0], vgda.EVAL, use_vgda=False)
     assert np.array_equal(overridden.h_matrix.values, plain.h_matrix.values)
     assert np.array_equal(overridden.probabilities.values,
                           plain.probabilities.values)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"beta": -0.1}, "beta must be >= 0"),
+    ({"p_hat": 0.0}, r"p_hat must lie in \(0, 1\)"),
+    ({"p_hat": 1.0}, r"p_hat must lie in \(0, 1\)"),
+])
+def test_model_config_checks_loss_ranges(change, message):
+    base = dict(num_classes=2, feature_scheme="degree-onehot", feature_dim=3,
+                n_padded=5)
+    with pytest.raises(ConfigError, match=message):
+        ModelConfig(**base, **change)
 
 
 def test_padded_copies_predict_identically():
@@ -142,8 +151,7 @@ def test_padded_copies_predict_identically():
     base_cfg = dict(num_classes=2, feature_scheme="node-label-onehot",
                     feature_dim=2, num_keys=2, encoder_dims=(8, 8, 8),
                     head_hidden=8, sinkhorn_max_iter=200, sinkhorn_tol=1e-6,
-                    loss=LossConfig(beta=0.001, p_hat=0.5,
-                                    lambdas=(0.5, 5.0)))
+                    beta=0.001, p_hat=0.5, lambdas=(0.5, 5.0))
     small = GraphDictionaryModel.build(
         ModelConfig(n_padded=5, **base_cfg), [g0, g1],
         np.random.default_rng(7))
@@ -191,13 +199,21 @@ def _own_size_model():
     config = ModelConfig(num_classes=2, feature_scheme="node-label-onehot",
                          feature_dim=4, n_padded=OWN_SIZE_PAD, num_keys=3,
                          encoder_dims=(8, 8, 8), head_hidden=6,
-                         loss=LossConfig(lambdas=(0.5, 5.0)))
+                         lambdas=(0.5, 5.0))
     model = GraphDictionaryModel.build(config, graphs,
                                        np.random.default_rng(2))
     model.vgda_params.w_r.values[:] = np.random.default_rng(3).normal(
         0.0, 2.0, size=(OWN_SIZE_PAD, 1))  # mixed masks
     model.refresh_key_encodings()
     return model
+
+
+def _random_graph(n, density, seed):
+    """An n-node graph with edge density ``density`` and labels in [0, 4)."""
+    data = np.random.default_rng(seed)
+    upper = np.triu(data.uniform(size=(n, n)) < density, 1).astype(float)
+    return LabeledGraph(adjacency=upper + upper.T, class_label=0,
+                        node_labels=data.integers(0, 4, size=n))
 
 
 def _padded_reference(model, graph, mode, rng):
@@ -215,9 +231,9 @@ def _padded_reference(model, graph, mode, rng):
     keys = model.dictionary
     adapted, factor, kl = vgda.adapt_keys(
         f_full, keys.encoded, keys.offsets, model.vgda_params.w_r, mode,
-        rng=rng, temperature=cfg.temperature, p_hat=cfg.loss.p_hat)
+        rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat)
     h_matrix, _, _ = mswe.embed_keys_multi(
-        T.row_select(f_full, np.arange(size) < n), adapted, cfg.loss.lambdas,
+        T.row_select(f_full, np.arange(size) < n), adapted, cfg.lambdas,
         max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
     h_hat, _ = mswe.aggregate_attention_matrix(h_matrix, model.w_m)
     hidden = T.relu(T.matmul(T.transpose(h_hat), model.head.w1))
@@ -232,10 +248,7 @@ def _padded_reference(model, graph, mode, rng):
 def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
     model = _own_size_model()
     w_r = model.vgda_params.w_r
-    data = np.random.default_rng(seed)
-    upper = np.triu(data.uniform(size=(n, n)) < density, 1).astype(float)
-    graph = LabeledGraph(adjacency=upper + upper.T, class_label=0,
-                         node_labels=data.integers(0, 4, size=n))
+    graph = _random_graph(n, density, seed)
     prepared = model.prepare(graph)
     assert prepared.features.shape == (n, 4)
     assert prepared.a_hat.shape == (n, n)
@@ -251,9 +264,9 @@ def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
         return values, mask, w_r.grad.copy(), tape
 
     def own_size(rng):
-        result = model.forward(prepared, mode, rng=rng, collect=True)
+        result = model.forward(prepared, mode, rng=rng)
         return (result.probabilities, result.h_matrix, result.kl,
-                np.concatenate(result.diagnostics.masks))
+                result.factor.z)
 
     values, mask, grad, tape = run(own_size)
     want_values, want_mask, want_grad, _ = run(
@@ -286,11 +299,9 @@ def test_parameter_partition_is_exhaustive_and_disjoint():
 def test_mask_overrides_make_train_mode_deterministic_without_rng():
     model, prepared = build_tiny_model()
     model.refresh_key_encodings()
-    masks = [np.ones(key.node_count, dtype=bool)
-             for key in model.dictionary.keys]
-    overrides = ForwardOverrides(masks=masks)
-    first = model.forward(prepared[1], vgda.TRAIN, overrides=overrides)
-    second = model.forward(prepared[1], vgda.TRAIN, overrides=overrides)
+    masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
+    first = model.forward(prepared[1], vgda.TRAIN, masks=masks)
+    second = model.forward(prepared[1], vgda.TRAIN, masks=masks)
     assert np.array_equal(first.probabilities.values,
                           second.probabilities.values)
 
@@ -308,47 +319,69 @@ def test_single_optimizer_step_reduces_loss():
 
         with T.Tape() as tape:
             model.refresh_key_encodings()
-            results = [model.forward(g, vgda.TRAIN, rng=rng, collect=True)
+            results = [model.forward(g, vgda.TRAIN, rng=rng)
                        for g in prepared]
             loss = model.batch_loss(results, labels)
             tape.backward(loss)
         before = loss.values.item()
-        frozen_masks = [r.diagnostics.masks for r in results]
         optimizer.step()
 
         with T.Tape():
             model.refresh_key_encodings()
-            again = [model.forward(g, vgda.TRAIN,
-                                   overrides=ForwardOverrides(masks=masks))
-                     for g, masks in zip(prepared, frozen_masks)]
+            again = [model.forward(g, vgda.TRAIN, masks=r.factor.z)
+                     for g, r in zip(prepared, results)]
             after = model.batch_loss(again, labels).values.item()
         failures += after >= before
     assert failures <= 2
 
 
-def test_diagnostics_collection_shapes():
+def test_forward_record_shapes():
     model, prepared = build_tiny_model()
     model.refresh_key_encodings()
-    result = model.forward(prepared[1], vgda.EVAL, collect=True)
-    diag = result.diagnostics
+    result = model.forward(prepared[1], vgda.EVAL)
+    offsets = model.dictionary.offsets
+    n = prepared[1].node_count
     n_keys = len(model.dictionary.keys)
-    n_lams = len(model.config.loss.lambdas)
-    assert len(diag.sampling_probabilities) == n_keys
-    assert len(diag.masks) == n_keys
-    assert len(diag.costs) == len(diag.plan_stacks) == n_keys
-    for key, probs, mask, cost, stack in zip(
-            model.dictionary.keys, diag.sampling_probabilities, diag.masks,
-            diag.costs, diag.plan_stacks):
-        assert probs.shape == (key.node_count,)
-        assert mask.shape == (key.node_count,)
-        assert mask.sum() >= 1
-        assert cost.shape == (prepared[1].node_count, int(mask.sum()))
-        assert stack.shape == (n_lams,) + cost.shape
-    assert diag.h_matrix.shape == (n_keys, n_lams)
-    assert diag.alpha.shape == (n_lams,)
-    assert abs(diag.alpha.sum() - 1.0) <= 1e-9
-    assert diag.probabilities.shape == (2,)
-    assert diag.kl >= 0.0
+    n_lams = len(model.config.lambdas)
+    z = result.factor.z
+    assert result.factor.p.values.shape == (offsets[-1], 1)
+    assert z.shape == (offsets[-1],)
+    assert np.logical_or.reduceat(z, offsets[:-1]).all()
+    selected = np.add.reduceat(z, offsets[:-1])
+    assert np.array_equal(result.plans.offsets,
+                          np.concatenate(([0], np.cumsum(selected))))
+    assert result.cost.values.shape == (n, int(z.sum()))
+    assert result.plans.values.shape == (n_keys, n_lams, n, selected.max())
+    stacks = result.plans.per_key()
+    assert len(stacks) == n_keys
+    for stack, m in zip(stacks, selected):
+        assert stack.shape == (n_lams, n, m)
+    assert result.h_matrix.values.shape == (n_keys, n_lams)
+    assert result.alpha.values.shape == (1, n_lams)
+    assert abs(result.alpha.values.sum() - 1.0) <= 1e-9
+    assert result.probabilities.values.shape == (1, 2)
+    assert result.kl.item() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, OWN_SIZE_PAD), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([vgda.TRAIN,
+                                                              vgda.EVAL]))
+def test_frozen_record_state_reproduces_the_forward(n, density, seed, mode):
+    # the masks and plans a forward returns, passed back in as they are,
+    # give the same pass without sampling or solving
+    model = _own_size_model()
+    prepared = model.prepare(_random_graph(n, density, seed))
+    first = model.forward(prepared, mode, rng=np.random.default_rng(seed))
+    frozen = model.forward(prepared, mode, masks=first.factor.z,
+                           plans=first.plans.values)
+    for name in ("probabilities", "h_matrix", "h_hat", "kl"):
+        assert np.array_equal(getattr(first, name).values,
+                              getattr(frozen, name).values), name
+    assert frozen.plans is None
+    assert frozen.factor.z_tilde is None
+    assert np.array_equal(frozen.factor.z, first.factor.z)
+    assert first.cost.values.shape == (n, first.plans.offsets[-1])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -367,17 +400,17 @@ def test_every_forward_plan_meets_its_marginals(mode, max_iter):
                          feature_dim=7, n_padded=9, num_keys=6,
                          encoder_dims=(8, 8, 8), head_hidden=8,
                          sinkhorn_max_iter=max_iter,
-                         loss=LossConfig(lambdas=(0.01, 1.0, 100.0, 1e4)))
+                         lambdas=(0.01, 1.0, 100.0, 1e4))
     model = GraphDictionaryModel.build(config, graphs,
                                        np.random.default_rng(5))
     model.vgda_params.w_r.values[:] = 50.0
     model.refresh_key_encodings()
     for graph in graphs:
         prepared = model.prepare(graph)
-        diag = model.forward(prepared, mode, rng=rng,
-                             collect=True).diagnostics
+        result = model.forward(prepared, mode, rng=rng)
         n = prepared.node_count
-        for stack, mask in zip(diag.plan_stacks, diag.masks):
+        for stack, mask in zip(result.plans.per_key(), np.split(
+                result.factor.z, model.dictionary.offsets[1:-1])):
             m = int(mask.sum())
             assert stack.shape == (4, n, m)
             assert (stack >= 0.0).all()

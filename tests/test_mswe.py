@@ -18,8 +18,7 @@ from graphdict.vgda import AdaptedKey
 
 def make_key(features):
     features = np.asarray(features, dtype=float)
-    return AdaptedKey(indices=np.arange(features.shape[0]),
-                      features=T.Tensor(features),
+    return AdaptedKey(features=T.Tensor(features),
                       offsets=np.array([0, features.shape[0]]))
 
 
@@ -426,11 +425,10 @@ def test_frozen_plan_embedding_gradient_matches_fd():
             make_key(rng.normal(size=(4, 4)))]
     lams = (0.5, 5.0)
     _, _, plans = embed_keys_multi(f, keys, lams, max_iter=2000, tol=1e-9)
-    frozen = plans.per_key()
 
     def closure():
         h_matrix, _, _ = embed_keys_multi(f, keys, lams,
-                                          plans_override=frozen)
+                                          plans_override=plans.values)
         return T.sum_all(h_matrix)
 
     worst = T.grad_check(closure, [f], epsilon=1e-5)

@@ -24,7 +24,7 @@ from .training import (Adam, CvResult, FoldResult, TrainConfig,
                        export_diagnostics, run_cv, train_one_fold)
 from .vgda import (AdaptedKey, SamplingFactor, adapt_key, adapt_keys,
                    bernoulli_kl, sample_factor, sampling_probability,
-                   select_substructure, stack_keys)
+                   select_substructure)
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "run_cv", "train_one_fold",
     "AdaptedKey", "SamplingFactor", "adapt_key", "adapt_keys",
     "bernoulli_kl", "sample_factor", "sampling_probability",
-    "select_substructure", "stack_keys",
+    "select_substructure",
     "__version__",
 ]

@@ -317,7 +317,7 @@ class GraphDictionaryModel:
         onehot = np.zeros((cfg.num_classes, 1))
         onehot[label, 0] = 1.0
         p_true = T.matmul(result.probabilities, T.constant(onehot))
-        cross_entropy = T.neg(T.log(T.clamp(p_true, 1e-12, None)))
+        cross_entropy = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
         return T.add(cross_entropy, T.scale(result.kl, cfg.beta))
 
     def batch_loss(self, results, labels):

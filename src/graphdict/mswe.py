@@ -30,7 +30,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, NumericsError, ShapeError
-from .vgda import AdaptedKey, stack_keys
 
 LOG_DOMAIN_THRESHOLD = 30.0
 DEFAULT_MAX_ITER = 200
@@ -326,18 +325,16 @@ def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                      tol=DEFAULT_TOL, plans_override=None):
     """Transport embedding of one input against every adapted key.
 
-    ``adapted`` is one stacked :class:`~graphdict.vgda.AdaptedKey` (or a
-    sequence of them, stacked in order).  One cost op covers every selected
-    key row and one :func:`sinkhorn_keys` batch solves all (key,
-    sensitivity) pairs.  Returns (H, cost, plans): H is a K-by-C tensor
-    whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on the
-    tape; ``cost`` is the (n, sum m_j) cost tensor; ``plans`` is the
-    :class:`PlanStack`.  ``plans_override`` (padded (K, C, n, max m_j)
-    plans, like a PlanStack's ``values``) replaces the solve entirely, and
-    ``plans`` is then None — used to freeze plans during gradient checks.
+    ``adapted`` is one stacked :class:`~graphdict.vgda.AdaptedKey`.  One
+    cost op covers every selected key row and one :func:`sinkhorn_keys`
+    batch solves all (key, sensitivity) pairs.  Returns (H, cost, plans): H
+    is a K-by-C tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans
+    constant on the tape; ``cost`` is the (n, sum m_j) cost tensor;
+    ``plans`` is the :class:`PlanStack`.  ``plans_override`` (padded (K, C,
+    n, max m_j) plans, like a PlanStack's ``values``) replaces the solve
+    entirely, and ``plans`` is then None — used to freeze plans during
+    gradient checks.
     """
-    if not isinstance(adapted, AdaptedKey):
-        adapted = stack_keys(adapted)
     cost = cost_matrix(f_input, adapted.features)
     if plans_override is not None:
         solved, padded = None, plans_override

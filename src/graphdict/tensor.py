@@ -6,6 +6,10 @@ application; :meth:`Tape.backward` replays the recording in exact reverse
 order and accumulates gradients so a value used twice receives the sum of
 both path contributions.
 
+The primitives are the ones the model's forward pass and loss record, plus
+``multiply`` and ``sum_all``, which gradient probes use, and ``exp``.  The
+elementwise binary ops take operands of one shape; nothing broadcasts.
+
 Running primitives outside any active tape skips recording entirely, which
 is how evaluation mode avoids autodiff overhead.
 
@@ -79,14 +83,6 @@ class Tensor:
 def constant(values):
     """A tensor that never receives gradients."""
     return Tensor(values, requires_grad=False)
-
-
-def detach(t):
-    """Stop-gradient: same values, cut from the tape.
-
-    Backward through a detached value contributes exactly zero to its source.
-    """
-    return Tensor(t.values, requires_grad=False)
 
 
 class Tape:
@@ -179,28 +175,9 @@ def _record(values, inputs, backward_fn):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (row/column vector broadcasting only)."""
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and out.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _broadcast_values(a, b, opname):
-    try:
-        values = np.broadcast_shapes(a.values.shape, b.values.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: incompatible shapes {a.shape} and {b.shape}")
-    if values != a.values.shape and values != b.values.shape:
-        # e.g. (n,1) with (1,m): outer broadcasting is not supported.
-        raise ShapeError(f"{opname}: broadcast of {a.shape} with {b.shape} "
-                         "is limited to row/column vectors against a matrix")
-    return values
+def _same_shape(a, b, opname):
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"{opname}: shapes differ ({a.shape}, {b.shape})")
 
 
 # ---------------------------------------------------------------------------
@@ -222,40 +199,20 @@ def matmul(a, b):
 
 
 def add(a, b):
-    _broadcast_values(a, b, "add")
-    ash, bsh = a.values.shape, b.values.shape
+    _same_shape(a, b, "add")
 
     def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return g, g
 
     return _record(a.values + b.values, (a, b), backward)
 
 
-def add_n(tensors):
-    """Sum of same-shape tensors."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("add_n of an empty sequence")
-    shape = tensors[0].values.shape
-    for t in tensors[1:]:
-        if t.values.shape != shape:
-            raise ShapeError("add_n: all tensors must share one shape")
-    total = tensors[0].values.copy()
-    for t in tensors[1:]:
-        total += t.values
-
-    def backward(g):
-        return tuple(g for _ in tensors)
-
-    return _record(total, tuple(tensors), backward)
-
-
 def multiply(a, b):
-    _broadcast_values(a, b, "multiply")
+    _same_shape(a, b, "multiply")
     av, bv = a.values, b.values
 
     def backward(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return g * bv, g * av
 
     return _record(av * bv, (a, b), backward)
 
@@ -336,24 +293,6 @@ def concat_rows(tensors):
                    tuple(tensors), backward)
 
 
-def concat_cols(tensors):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_cols of an empty sequence")
-    rows = tensors[0].values.shape[0]
-    for t in tensors[1:]:
-        if t.values.shape[0] != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    counts = [t.values.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + counts)
-
-    def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(counts)))
-
-    return _record(np.concatenate([t.values for t in tensors], axis=1),
-                   tuple(tensors), backward)
-
-
 def row_select(a, mask):
     """Rows of ``a`` where the boolean ``mask`` is true (order preserved)."""
     mask = np.asarray(mask, dtype=bool).reshape(-1)
@@ -379,19 +318,6 @@ def scale(a, c):
         return (g * c,)
 
     return _record(a.values * c, (a,), backward)
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-def add_scalar(a, c):
-    c = float(c)
-
-    def backward(g):
-        return (g,)
-
-    return _record(a.values + c, (a,), backward)
 
 
 def exp(a):
@@ -577,11 +503,9 @@ def pad_segments(x, offsets, layout=None):
     """Split the last axis of ``x`` at ``offsets`` into a leading key axis.
 
     (..., sum m_j) becomes (K, ..., max m_j), each segment zero-padded on the
-    right; a single segment is returned as a view.  ``layout`` is
-    ``segment_index(offsets)`` when the caller already holds it.
+    right, in a new array.  ``layout`` is ``segment_index(offsets)`` when the
+    caller already holds it.
     """
-    if len(offsets) == 2:
-        return x[None]
     seg, pos, width = segment_index(offsets) if layout is None else layout
     out = np.zeros((len(offsets) - 1,) + x.shape[:-1] + (width,))
     out[seg, ..., pos] = np.moveaxis(x, -1, 0)
@@ -590,8 +514,6 @@ def pad_segments(x, offsets, layout=None):
 
 def unpad_segments(x, offsets, layout=None):
     """Inverse of :func:`pad_segments`: (K, ..., max m_j) -> (..., sum m_j)."""
-    if len(offsets) == 2:
-        return x[0]
     seg, pos, _ = segment_index(offsets) if layout is None else layout
     return np.moveaxis(x[seg, ..., pos], 0, -1)
 
@@ -602,17 +524,15 @@ def plan_costs(m, plans, offsets=None):
     ``m`` is (n, sum m_j): key j's cost matrix M_j fills columns
     offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
     is None).  ``plans`` has shape (K, C, n, max m_j), each key's plans
-    zero-padded like :func:`pad_segments`; a single key's may be given as
-    (C, n, m_j).  Plans are constant: gradients flow only through ``m`` (the
-    envelope rule for transport plans).  Returns a K x C tensor.
+    zero-padded like :func:`pad_segments`.  Plans are constant: gradients
+    flow only through ``m`` (the envelope rule for transport plans).  Returns
+    a K x C tensor.
     """
     mv = m.values
     offsets = as_offsets(offsets, mv.shape[1])
     layout = segment_index(offsets)  # shared by the pad and backward's unpad
     padded = pad_segments(mv, offsets, layout)
     plans = np.asarray(plans, dtype=np.float64)
-    if plans.ndim == 3:
-        plans = plans[None]
     if (plans.ndim != 4 or plans.shape[0] != padded.shape[0]
             or plans.shape[2:] != padded.shape[1:]):
         raise ShapeError(f"plan_costs: plans {plans.shape} do not stack over "

@@ -10,6 +10,7 @@ attention weights.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import time
@@ -169,9 +170,15 @@ def model_config_for_fold(bundle, train_graphs, config):
 
 
 def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):
-    """Train a fresh model on one fold's training split and score its test split."""
+    """Train a fresh model on one fold's training split and score its test split.
+
+    The RNG streams are spawned from a copy of ``seed_seq``, so every call
+    with one SeedSequence trains on the same streams.
+    """
     started = time.perf_counter()
-    model_ss, noise_ss, shuffle_ss = seed_seq.spawn(3)
+    model_ss, noise_ss, shuffle_ss = np.random.SeedSequence(
+        seed_seq.entropy, spawn_key=seed_seq.spawn_key,
+        pool_size=seed_seq.pool_size).spawn(3)
     train_graphs = [bundle.graphs[i] for i in train_idx]
     test_graphs = [bundle.graphs[i] for i in test_idx]
 
@@ -248,26 +255,18 @@ def run_cv(config, bundle=None):
         jobs.append((bundle, i, train_idx, test_idx, config, children[i]))
 
     results = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_fold_worker, job) for job in jobs]
-            for i, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except GraphDictError:
-                    raise
-                except Exception as exc:
-                    raise GraphDictError(f"fold {i} crashed: {exc}") from exc
-    else:
-        for job in jobs:
+    with (ProcessPoolExecutor(max_workers=config.workers)
+          if config.workers > 1 else contextlib.nullcontext()) as pool:
+        # fold results arrive in fold order, serial or pooled
+        outcomes = (pool.map if pool else map)(_fold_worker, jobs)
+        for i in range(len(jobs)):
             try:
-                results.append(_fold_worker(job))
+                results.append(next(outcomes))
             except GraphDictError:
                 raise
             except Exception as exc:
-                raise GraphDictError(f"fold {job[1]} crashed: {exc}") from exc
+                raise GraphDictError(f"fold {i} crashed: {exc}") from exc
 
-    results.sort(key=lambda r: r.fold)
     accuracies = np.asarray([r.accuracy for r in results])
     cv = CvResult(mean_accuracy=float(accuracies.mean()),
                   std_accuracy=float(accuracies.std()),

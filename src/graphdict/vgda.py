@@ -149,16 +149,6 @@ def select_substructure(key_features, z, z_tilde=None, offsets=None):
     return AdaptedKey(features=features, offsets=selected_before[offsets])
 
 
-def stack_keys(adapted_keys):
-    """Concatenate adapted keys, in order, into one stacked AdaptedKey."""
-    keys = list(adapted_keys)
-    starts = np.cumsum([0] + [k.offsets[-1] for k in keys])
-    offsets = np.concatenate([[0]] + [k.offsets[1:] + s
-                                      for k, s in zip(keys, starts)])
-    return AdaptedKey(features=T.concat_rows([k.features for k in keys]),
-                      offsets=offsets)
-
-
 def bernoulli_kl(p_hat, p):
     """KL(Bernoulli(p_hat) || Bernoulli(p[u])) summed over the vector.
 

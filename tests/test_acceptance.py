@@ -188,7 +188,7 @@ def test_acceptance_7_complexity_scaling():
         p = sampling_probability(f_input, key_feats[n_key], w_r)
         factor = sample_factor(p, vgda.EVAL)
         adapted = select_substructure(key_feats[n_key], factor.z)
-        embed_keys_multi(f_input, [adapted], lams, max_iter=iters, tol=0.0)
+        embed_keys_multi(f_input, adapted, lams, max_iter=iters, tol=0.0)
         return time.perf_counter() - start
 
     stage_time(128), stage_time(256)  # warm-up

@@ -16,10 +16,11 @@ from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
 from graphdict.vgda import AdaptedKey
 
 
-def make_key(features):
-    features = np.asarray(features, dtype=float)
-    return AdaptedKey(features=T.Tensor(features),
-                      offsets=np.array([0, features.shape[0]]))
+def make_keys(*features):
+    """One stacked AdaptedKey over the keys' feature rows, in order."""
+    features = [np.asarray(f, dtype=float) for f in features]
+    return AdaptedKey(features=T.Tensor(np.vstack(features)),
+                      offsets=np.cumsum([0] + [f.shape[0] for f in features]))
 
 
 # --- solver -----------------------------------------------------------------
@@ -192,11 +193,11 @@ def test_stacked_keys_match_one_key_solves(n, keys, seed, lams, max_iter,
 def test_stacked_embedding_matches_per_key_embeddings():
     rng = np.random.default_rng(11)
     f = T.Tensor(rng.normal(size=(5, 6)))
-    keys = [make_key(rng.normal(size=(w, 6))) for w in (1, 4, 2, 7)]
+    keys = [rng.normal(size=(w, 6)) for w in (1, 4, 2, 7)]
     lams = DEFAULT_LAMBDA_GRID
-    stacked, cost, plans = embed_keys_multi(f, keys, lams)
+    stacked, cost, plans = embed_keys_multi(f, make_keys(*keys), lams)
     for j, key in enumerate(keys):
-        single, single_cost, _ = embed_keys_multi(f, [key], lams)
+        single, single_cost, _ = embed_keys_multi(f, make_keys(key), lams)
         assert np.abs(stacked.values[j] - single.values[0]).max() <= 1e-12
         lo, hi = plans.offsets[j], plans.offsets[j + 1]
         assert np.array_equal(cost.values[:, lo:hi], single_cost.values)
@@ -384,7 +385,7 @@ def test_cost_matrix_matches_double_loop():
 def test_embedding_matrix_shape():
     rng = np.random.default_rng(5)
     f = T.Tensor(rng.normal(size=(4, 8)))
-    keys = [make_key(rng.normal(size=(3, 8))) for _ in range(3)]
+    keys = make_keys(*(rng.normal(size=(3, 8)) for _ in range(3)))
     h_matrix, cost, plans = embed_keys_multi(f, keys, (0.5, 1.0, 5.0, 10.0))
     assert h_matrix.values.shape == (3, 4)
     assert cost.values.shape == (4, 9)
@@ -396,13 +397,13 @@ def test_embedding_matrix_shape():
 def test_single_sensitivity_embedding_length():
     rng = np.random.default_rng(6)
     f = T.Tensor(rng.normal(size=(4, 8)))
-    h, _, _ = embed_keys_multi(f, [make_key(rng.normal(size=(3, 8)))], [1.0])
+    h, _, _ = embed_keys_multi(f, make_keys(rng.normal(size=(3, 8))), [1.0])
     assert h.values.shape == (1, 1)
 
 
 def test_identical_features_embed_near_zero_at_sharp_sensitivity():
     feats = np.random.default_rng(0).normal(size=(4, 8))
-    h, _, _ = embed_keys_multi(T.Tensor(feats), [make_key(feats.copy())],
+    h, _, _ = embed_keys_multi(T.Tensor(feats), make_keys(feats.copy()),
                                [100.0], max_iter=5000, tol=1e-9)
     assert h.values.item() <= 1e-9
 
@@ -410,8 +411,7 @@ def test_identical_features_embed_near_zero_at_sharp_sensitivity():
 def test_single_sensitivity_matches_grid_column():
     rng = np.random.default_rng(7)
     f = T.Tensor(rng.normal(size=(4, 8)))
-    keys = [make_key(rng.normal(size=(3, 8))),
-            make_key(rng.normal(size=(5, 8)))]
+    keys = make_keys(rng.normal(size=(3, 8)), rng.normal(size=(5, 8)))
     multi, _, _ = embed_keys_multi(f, keys, (0.5, 5.0), max_iter=2000,
                                    tol=1e-9)
     single, _, _ = embed_keys_multi(f, keys, [0.5], max_iter=2000, tol=1e-9)
@@ -421,8 +421,7 @@ def test_single_sensitivity_matches_grid_column():
 def test_frozen_plan_embedding_gradient_matches_fd():
     rng = np.random.default_rng(8)
     f = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    keys = [make_key(rng.normal(size=(2, 4))),
-            make_key(rng.normal(size=(4, 4)))]
+    keys = make_keys(rng.normal(size=(2, 4)), rng.normal(size=(4, 4)))
     lams = (0.5, 5.0)
     _, _, plans = embed_keys_multi(f, keys, lams, max_iter=2000, tol=1e-9)
 

@@ -85,7 +85,7 @@ def test_backward_rejects_non_finite_root_naming_the_op():
     with T.Tape() as tape:
         square = T.multiply(x, x)  # op outputs are not scanned when built
         assert np.isinf(square.values[0, 0])
-        y = T.sum_all(T.add_scalar(square, 1.0))
+        y = T.sum_all(T.add(square, x))
         with pytest.raises(NumericsError, match=r"root is non-finite "
                            r"\(first non-finite op output: multiply\)"):
             tape.backward(y)
@@ -198,6 +198,13 @@ def test_outer_broadcast_rejected():
         T.add(T.Tensor(np.ones((3, 1))), T.Tensor(np.ones((1, 4))))
 
 
+@pytest.mark.parametrize("op", [T.add, T.multiply])
+@pytest.mark.parametrize("shape", [(1, 4), (3, 1), (4, 3)])
+def test_elementwise_ops_reject_any_other_shape(op, shape):
+    with pytest.raises(ShapeError, match="shapes differ"):
+        op(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones(shape)))
+
+
 def test_row_select_empty_mask_raises():
     x = T.Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeError):
@@ -235,20 +242,6 @@ def test_gradient_accumulates_across_reuse():
     assert np.array_equal(via_reuse, [[2.0, 2.0]])
 
 
-def test_detach_blocks_gradient_exactly():
-    x = T.Tensor(np.array([[2.0, 3.0]]), requires_grad=True)
-    with T.Tape() as tape:
-        y = T.sum_all(T.detach(x))
-        tape.backward(y)
-    assert not x.grad.any()
-    # product with a detached copy: gradient treats the copy as constant
-    x.zero_grad()
-    with T.Tape() as tape:
-        y = T.sum_all(T.multiply(x, T.detach(x)))
-        tape.backward(y)
-    assert np.array_equal(x.grad, x.values)
-
-
 def test_matmul_backward_skips_untracked_operands():
     rng = np.random.default_rng(2)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
@@ -284,12 +277,12 @@ def test_straight_through_scale_surrogate_backward():
 def test_plan_costs_gradient_is_the_plan_stack():
     rng = np.random.default_rng(2)
     m = T.Tensor(rng.uniform(size=(4, 3)), requires_grad=True)
-    plans = rng.uniform(size=(2, 4, 3))
+    plans = rng.uniform(size=(1, 2, 4, 3))
     with T.Tape() as tape:
         h = T.plan_costs(m, plans)
         assert h.values.shape == (1, 2)
         tape.backward(T.sum_all(h))
-    assert np.allclose(m.grad, plans.sum(axis=0))
+    assert np.allclose(m.grad, plans[0].sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +332,36 @@ def test_straight_through_scale_routes_rows_and_row_dots(n, m, seed):
        factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_reused_tensor_gets_the_sum_of_its_paths_without_aliasing(
         n, m, seed, factors):
-    """x feeds add_scalar twice; u also feeds scale ops recorded before the
-    add that consumes u and w together.  add and add_scalar hand back their
-    upstream gradient itself, so unless each tensor's first piece is
-    copied, u, w and the add's output share one buffer and the later
-    pieces into u leak into w."""
+    """x feeds two straight-through ops; u also feeds scale ops recorded
+    before the add that consumes u and w together, and concat_rows stacks
+    the scaled copies with the sum.  concat_rows hands back views of its
+    upstream gradient, and add and straight_through_scale hand back the
+    gradient itself, so unless each tensor's first piece is copied, u, w,
+    the add's output and the stack share one buffer and the later pieces
+    into u leak into w."""
     rng = np.random.default_rng(seed)
     x = _rand(rng, n, m)
-    weight = _probe(rng, n, m)
+    z = T.Tensor(rng.uniform(0.1, 0.9, size=(n, 1)), requires_grad=True)
+    weight = _probe(rng, (len(factors) + 1) * n, m)
+    blocks = np.split(weight, len(factors) + 1)
     with T.Tape() as tape:
-        u = T.add_scalar(x, 1.0)
-        w = T.add_scalar(x, -2.0)
+        u = T.straight_through_scale(x, z)
+        w = T.straight_through_scale(x, z)
         scaled = [T.scale(u, c) for c in factors]
         both = T.add(u, w)
-        total = T.add(T.add_n(scaled), both)
+        total = T.concat_rows(scaled + [both])
         tape.backward(_weighted_sum(total, weight))
     # paths: x -> u -> scale(c) for every c, x -> u -> add, x -> w -> add
-    expected = weight * (sum(factors) + 2.0)
-    assert np.allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(w.grad, weight)
-    grads = [u.grad, w.grad, both.grad, total.grad]
+    want_u = sum(c * b for c, b in zip(factors, blocks)) + blocks[-1]
+    assert np.allclose(u.grad, want_u, rtol=1e-12, atol=1e-12)
+    assert np.allclose(x.grad, want_u + blocks[-1], rtol=1e-12, atol=1e-12)
+    assert np.allclose(z.grad,
+                       ((want_u + blocks[-1]) * x.values).sum(axis=1,
+                                                              keepdims=True),
+                       rtol=1e-12, atol=1e-12)
+    assert np.array_equal(w.grad, blocks[-1])
+    assert np.array_equal(both.grad, blocks[-1])
+    grads = [x.grad, u.grad, w.grad, both.grad, total.grad]
     for i, first in enumerate(grads):
         for second in grads[i + 1:]:
             assert not np.shares_memory(first, second)
@@ -420,17 +423,8 @@ def _build_case(name, rng):
     if name == "add":
         a, b = _rand(rng, n, m), _rand(rng, n, m)
         return [a, b], lambda: _weighted_sum(T.add(a, b), w)
-    if name == "add_row_broadcast":
-        a, b = _rand(rng, n, m), _rand(rng, 1, m)
-        return [a, b], lambda: _weighted_sum(T.add(a, b), w)
-    if name == "add_n":
-        parts = [_rand(rng, n, m) for _ in range(3)]
-        return parts, lambda: _weighted_sum(T.add_n(parts), w)
     if name == "multiply":
         a, b = _rand(rng, n, m), _rand(rng, n, m)
-        return [a, b], lambda: _weighted_sum(T.multiply(a, b), w)
-    if name == "multiply_col_broadcast":
-        a, b = _rand(rng, n, m), _rand(rng, n, 1)
         return [a, b], lambda: _weighted_sum(T.multiply(a, b), w)
     if name == "relu":
         a = _rand(rng, n, m)
@@ -452,10 +446,6 @@ def _build_case(name, rng):
         a, b = _rand(rng, n, m), _rand(rng, k, m)
         wc = _probe(rng, n + k, m)
         return [a, b], lambda: _weighted_sum(T.concat_rows([a, b]), wc)
-    if name == "concat_cols":
-        a, b = _rand(rng, n, m), _rand(rng, n, k)
-        wc = _probe(rng, n, m + k)
-        return [a, b], lambda: _weighted_sum(T.concat_cols([a, b]), wc)
     if name == "row_select":
         a = _rand(rng, n, m)
         mask = rng.uniform(size=n) < 0.6
@@ -466,12 +456,6 @@ def _build_case(name, rng):
     if name == "scale":
         a = _rand(rng, n, m)
         return [a], lambda: _weighted_sum(T.scale(a, -1.7), w)
-    if name == "neg":
-        a = _rand(rng, n, m)
-        return [a], lambda: _weighted_sum(T.neg(a), w)
-    if name == "add_scalar":
-        a = _rand(rng, n, m)
-        return [a], lambda: _weighted_sum(T.add_scalar(a, 0.35), w)
     if name == "exp":
         a = _rand(rng, n, m, -1.5, 1.5)
         return [a], lambda: _weighted_sum(T.exp(a), w)
@@ -510,18 +494,17 @@ def _build_case(name, rng):
         return [p], lambda: T.bernoulli_kl_sum(p, 0.5)
     if name == "plan_costs":
         a = _rand(rng, n, m)
-        plans = rng.uniform(0.1, 1.0, size=(k, n, m))
+        plans = rng.uniform(0.1, 1.0, size=(1, k, n, m))
         ws = _probe(rng, 1, k)
         return [a], lambda: _weighted_sum(T.plan_costs(a, plans), ws)
     raise AssertionError(f"unknown case {name}")
 
 
 PRIMITIVES = [
-    "matmul", "add", "add_row_broadcast", "add_n", "multiply",
-    "multiply_col_broadcast", "relu", "sigmoid", "row_softmax", "sum_all",
-    "mean_all", "concat_rows", "concat_cols", "row_select", "scale", "neg",
-    "add_scalar", "exp", "log", "transpose", "clamp", "cosine_matrix",
-    "pairwise_sqdist", "binary_concrete", "bernoulli_kl_sum", "plan_costs",
+    "matmul", "add", "multiply", "relu", "sigmoid", "row_softmax", "sum_all",
+    "mean_all", "concat_rows", "row_select", "scale", "exp", "log",
+    "transpose", "clamp", "cosine_matrix", "pairwise_sqdist",
+    "binary_concrete", "bernoulli_kl_sum", "plan_costs",
 ]
 
 
@@ -564,7 +547,7 @@ def test_grad_check_detects_non_determinism():
 
     def noisy():
         state["n"] += 1.0
-        return T.add_scalar(x, state["n"])
+        return T.scale(x, state["n"])
 
     with pytest.raises(OracleError):
         T.grad_check(noisy, [x])

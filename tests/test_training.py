@@ -150,6 +150,19 @@ def test_train_one_fold_result_semantics():
     assert result.wall_time > 0.0
 
 
+def test_train_one_fold_repeats_with_one_seed_sequence():
+    """Spawning must not advance the caller's SeedSequence: a second call
+    with the same object trains on the same streams."""
+    bundle = make_synthetic_bundle(count=12)
+    config = fast_config(epochs=2)
+    seed_seq = np.random.SeedSequence(0)
+    (first, _), (second, _) = (
+        train_one_fold(bundle, 0, np.arange(4, 12), np.arange(4), config,
+                       seed_seq) for _ in range(2))
+    assert first.loss_trace == second.loss_trace
+    assert first.accuracy == second.accuracy
+
+
 def test_two_fold_accuracies_on_four_graphs_are_quantized():
     bundle = make_synthetic_bundle(count=4)
     cv = run_cv(fast_config(epochs=2), bundle=bundle)

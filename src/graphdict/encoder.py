@@ -36,27 +36,16 @@ class EncoderParams:
     weights: list[T.Tensor]
 
     @classmethod
-    def initialize(cls, in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS,
-                   trainable=True):
+    def initialize(cls, in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS):
         dims = (in_dim, *hidden_dims)
-        weights = [T.Tensor(xavier_uniform(rng, dims[i], dims[i + 1]),
-                            requires_grad=trainable)
-                   for i in range(len(hidden_dims))]
-        return cls(weights=weights)
+        return cls(weights=[T.Tensor(xavier_uniform(rng, dims[i], dims[i + 1]),
+                                     requires_grad=True)
+                            for i in range(len(hidden_dims))])
 
     def copy_as_momentum_branch(self):
         """A frozen branch starting from identical weights."""
-        weights = [T.Tensor(w.values.copy(), requires_grad=False)
-                   for w in self.weights]
-        return EncoderParams(weights=weights)
-
-    @property
-    def hidden_dims(self):
-        return tuple(w.values.shape[1] for w in self.weights)
-
-    @property
-    def output_dim(self):
-        return self.weights[-1].values.shape[1]
+        return EncoderParams(weights=[T.Tensor(w.values.copy())
+                                      for w in self.weights])
 
 
 def encode(features, a_hat, params):
@@ -64,7 +53,7 @@ def encode(features, a_hat, params):
 
     ``features`` may be a Tensor (trainable dictionary node features) or a
     plain array (fixed input one-hots); ``a_hat`` is always constant.
-    Returns an n-by-output_dim tensor with nonnegative entries.
+    Returns an (n, last layer width) tensor with nonnegative entries.
     """
     x = features if isinstance(features, T.Tensor) else T.constant(features)
     a_hat = np.asarray(a_hat, dtype=np.float64)

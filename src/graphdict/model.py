@@ -10,16 +10,49 @@ gradients.
 
 from __future__ import annotations
 
+import itertools
 import json
+import numbers
 import zipfile
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import mswe, tensor as T, vgda
 from .data import LabeledGraph, featurize, normalize_adjacency
 from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
-from .errors import ConfigError, FormatError, IoError, ShapeError
+from .errors import ConfigError, FormatError, IoError
+
+
+def check_ranges(config, counts=()):
+    """Raise ConfigError naming the first field of ``config`` out of range:
+    the ``counts`` fields (each must be >= 1), then the fields ModelConfig
+    and TrainConfig share.  ``lambdas`` may be None (a TrainConfig grid
+    derived from ``sensitivities``)."""
+    counts = {name: getattr(config, name)
+              for name in (*counts, "head_hidden", "sinkhorn_max_iter")}
+    counts.update((f"encoder_dims[{i}]", d)
+                  for i, d in enumerate(config.encoder_dims))
+    lambdas = config.lambdas
+    for holds, message in [
+            *((value >= 1, f"{name} must be >= 1, got {value}")
+              for name, value in counts.items()),
+            (config.encoder_dims, "encoder_dims must hold at least one layer"),
+            (config.sinkhorn_tol > 0.0,
+             f"sinkhorn_tol must be > 0, got {config.sinkhorn_tol}"),
+            (config.temperature > 0.0,
+             f"temperature must be > 0, got {config.temperature}"),
+            (config.beta >= 0.0, f"beta must be >= 0, got {config.beta}"),
+            (0.0 < config.p_hat < 1.0,
+             f"p_hat must lie in (0, 1), got {config.p_hat}"),
+            (lambdas is None or lambdas and all(
+                isinstance(v, numbers.Real) and 0.0 < v < np.inf
+                for v in lambdas),
+             f"lambdas must be one or more finite positive numbers, got "
+             f"{lambdas}")]:
+        if not holds:
+            raise ConfigError(message)
 
 
 @dataclass
@@ -42,10 +75,7 @@ class ModelConfig:
     lambdas: tuple = mswe.DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if not (0.0 < self.p_hat < 1.0):
-            raise ConfigError(f"p_hat must lie in (0, 1), got {self.p_hat}")
+        check_ranges(self)
 
     def to_json(self):
         """The fields in declaration order (tuples as JSON lists)."""
@@ -67,8 +97,11 @@ class DictionaryKey:
     key_id: int
     source_class: int
     adjacency: np.ndarray
-    a_hat: np.ndarray
     features: T.Tensor            # trainable (psi)
+
+    @cached_property
+    def a_hat(self):
+        return normalize_adjacency(self.adjacency)
 
     @property
     def node_count(self):
@@ -96,9 +129,10 @@ class BaseGraphDictionary:
 def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
     """Seed k dictionary keys from training graphs, round-robin over classes.
 
-    Classes are visited in sorted order; within a class, graphs are sampled
-    without replacement in shuffled order.  Exhausted classes drop out of
-    the rotation.  Deterministic given the seed.
+    Each class's graphs are shuffled, classes in sorted order, and the keys
+    are dealt one per class per turn from the end of each shuffled pool; a
+    class whose pool runs out drops out of the turns.  Deterministic given
+    the seed.
     """
     graphs = list(train_graphs)
     if k < 1:
@@ -107,36 +141,17 @@ def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
         raise ConfigError(f"dictionary size {k} exceeds the {len(graphs)} "
                           "available training graphs")
     rng = np.random.default_rng(seed)
-    pools = {}
-    for idx, graph in enumerate(graphs):
-        pools.setdefault(graph.class_label, []).append(idx)
-    order = sorted(pools)
-    for cls in order:
-        pool = np.asarray(pools[cls], dtype=np.int64)
-        rng.shuffle(pool)
-        pools[cls] = list(pool)
-
-    keys = []
-    while len(keys) < k:
-        progressed = False
-        for cls in order:
-            if len(keys) == k:
-                break
-            if pools[cls]:
-                idx = pools[cls].pop()
-                graph = graphs[idx]
-                keys.append(DictionaryKey(
-                    key_id=len(keys),
-                    source_class=graph.class_label,
-                    adjacency=graph.adjacency.copy(),
-                    a_hat=normalize_adjacency(graph.adjacency),
-                    features=T.Tensor(featurize(graph, scheme, feature_dim),
-                                      requires_grad=True),
-                ))
-                progressed = True
-        if not progressed:  # unreachable given k <= len(graphs)
-            raise ConfigError("dictionary initialization ran out of graphs")
-    return BaseGraphDictionary(keys=keys)
+    classes = np.asarray([graph.class_label for graph in graphs])
+    pools = [rng.permutation(np.flatnonzero(classes == cls))[::-1]
+             for cls in np.unique(classes)]
+    dealt = [idx for turn in itertools.zip_longest(*pools)
+             for idx in turn if idx is not None]
+    return BaseGraphDictionary(keys=[DictionaryKey(
+        key_id=key_id, source_class=graphs[idx].class_label,
+        adjacency=graphs[idx].adjacency.copy(),
+        features=T.Tensor(featurize(graphs[idx], scheme, feature_dim),
+                          requires_grad=True))
+        for key_id, idx in enumerate(dealt[:k])])
 
 
 @dataclass
@@ -199,8 +214,7 @@ class GraphDictionaryModel:
         """Fresh model with the dictionary seeded from training graphs."""
         rng = np.random.default_rng(seed)
         encoder_input = EncoderParams.initialize(
-            config.feature_dim, rng, hidden_dims=config.encoder_dims,
-            trainable=True)
+            config.feature_dim, rng, hidden_dims=config.encoder_dims)
         encoder_dict = encoder_input.copy_as_momentum_branch()
         dictionary = init_base_dictionary(train_graphs, config.num_keys, rng,
                                           config.feature_scheme,
@@ -220,11 +234,9 @@ class GraphDictionaryModel:
 
     def psi_parameters(self):
         """Encoder, dictionary features, attention, and head weights."""
-        params = list(self.encoder_input.weights)
-        params.extend(key.features for key in self.dictionary.keys)
-        params.append(self.w_m)
-        params.extend([self.head.w1, self.head.w2])
-        return params
+        return [*self.encoder_input.weights,
+                *(key.features for key in self.dictionary.keys),
+                self.w_m, self.head.w1, self.head.w2]
 
     def parameters(self):
         return self.phi_parameters() + self.psi_parameters()
@@ -309,21 +321,26 @@ class GraphDictionaryModel:
 
     # -- loss ---------------------------------------------------------------
 
-    def loss(self, result, label):
-        """-log p[label] + beta * KL, as a scalar tensor to minimize."""
-        cfg = self.config
-        if not 0 <= label < cfg.num_classes:
-            raise ConfigError(f"label {label} outside [0, {cfg.num_classes})")
-        onehot = np.zeros((cfg.num_classes, 1))
-        onehot[label, 0] = 1.0
-        p_true = T.matmul(result.probabilities, T.constant(onehot))
-        cross_entropy = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
-        return T.add(cross_entropy, T.scale(result.kl, cfg.beta))
-
     def batch_loss(self, results, labels):
-        """Mean loss over a batch of forward results."""
-        losses = [self.loss(r, y) for r, y in zip(results, labels)]
-        return T.mean_all(T.concat_rows(losses))
+        """Mean of -log p[label] + beta * KL over a batch of forward results.
+
+        p[label] is each probability row times its one-hot label, summed
+        through a ones column: exact, as every other term is zero.
+        """
+        cfg = self.config
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        outside = (labels < 0) | (labels >= cfg.num_classes)
+        if outside.any():
+            raise ConfigError(f"label {labels[outside][0]} outside "
+                              f"[0, {cfg.num_classes})")
+        onehot = np.zeros((labels.shape[0], cfg.num_classes))
+        onehot[np.arange(labels.shape[0]), labels] = 1.0
+        probabilities = T.concat_rows([r.probabilities for r in results])
+        p_true = T.matmul(T.multiply(probabilities, T.constant(onehot)),
+                          T.constant(np.ones((cfg.num_classes, 1))))
+        cross_entropy = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
+        kl = T.scale(T.concat_rows([r.kl for r in results]), cfg.beta)
+        return T.mean_all(T.add(cross_entropy, kl))
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -353,10 +370,10 @@ def save_checkpoint(model, path):
     arrays = {"format_version": np.asarray([CHECKPOINT_FORMAT_VERSION]),
               "config": np.frombuffer(model.config.to_json().encode("utf-8"),
                                       dtype=np.uint8).copy()}
-    for i, w in enumerate(model.encoder_input.weights):
-        arrays[f"enc_input_{i}"] = w.values
-    for i, w in enumerate(model.encoder_dict.weights):
-        arrays[f"enc_dict_{i}"] = w.values
+    for branch, params in (("enc_input", model.encoder_input),
+                           ("enc_dict", model.encoder_dict)):
+        arrays.update((f"{branch}_{i}", w.values)
+                      for i, w in enumerate(params.weights))
     for key in model.dictionary.keys:
         arrays[f"key_{key.key_id}_adjacency"] = key.adjacency
         arrays[f"key_{key.key_id}_features"] = key.features.values
@@ -373,10 +390,11 @@ def load_checkpoint(path):
 
     Raises IoError when ``path`` cannot be read and FormatError when it is
     not a complete checkpoint, naming the path and any missing array, or any
-    array whose shape does not fit the stored config or that holds
-    non-finite values.  A checkpoint without a ``format_version``, or with
-    one other than :data:`CHECKPOINT_FORMAT_VERSION`, raises FormatError
-    naming the path and the version.
+    array whose shape does not fit the stored config, that holds non-finite
+    values, or (a key adjacency) that breaks :class:`LabeledGraph`'s rules.
+    A config out of range, or a checkpoint without a ``format_version`` or
+    with one other than :data:`CHECKPOINT_FORMAT_VERSION`, raises
+    FormatError naming the path.
     """
     try:
         data = np.load(path)
@@ -387,15 +405,8 @@ def load_checkpoint(path):
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise FormatError(f"checkpoint {path} is not an .npz archive")
 
-    def check_shape(name, values, shape):
-        """``shape`` lists each axis's size; None takes any size."""
-        if values.ndim != len(shape) or any(
-                want not in (None, got)
-                for want, got in zip(shape, values.shape)):
-            raise FormatError(f"checkpoint {path}: array {name!r} has shape "
-                              f"{values.shape}, expected {shape}")
-
     def array(name, shape=None):
+        """Array ``name``; ``shape`` lists each axis's size, None any size."""
         if name not in data.files:
             raise FormatError(f"checkpoint {path} lacks array {name!r}")
         try:
@@ -403,12 +414,18 @@ def load_checkpoint(path):
         except (ValueError, zipfile.BadZipFile) as exc:
             raise FormatError(f"checkpoint {path}: array {name!r} is "
                               f"corrupt: {exc}") from exc
-        if shape is not None:
-            check_shape(name, values, shape)
+        if shape is not None and (values.ndim != len(shape) or any(
+                want not in (None, got)
+                for want, got in zip(shape, values.shape))):
+            raise FormatError(f"checkpoint {path}: array {name!r} has shape "
+                              f"{values.shape}, expected {shape}")
         if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
             raise FormatError(f"checkpoint {path}: array {name!r} must hold "
                               "finite numbers")
         return values
+
+    def trained(name, shape):
+        return T.Tensor(array(name, shape), requires_grad=True)
 
     with data:
         version = (array("format_version", (1,))[0].item()
@@ -421,41 +438,38 @@ def load_checkpoint(path):
         try:
             text = bytes(array("config")).decode("utf-8")
             config = ModelConfig.from_json(text)
+        except ConfigError as exc:
+            raise FormatError(f"checkpoint {path} has a bad config: "
+                              f"{exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"checkpoint {path} has a malformed config: "
                               f"{exc!r}") from exc
         dims = (config.feature_dim, *config.encoder_dims)
-        enc_input = EncoderParams(
-            weights=[T.Tensor(array(f"enc_input_{i}", dims[i:i + 2]),
-                              requires_grad=True)
-                     for i in range(len(config.encoder_dims))])
-        enc_dict = EncoderParams(
-            weights=[T.Tensor(array(f"enc_dict_{i}", dims[i:i + 2]),
-                              requires_grad=False)
-                     for i in range(len(config.encoder_dims))])
+        enc_input, enc_dict = (EncoderParams(weights=[
+            T.Tensor(array(f"{branch}_{i}", dims[i:i + 2]), requires_grad=grad)
+            for i in range(len(config.encoder_dims))])
+            for branch, grad in (("enc_input", True), ("enc_dict", False)))
         keys = []
         for key_id in range(config.num_keys):
-            adjacency = array(f"key_{key_id}_adjacency", (None, None))
-            check_shape(f"key_{key_id}_adjacency", adjacency,
-                        (len(adjacency),) * 2)
-            features = array(f"key_{key_id}_features",
-                             (len(adjacency), config.feature_dim))
+            name = f"key_{key_id}_adjacency"
+            adjacency = array(name)
+            source_class = int(array(f"key_{key_id}_class", (1,))[0])
+            try:
+                graph = LabeledGraph(adjacency=adjacency,
+                                     class_label=source_class)
+            except FormatError as exc:
+                raise FormatError(f"checkpoint {path}: array {name!r}: "
+                                  f"{exc}") from exc
             keys.append(DictionaryKey(
-                key_id=key_id,
-                source_class=int(array(f"key_{key_id}_class", (1,))[0]),
-                adjacency=adjacency,
-                a_hat=normalize_adjacency(adjacency),
-                features=T.Tensor(features, requires_grad=True)))
-        vgda_params = vgda.VgdaParams(
-            w_r=T.Tensor(array("w_r", (config.n_padded, 1)),
-                         requires_grad=True))
-        w_m = T.Tensor(array("w_m", (1, config.num_keys)), requires_grad=True)
+                key_id=key_id, source_class=source_class,
+                adjacency=graph.adjacency, features=trained(
+                    f"key_{key_id}_features",
+                    (graph.node_count, config.feature_dim))))
+        vgda_params = vgda.VgdaParams(trained("w_r", (config.n_padded, 1)))
+        w_m = trained("w_m", (1, config.num_keys))
         head = ClassifierHead(
-            w1=T.Tensor(array("head_w1", (config.num_keys, config.head_hidden)),
-                        requires_grad=True),
-            w2=T.Tensor(array("head_w2",
-                              (config.head_hidden, config.num_classes)),
-                        requires_grad=True))
+            trained("head_w1", (config.num_keys, config.head_hidden)),
+            trained("head_w2", (config.head_hidden, config.num_classes)))
     return GraphDictionaryModel(config, enc_input, enc_dict,
                                 BaseGraphDictionary(keys=keys), vgda_params,
                                 w_m, head)

@@ -7,8 +7,8 @@ order and accumulates gradients so a value used twice receives the sum of
 both path contributions.
 
 The primitives are the ones the model's forward pass and loss record, plus
-``multiply`` and ``sum_all``, which gradient probes use, and ``exp``.  The
-elementwise binary ops take operands of one shape; nothing broadcasts.
+``sum_all``, which gradient probes use.  The elementwise binary ops take
+operands of one shape; nothing broadcasts.
 
 Running primitives outside any active tape skips recording entirely, which
 is how evaluation mode avoids autodiff overhead.
@@ -318,17 +318,6 @@ def scale(a, c):
         return (g * c,)
 
     return _record(a.values * c, (a,), backward)
-
-
-def exp(a):
-    out = np.exp(a.values)
-    if not np.isfinite(out).all():
-        raise NumericsError("exp overflow")
-
-    def backward(g):
-        return (g * out,)
-
-    return _record(out, (a,), backward)
 
 
 def log(a):

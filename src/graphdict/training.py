@@ -24,7 +24,8 @@ from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
 from .encoder import DEFAULT_HIDDEN_DIMS, momentum_update
 from .errors import ConfigError, GraphDictError, IoError, NumericsError
-from .model import GraphDictionaryModel, ModelConfig, save_checkpoint
+from .model import (GraphDictionaryModel, ModelConfig, check_ranges,
+                    save_checkpoint)
 from .mswe import DEFAULT_MAX_ITER, DEFAULT_TOL, select_lambdas
 
 
@@ -57,19 +58,9 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        counts = {"batch_size": self.batch_size, "epochs": self.epochs,
-                  "workers": self.workers, "head_hidden": self.head_hidden,
-                  "sinkhorn_max_iter": self.sinkhorn_max_iter}
-        counts.update((f"encoder_dims[{i}]", d)
-                      for i, d in enumerate(self.encoder_dims))
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not self.encoder_dims:
-            raise ConfigError("encoder_dims must hold at least one layer")
-        if not self.sinkhorn_tol > 0.0:
-            raise ConfigError(f"sinkhorn_tol must be > 0, got "
-                              f"{self.sinkhorn_tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(self, counts=("batch_size", "epochs", "workers"))
 
     def resolved_lambdas(self):
         if self.lambdas is not None:

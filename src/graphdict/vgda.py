@@ -36,8 +36,8 @@ class VgdaParams:
     w_r: T.Tensor  # (n_padded, 1); an n-node input uses rows [:n]
 
     @classmethod
-    def initialize(cls, n_padded, rng, scale=0.01):
-        values = rng.normal(0.0, scale, size=(n_padded, 1))
+    def initialize(cls, n_padded, rng):
+        values = rng.normal(0.0, 0.01, size=(n_padded, 1))
         return cls(w_r=T.Tensor(values, requires_grad=True))
 
 

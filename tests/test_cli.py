@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import json
 import re
 
 import numpy as np
@@ -295,6 +296,37 @@ def test_partial_checkpoint_names_missing_array(fast_cfg_file, tmp_path,
     assert "lacks array 'w_r'" in line
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(fast_cfg_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", fast_cfg_file, "--out", str(out)]) == 0
+    return out / "fold_0.npz"
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+@pytest.mark.parametrize("change, message", [
+    ({"lambdas": []}, "lambdas must be one or more finite positive numbers"),
+    ({"lambdas": ["x"]}, "lambdas must be one or more finite positive"),
+    ({"lambdas": [0.5, -5.0]}, "lambdas must be one or more finite positive"),
+    ({"encoder_dims": []}, "encoder_dims must hold at least one layer"),
+    ({"temperature": 0.0}, "temperature must be > 0"),
+], ids=["no-lambdas", "text-lambda", "negative-lambda", "no-encoder",
+        "zero-temperature"])
+def test_checkpoint_config_out_of_range_exits_with_error(
+        fast_cfg_file, trained_checkpoint, tmp_path, capsys, command, change,
+        message):
+    with np.load(trained_checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    config = json.loads(bytes(arrays["config"]).decode("utf-8"))
+    arrays["config"] = np.frombuffer(
+        json.dumps({**config, **change}).encode("utf-8"), dtype=np.uint8)
+    edited = tmp_path / "edited.npz"
+    np.savez(edited, **arrays)
+    line = _load_fails_with_one_error_line(fast_cfg_file, edited, tmp_path,
+                                           capsys, command)
+    assert f"has a bad config: {message}" in line
+
+
 # --- dataset that does not fit the checkpoint ---------------------------------
 
 @pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
@@ -335,6 +367,9 @@ def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
     ("sinkhorn_tol = -1", "sinkhorn_tol"),
     ("sinkhorn_tol = 0", "sinkhorn_tol"),
     ("beta = -1", "beta"),
+    ("seed = -1", "seed"),
+    ("temperature = 0", "temperature"),
+    ("lambdas = 0.5 -1", "lambdas"),
 ])
 def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
                                    field):
@@ -345,3 +380,10 @@ def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and re.match(f"error: {field} must be", lines[0])
+
+
+def test_negative_seed_flag_exits_with_error(fast_cfg_file, capsys):
+    code = main(["train", "--config", fast_cfg_file, "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be >= 0, got -1"]

@@ -11,17 +11,17 @@ from graphdict.errors import ConfigError, ShapeError
 from conftest import path_adjacency
 
 
-def small_params(in_dim=3, dims=(6, 5, 4), trainable=True, seed=0):
+def small_params(in_dim=3, dims=(6, 5, 4), seed=0):
     return EncoderParams.initialize(in_dim, np.random.default_rng(seed),
-                                    hidden_dims=dims, trainable=trainable)
+                                    hidden_dims=dims)
 
 
 def test_default_layer_dims():
     params = EncoderParams.initialize(7, np.random.default_rng(0))
-    assert params.hidden_dims == DEFAULT_HIDDEN_DIMS == (256, 128, 32)
+    assert DEFAULT_HIDDEN_DIMS == (256, 128, 32)
     assert [w.values.shape for w in params.weights] == [
         (7, 256), (256, 128), (128, 32)]
-    assert params.output_dim == 32
+    assert all(w.requires_grad for w in params.weights)
 
 
 def test_zero_weights_give_zero_features():

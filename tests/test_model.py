@@ -10,7 +10,7 @@ from graphdict import mswe, tensor as T
 from graphdict import vgda
 from graphdict.data import LabeledGraph, featurize, normalize_adjacency
 from graphdict.encoder import encode
-from graphdict.errors import ConfigError, FormatError, NumericsError
+from graphdict.errors import ConfigError, FormatError, NumericsError, ShapeError
 from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardResult,
                              GraphDictionaryModel, ModelConfig,
                              init_base_dictionary, load_checkpoint,
@@ -47,6 +47,44 @@ def test_dictionary_seeded_identically():
         assert a.source_class == b.source_class
 
 
+def _rotation_reference(graphs, k, seed):
+    """Source graph indices of the keys, dealt by visiting the classes in
+    sorted order and popping each shuffled pool until k keys are dealt."""
+    rng = np.random.default_rng(seed)
+    pools = {}
+    for idx, graph in enumerate(graphs):
+        pools.setdefault(graph.class_label, []).append(idx)
+    for cls in sorted(pools):
+        pool = np.asarray(pools[cls], dtype=np.int64)
+        rng.shuffle(pool)
+        pools[cls] = list(pool)
+    dealt = []
+    while len(dealt) < k:
+        for cls in sorted(pools):
+            if pools[cls] and len(dealt) < k:
+                dealt.append(pools[cls].pop())
+    return dealt
+
+
+def test_dictionary_deals_the_rotation_order():
+    # every graph its own size; 3 classes of 7, 4 and 2 graphs, so pools
+    # run out at different turns
+    classes = [0, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 1, 0]
+    graphs = [LabeledGraph(adjacency=path_adjacency(n), class_label=c)
+              for n, c in zip(range(2, 15), classes)]
+    for seed in range(10):
+        for k in (1, 2, 5, 12, len(graphs)):
+            dictionary = init_base_dictionary(graphs, k, seed,
+                                              "degree-onehot", 7)
+            want = _rotation_reference(graphs, k, seed)
+            assert len(dictionary) == k
+            for key, idx in zip(dictionary.keys, want):
+                assert np.array_equal(key.adjacency, graphs[idx].adjacency)
+                assert key.source_class == graphs[idx].class_label
+                assert np.array_equal(
+                    key.a_hat, normalize_adjacency(graphs[idx].adjacency))
+
+
 def test_dictionary_size_validation():
     graphs = make_synthetic_bundle(count=6).graphs
     with pytest.raises(ConfigError):
@@ -74,19 +112,19 @@ def fixed_result(probabilities, kl):
 
 def test_loss_zero_for_perfect_confidence_without_penalty():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.loss(fixed_result([1.0, 0.0], 5.0), 0)
+    loss = model.batch_loss([fixed_result([1.0, 0.0], 5.0)], [0])
     assert loss.values.item() == 0.0
 
 
 def test_loss_is_pure_cross_entropy_at_zero_beta():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.loss(fixed_result([0.25, 0.75], 123.0), 1)
+    loss = model.batch_loss([fixed_result([0.25, 0.75], 123.0)], [1])
     assert abs(loss.values.item() + np.log(0.75)) <= 1e-12
 
 
 def test_loss_pinned_composite_value():
     model, _ = build_tiny_model(beta=0.001)
-    loss = model.loss(fixed_result([0.5, 0.5], 2.0), 0)
+    loss = model.batch_loss([fixed_result([0.5, 0.5], 2.0)], [0])
     assert abs(loss.values.item() - 0.6951) <= 1e-4
 
 
@@ -94,9 +132,47 @@ def test_loss_label_validation():
     model, _ = build_tiny_model()
     result = fixed_result([0.5, 0.5], 0.0)
     with pytest.raises(ConfigError):
-        model.loss(result, 2)
+        model.batch_loss([result], [2])
     with pytest.raises(ConfigError):
-        model.loss(result, -1)
+        model.batch_loss([result], [-1])
+    # every label is checked, not only the first
+    with pytest.raises(ConfigError, match="label 2 outside"):
+        model.batch_loss([result, result], [0, 2])
+    with pytest.raises(ShapeError):  # one label per result
+        model.batch_loss([result], [0, 1])
+
+
+def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
+    beta = 0.37
+    model, _ = build_tiny_model(beta=beta)
+    rng = np.random.default_rng(11)
+    rows = rng.dirichlet(np.ones(2), size=6)
+    rows[4] = [1e-15, 1.0 - 1e-15]     # p[y] under the 1e-12 clamp
+    labels = [0, 1, 1, 0, 0, 1]
+    kls = rng.uniform(0.0, 3.0, size=6)
+    probabilities = [T.Tensor(row[None, :], requires_grad=True)
+                     for row in rows]
+    kl_tensors = [T.Tensor(np.full((1, 1), kl), requires_grad=True)
+                  for kl in kls]
+    results = [ForwardResult(probabilities=p, kl=kl, h_matrix=None,
+                             h_hat=None, alpha=None)
+               for p, kl in zip(probabilities, kl_tensors)]
+    with T.Tape() as tape:
+        loss = model.batch_loss(results, labels)
+        tape.backward(loss)
+
+    per_graph = np.asarray(
+        [[-np.log(max(row[y], 1e-12)) + beta * kl]
+         for row, y, kl in zip(rows, labels, kls)])
+    assert loss.values.tobytes() == np.full((1, 1), per_graph.mean()).tobytes()
+    weight = 1.0 / len(rows)
+    for row, y, p in zip(rows, labels, probabilities):
+        want = np.zeros((1, 2))
+        if row[y] >= 1e-12:
+            want[0, y] = -weight / row[y]
+        assert np.array_equal(p.grad, want)
+    for kl in kl_tensors:
+        assert kl.grad.tobytes() == np.full((1, 1), weight * beta).tobytes()
 
 
 def test_forward_loss_nonnegative_and_probabilities_normalized():
@@ -107,7 +183,7 @@ def test_forward_loss_nonnegative_and_probabilities_normalized():
         result = model.forward(graph, vgda.TRAIN, rng=rng)
         assert abs(result.probabilities.values.sum() - 1.0) <= 1e-9
         assert result.kl.values.item() >= 0.0
-        loss = model.loss(result, graph.label)
+        loss = model.batch_loss([result], [graph.label])
         assert loss.values.item() >= 0.0
 
 
@@ -258,8 +334,8 @@ def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
         with T.Tape() as tape:
             probabilities, h_matrix, kl, mask = forward(
                 np.random.default_rng(seed))
-            tape.backward(model.loss(ForwardResult(
-                probabilities, kl, h_matrix, h_hat=None, alpha=None), 0))
+            tape.backward(model.batch_loss([ForwardResult(
+                probabilities, kl, h_matrix, h_hat=None, alpha=None)], [0]))
         values = [t.values for t in (probabilities, h_matrix, kl)]
         return values, mask, w_r.grad.copy(), tape
 
@@ -453,6 +529,32 @@ def test_checkpoint_rejects_misshapen_or_nonfinite_arrays(tmp_path, name,
               "inf": lambda x: np.full_like(x, np.inf, dtype=float)}[edit]
     path = rewrite_checkpoint(tmp_path, name, change)
     with pytest.raises(FormatError, match=f"{path}.*'{name}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("asymmetric", "adjacency must be symmetric"),
+    ("self-loop", "adjacency diagonal must be zero"),
+    ("negative", "adjacency must be binary"),
+    ("upper-ones", "adjacency must be symmetric"),
+])
+def test_checkpoint_rejects_a_key_adjacency_that_is_not_a_graph(tmp_path,
+                                                               edit, message):
+    def change(adjacency):
+        edited = adjacency.copy()
+        if edit == "asymmetric":
+            edited[0, 1] = 1.0 - edited[0, 1]
+        elif edit == "self-loop":
+            edited[0, 0] = 1.0
+        elif edit == "negative":
+            edited[edited == 1.0] = -1.0
+        else:
+            edited = np.triu(np.ones_like(adjacency))
+        return edited
+
+    path = rewrite_checkpoint(tmp_path, "key_1_adjacency", change)
+    with pytest.raises(FormatError, match=re.escape(
+            f"checkpoint {path}: array 'key_1_adjacency': {message}")):
         load_checkpoint(path)
 
 

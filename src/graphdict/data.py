@@ -19,6 +19,7 @@ from .errors import ConfigError, FormatError, ParseError, SchemeError, ShapeErro
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
+SCHEMES = (NODE_LABEL_ONEHOT, DEGREE_ONEHOT)
 
 
 @dataclass
@@ -102,13 +103,6 @@ def _load_int_table(path, columns):
     return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
 
 
-def _remap_contiguous(values):
-    """Map arbitrary integer ids onto 0..k-1, preserving sorted order."""
-    uniques = np.unique(values)
-    lookup = {int(v): i for i, v in enumerate(uniques)}
-    return np.asarray([lookup[int(v)] for v in values], dtype=np.int64), len(uniques)
-
-
 def load_tu_dataset(directory, name):
     """Load a TU-format dataset directory into a :class:`DatasetBundle`.
 
@@ -135,22 +129,19 @@ def load_tu_dataset(directory, name):
     total_nodes = indicator.shape[0]
     if total_nodes == 0:
         raise FormatError(f"{paths['indicator']}: no nodes listed")
-    graph_ids = np.unique(indicator)
+    # global 1-based node id -> (graph index, local 0-based node index)
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
     if graph_ids.shape[0] != raw_graph_labels.shape[0]:
         raise FormatError(
             f"{name}: {graph_ids.shape[0]} graphs in the indicator but "
             f"{raw_graph_labels.shape[0]} graph labels")
-    graph_index = {int(gid): i for i, gid in enumerate(graph_ids)}
-
-    # global 1-based node id -> (graph index, local 0-based node index)
-    node_graph = np.asarray([graph_index[int(g)] for g in indicator], dtype=np.int64)
+    members = [np.flatnonzero(node_graph == g)
+               for g in range(graph_ids.shape[0])]
     local_index = np.zeros(total_nodes, dtype=np.int64)
-    counts = np.zeros(graph_ids.shape[0], dtype=np.int64)
-    for node, g in enumerate(node_graph):
-        local_index[node] = counts[g]
-        counts[g] += 1
+    for nodes in members:
+        local_index[nodes] = np.arange(nodes.shape[0])
 
-    adjacencies = [np.zeros((int(c), int(c)), dtype=np.float64) for c in counts]
+    adjacencies = [np.zeros((len(nodes), len(nodes))) for nodes in members]
     for u, v in edges:
         if not (1 <= u <= total_nodes) or not (1 <= v <= total_nodes):
             raise FormatError(f"{paths['edges']}: node {max(u, v)} referenced "
@@ -172,18 +163,19 @@ def load_tu_dataset(directory, name):
             raise FormatError(
                 f"{paths['node_labels']}: {raw_node_labels.shape[0]} labels "
                 f"for {total_nodes} nodes")
-        node_labels, num_node_labels = _remap_contiguous(raw_node_labels)
+        label_ids, node_labels = np.unique(raw_node_labels,
+                                           return_inverse=True)
+        num_node_labels = label_ids.shape[0]
 
-    class_labels, num_classes = _remap_contiguous(raw_graph_labels)
+    classes, class_labels = np.unique(raw_graph_labels, return_inverse=True)
 
     graphs = []
-    for g in range(graph_ids.shape[0]):
-        members = node_graph == g
-        labels = node_labels[members] if node_labels is not None else None
+    for g, nodes in enumerate(members):
+        labels = node_labels[nodes] if node_labels is not None else None
         graphs.append(LabeledGraph(adjacency=adjacencies[g],
                                    class_label=int(class_labels[g]),
                                    node_labels=labels))
-    return DatasetBundle(graphs=graphs, num_classes=num_classes,
+    return DatasetBundle(graphs=graphs, num_classes=classes.shape[0],
                          num_node_labels=num_node_labels, name=name)
 
 

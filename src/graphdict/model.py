@@ -20,51 +20,31 @@ from functools import cached_property
 import numpy as np
 
 from . import mswe, tensor as T, vgda
-from .data import LabeledGraph, featurize, normalize_adjacency
+from .data import SCHEMES, LabeledGraph, featurize, normalize_adjacency
 from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
 from .errors import ConfigError, FormatError, IoError
 
 
-def check_ranges(config, counts=()):
-    """Raise ConfigError naming the first field of ``config`` out of range:
-    the ``counts`` fields (each must be >= 1), then the fields ModelConfig
-    and TrainConfig share.  ``lambdas`` may be None (a TrainConfig grid
-    derived from ``sensitivities``)."""
-    counts = {name: getattr(config, name)
-              for name in (*counts, "head_hidden", "sinkhorn_max_iter")}
-    counts.update((f"encoder_dims[{i}]", d)
-                  for i, d in enumerate(config.encoder_dims))
-    lambdas = config.lambdas
-    for holds, message in [
-            *((value >= 1, f"{name} must be >= 1, got {value}")
-              for name, value in counts.items()),
-            (config.encoder_dims, "encoder_dims must hold at least one layer"),
-            (config.sinkhorn_tol > 0.0,
-             f"sinkhorn_tol must be > 0, got {config.sinkhorn_tol}"),
-            (config.temperature > 0.0,
-             f"temperature must be > 0, got {config.temperature}"),
-            (config.beta >= 0.0, f"beta must be >= 0, got {config.beta}"),
-            (0.0 < config.p_hat < 1.0,
-             f"p_hat must lie in (0, 1), got {config.p_hat}"),
-            (lambdas is None or lambdas and all(
-                isinstance(v, numbers.Real) and 0.0 < v < np.inf
-                for v in lambdas),
-             f"lambdas must be one or more finite positive numbers, got "
-             f"{lambdas}")]:
+def check_ranges(rules):
+    """Raise ConfigError with the message of the first (holds, message)
+    rule in ``rules`` that does not hold."""
+    for holds, message in rules:
         if not holds:
             raise ConfigError(message)
 
 
-@dataclass
-class ModelConfig:
-    """Everything needed to rebuild the model architecture."""
+def at_least_one(config, *names):
+    """Rules that each named field of ``config`` is >= 1."""
+    return [(getattr(config, name) >= 1,
+             f"{name} must be >= 1, got {getattr(config, name)}")
+            for name in names]
 
-    num_classes: int
-    feature_scheme: str
-    feature_dim: int
-    n_padded: int
-    num_keys: int = 14
-    encoder_dims: tuple = DEFAULT_HIDDEN_DIMS
+
+@dataclass(kw_only=True)
+class Hyperparameters:
+    """The fields TrainConfig and ModelConfig share, and their ranges."""
+
+    encoder_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     head_hidden: int = 64
     temperature: float = vgda.DEFAULT_TEMPERATURE
     sinkhorn_max_iter: int = mswe.DEFAULT_MAX_ITER
@@ -72,10 +52,43 @@ class ModelConfig:
     # the loss, -log p[y] + beta * KL, and the sensitivity grid
     beta: float = 0.001
     p_hat: float = 0.5
-    lambdas: tuple = mswe.DEFAULT_LAMBDA_GRID
+    lambdas: tuple[float, ...] = mswe.DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
-        check_ranges(self)
+        lambdas = self.lambdas  # None: TrainConfig's grid from sensitivities
+        check_ranges([
+            *at_least_one(self, "head_hidden", "sinkhorn_max_iter"),
+            *((d >= 1, f"encoder_dims[{i}] must be >= 1, got {d}")
+              for i, d in enumerate(self.encoder_dims)),
+            (self.encoder_dims, "encoder_dims must hold at least one layer"),
+            (self.sinkhorn_tol > 0.0,
+             f"sinkhorn_tol must be > 0, got {self.sinkhorn_tol}"),
+            (self.temperature > 0.0,
+             f"temperature must be > 0, got {self.temperature}"),
+            (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
+            (0.0 < self.p_hat < 1.0,
+             f"p_hat must lie in (0, 1), got {self.p_hat}"),
+            (lambdas is None or lambdas and all(
+                isinstance(v, numbers.Real) and 0.0 < v < np.inf
+                for v in lambdas),
+             f"lambdas must be one or more finite positive numbers, got "
+             f"{lambdas}")])
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Hyperparameters):
+    """Everything needed to rebuild the model architecture."""
+
+    num_classes: int
+    feature_scheme: str
+    feature_dim: int
+    n_padded: int
+    num_keys: int = 14
+
+    def __post_init__(self):
+        check_ranges([(self.feature_scheme in SCHEMES, "feature_scheme must "
+                       f"be one of {SCHEMES}, got {self.feature_scheme!r}")])
+        super().__post_init__()
 
     def to_json(self):
         """The fields in declaration order (tuples as JSON lists)."""

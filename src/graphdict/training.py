@@ -15,22 +15,22 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tensor as T, vgda
 from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
-from .encoder import DEFAULT_HIDDEN_DIMS, momentum_update
-from .errors import ConfigError, GraphDictError, IoError, NumericsError
-from .model import (GraphDictionaryModel, ModelConfig, check_ranges,
-                    save_checkpoint)
-from .mswe import DEFAULT_MAX_ITER, DEFAULT_TOL, select_lambdas
+from .encoder import momentum_update
+from .errors import GraphDictError, IoError, NumericsError
+from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
+                    at_least_one, check_ranges, save_checkpoint)
+from .mswe import select_lambdas
 
 
-@dataclass
-class TrainConfig:
+@dataclass(kw_only=True)
+class TrainConfig(Hyperparameters):
     """Run-level configuration; defaults follow the reference protocol."""
 
     dataset: str = ""
@@ -38,29 +38,33 @@ class TrainConfig:
     epochs: int = 500
     learning_rate: float = 0.001
     weight_decay: float = 1e-4
-    beta: float = 0.001
-    p_hat: float = 0.5
     keys: int = 14
     sensitivities: int = 8
-    lambdas: tuple[float, ...] | None = None  # None -> from sensitivities
+    lambdas: tuple[float, ...] | None = None  # None: from sensitivities
     momentum: float = 0.999
     seed: int = 0
     folds: int = 10
     batch_size: int = 32
-    temperature: float = 1.0
-    sinkhorn_max_iter: int = DEFAULT_MAX_ITER
-    sinkhorn_tol: float = DEFAULT_TOL
-    encoder_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
-    head_hidden: int = 64
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     workers: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        check_ranges(self, counts=("batch_size", "epochs", "workers"))
+        betas = self.adam_betas
+        check_ranges([
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            *at_least_one(self, "batch_size", "epochs", "workers"),
+            (0.0 < self.learning_rate < np.inf, "learning_rate must be finite "
+             f"and > 0, got {self.learning_rate}"),
+            (0.0 <= self.weight_decay < np.inf, "weight_decay must be finite "
+             f"and >= 0, got {self.weight_decay}"),
+            (len(betas) == 2 and all(0.0 <= b < 1.0 for b in betas),
+             f"adam_betas must be two values in [0, 1), got {betas}"),
+            (self.adam_eps > 0.0, f"adam_eps must be > 0, got {self.adam_eps}"),
+            (0.0 <= self.momentum <= 1.0,
+             f"momentum must be in [0, 1], got {self.momentum}")])
+        super().__post_init__()
 
     def resolved_lambdas(self):
         if self.lambdas is not None:
@@ -133,31 +137,21 @@ class Adam:
             p.values -= self.lr * update
 
 
-def _feature_plan(bundle, train_graphs):
-    """(scheme, dim): one-hot node labels when present, else clamped degrees."""
-    if bundle.num_node_labels > 0:
-        return NODE_LABEL_ONEHOT, bundle.num_node_labels
-    max_degree = max(int(g.degrees().max()) for g in train_graphs)
-    return DEGREE_ONEHOT, max_degree + 1
-
-
 def model_config_for_fold(bundle, train_graphs, config):
-    scheme, dim = _feature_plan(bundle, train_graphs)
-    return ModelConfig(
-        num_classes=bundle.num_classes,
-        feature_scheme=scheme,
-        feature_dim=dim,
-        n_padded=bundle.max_node_count(),
-        num_keys=config.keys,
-        encoder_dims=tuple(config.encoder_dims),
-        head_hidden=config.head_hidden,
-        temperature=config.temperature,
-        sinkhorn_max_iter=config.sinkhorn_max_iter,
-        sinkhorn_tol=config.sinkhorn_tol,
-        beta=config.beta,
-        p_hat=config.p_hat,
-        lambdas=config.resolved_lambdas(),
-    )
+    """``config``'s shared fields; one-hot node labels as features when
+    present, else one-hot degrees clamped at the training split's maximum."""
+    if bundle.num_node_labels > 0:
+        scheme, dim = NODE_LABEL_ONEHOT, bundle.num_node_labels
+    else:
+        scheme = DEGREE_ONEHOT
+        dim = max(int(g.degrees().max()) for g in train_graphs) + 1
+    shared = {f.name: getattr(config, f.name)
+              for f in fields(Hyperparameters)}
+    shared["lambdas"] = config.resolved_lambdas()
+    return ModelConfig(**shared, num_classes=bundle.num_classes,
+                       feature_scheme=scheme, feature_dim=dim,
+                       n_padded=bundle.max_node_count(),
+                       num_keys=config.keys)
 
 
 def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):

@@ -179,7 +179,9 @@ def test_acceptance_7_complexity_scaling():
     lams = DEFAULT_LAMBDA_GRID  # 8 sensitivities
     rng = np.random.default_rng(44)
     f_input = T.Tensor(rng.normal(size=(n_inputs, feat_dim)))
-    w_r = T.Tensor(np.full((n_inputs, 1), 50.0))  # saturates every mask on
+    # a weight of 50 pushes most probabilities to 0 or 1; the stage selects
+    # 55 of the 128 key nodes and 118 of the 256, not every node
+    w_r = T.Tensor(np.full((n_inputs, 1), 50.0))
     key_feats = {n: T.Tensor(rng.normal(size=(n, feat_dim)))
                  for n in (128, 256)}
 

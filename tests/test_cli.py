@@ -310,8 +310,9 @@ def trained_checkpoint(fast_cfg_file, tmp_path_factory):
     ({"lambdas": [0.5, -5.0]}, "lambdas must be one or more finite positive"),
     ({"encoder_dims": []}, "encoder_dims must hold at least one layer"),
     ({"temperature": 0.0}, "temperature must be > 0"),
+    ({"feature_scheme": "bogus"}, "feature_scheme must be one of"),
 ], ids=["no-lambdas", "text-lambda", "negative-lambda", "no-encoder",
-        "zero-temperature"])
+        "zero-temperature", "unknown-scheme"])
 def test_checkpoint_config_out_of_range_exits_with_error(
         fast_cfg_file, trained_checkpoint, tmp_path, capsys, command, change,
         message):
@@ -370,6 +371,15 @@ def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
     ("seed = -1", "seed"),
     ("temperature = 0", "temperature"),
     ("lambdas = 0.5 -1", "lambdas"),
+    ("lr = -1", "learning_rate"),
+    ("lr = nan", "learning_rate"),
+    ("weight_decay = -1", "weight_decay"),
+    ("wd = inf", "weight_decay"),
+    ("adam_betas = 1.5, 0.999", "adam_betas"),
+    ("adam_betas = 0.9, 1.0", "adam_betas"),
+    ("adam_eps = -1", "adam_eps"),
+    ("adam_eps = 0", "adam_eps"),
+    ("momentum = -0.5", "momentum"),
 ])
 def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
                                    field):

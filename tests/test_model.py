@@ -1,5 +1,6 @@
 """End-to-end model: dictionary init, forward pass, loss, checkpoints."""
 
+import json
 import re
 
 import numpy as np
@@ -515,6 +516,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for graph in prepared:
         assert np.array_equal(model.predict(graph),
                               restored.predict(graph))
+
+
+def test_checkpoint_config_in_the_model_fields_first_order_loads(tmp_path):
+    # the order checkpoints were written in before the shared fields moved
+    # to one base class: the model's own fields first
+    order = ["num_classes", "feature_scheme", "feature_dim", "n_padded",
+             "num_keys", "encoder_dims", "head_hidden", "temperature",
+             "sinkhorn_max_iter", "sinkhorn_tol", "beta", "p_hat", "lambdas"]
+    model, prepared = build_tiny_model()
+    stored = json.loads(model.config.to_json())
+    assert sorted(stored) == sorted(order)
+    text = json.dumps({name: stored[name] for name in order})
+    path = rewrite_checkpoint(tmp_path, "config", lambda _: np.frombuffer(
+        text.encode("utf-8"), dtype=np.uint8))
+    restored = load_checkpoint(path)
+    assert restored.config == model.config
+    model.refresh_key_encodings()
+    restored.refresh_key_encodings()
+    for graph in prepared:
+        assert np.array_equal(model.predict(graph), restored.predict(graph))
 
 
 @pytest.mark.parametrize("name", ["enc_input_0", "enc_input_2", "enc_dict_1",

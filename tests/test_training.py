@@ -2,6 +2,7 @@
 
 import csv
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from graphdict import tensor as T
 from graphdict import training, vgda
 from graphdict.encoder import momentum_update
 from graphdict.errors import GraphDictError, IoError, NumericsError
+from graphdict.model import Hyperparameters
 from graphdict.training import (Adam, CvResult, FoldResult, TrainConfig,
                                 desk_scale, export_diagnostics,
                                 format_metrics_table, run_cv, train_one_fold,
@@ -224,6 +226,21 @@ def test_fold_crash_is_reported_with_fold_index(monkeypatch):
 def test_desk_scale_caps_epochs():
     assert desk_scale(TrainConfig(epochs=500)).epochs == training.DESK_EPOCHS
     assert desk_scale(TrainConfig(epochs=7)).epochs == 7
+
+
+def test_model_config_for_fold_carries_every_shared_field():
+    values = dict(encoder_dims=(4, 6), head_hidden=5, temperature=0.7,
+                  sinkhorn_max_iter=33, sinkhorn_tol=1e-5, beta=0.25,
+                  p_hat=0.3, lambdas=(0.2, 2.0, 20.0))
+    assert set(values) == {f.name for f in fields(Hyperparameters)}
+    defaults = Hyperparameters()
+    assert all(value != getattr(defaults, name)
+               for name, value in values.items())
+    bundle = make_synthetic_bundle(count=8)
+    config = training.model_config_for_fold(
+        bundle, bundle.graphs, TrainConfig(keys=3, **values))
+    assert {name: getattr(config, name) for name in values} == values
+    assert config.num_keys == 3
 
 
 def test_training_reduces_loss_on_reference_dataset():

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-import types
 import typing
 
 from .data import load_tu_dataset
 from .errors import ConfigError, GraphDictError, IoError
 from .model import load_checkpoint
+from .mswe import select_lambdas
 from .training import (TrainConfig, export_diagnostics, format_metrics_table,
                        run_cv, write_csv)
 
 # config-file / flag aliases -> TrainConfig field names
 _ALIASES = {"lr": "learning_rate", "wd": "weight_decay", "out": "out_dir"}
-_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+# TrainConfig's fields plus ``sensitivities``, a count that sets ``lambdas``
+_FIELD_TYPES = {**typing.get_type_hints(TrainConfig), "sensitivities": int}
 
 
 def _canonical(key):
@@ -36,11 +37,9 @@ def _canonical(key):
 
 
 def _parse_value(name, raw):
-    """Convert a config-file string to the type TrainConfig declares."""
+    """Convert a config-file string to its option's type."""
     raw = raw.strip()
     kind = _FIELD_TYPES[name]
-    if isinstance(kind, types.UnionType):  # "X | None" fields parse as X
-        kind = typing.get_args(kind)[0]
     try:
         if typing.get_origin(kind) is tuple:
             return _parse_tuple(name, raw, typing.get_args(kind))
@@ -90,7 +89,7 @@ def load_config_file(path):
 
 
 def build_train_config(args):
-    """defaults < config file < explicit CLI flags."""
+    """defaults < config file < flags; ``sensitivities`` beats ``lambdas``."""
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
@@ -98,6 +97,8 @@ def build_train_config(args):
         name = _canonical(flag)
         if value is not None and name in _FIELD_TYPES:
             values[name] = value
+    if "sensitivities" in values:
+        values["lambdas"] = select_lambdas(values.pop("sensitivities"))
     config = TrainConfig(**values)
     if not config.dataset or not config.data_dir:
         raise ConfigError("both --dataset and --data-dir are required "

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ParseError, SchemeError, ShapeError
+from .errors import (ConfigError, FormatError, IoError, ParseError,
+                     SchemeError, ShapeError)
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
@@ -86,20 +87,26 @@ class DatasetBundle:
 
 def _load_int_table(path, columns):
     """Parse a whitespace/comma-delimited integer table with ``columns`` columns."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from exc
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != columns:
-                raise ParseError(f"{path}:{lineno}: expected {columns} "
-                                 f"integer field(s), got {len(parts)}")
-            try:
-                rows.append([int(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer token in {line!r}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != columns:
+            raise ParseError(f"{path}:{lineno}: expected {columns} "
+                             f"integer field(s), got {len(parts)}")
+        try:
+            rows.append([int(p) for p in parts])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer token in {line!r}")
     return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
 
 
@@ -135,8 +142,8 @@ def load_tu_dataset(directory, name):
         raise FormatError(
             f"{name}: {graph_ids.shape[0]} graphs in the indicator but "
             f"{raw_graph_labels.shape[0]} graph labels")
-    members = [np.flatnonzero(node_graph == g)
-               for g in range(graph_ids.shape[0])]
+    members = np.split(np.argsort(node_graph, kind="stable"),
+                       np.cumsum(np.bincount(node_graph))[:-1])
     local_index = np.zeros(total_nodes, dtype=np.int64)
     for nodes in members:
         local_index[nodes] = np.arange(nodes.shape[0])
@@ -180,7 +187,12 @@ def load_tu_dataset(directory, name):
 
 
 def save_tu_dataset(bundle, directory):
-    """Write a bundle back out in TU format (both edge directions stored)."""
+    """Write a bundle back out in TU format (both edge directions stored);
+    a bundle with node labels on some graphs only raises FormatError."""
+    labeled = [g.node_labels is not None for g in bundle.graphs]
+    if any(labeled) and not all(labeled):
+        raise FormatError(f"{bundle.name}: graph {labeled.index(False)} has "
+                          "no node labels but other graphs have them")
     os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, f"{bundle.name}_")
     edge_lines = []

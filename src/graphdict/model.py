@@ -55,7 +55,6 @@ class Hyperparameters:
     lambdas: tuple[float, ...] = mswe.DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
-        lambdas = self.lambdas  # None: TrainConfig's grid from sensitivities
         check_ranges([
             *at_least_one(self, "head_hidden", "sinkhorn_max_iter"),
             *((d >= 1, f"encoder_dims[{i}] must be >= 1, got {d}")
@@ -68,11 +67,11 @@ class Hyperparameters:
             (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
             (0.0 < self.p_hat < 1.0,
              f"p_hat must lie in (0, 1), got {self.p_hat}"),
-            (lambdas is None or lambdas and all(
+            (self.lambdas and all(
                 isinstance(v, numbers.Real) and 0.0 < v < np.inf
-                for v in lambdas),
+                for v in self.lambdas),
              f"lambdas must be one or more finite positive numbers, got "
-             f"{lambdas}")])
+             f"{self.lambdas}")])
 
 
 @dataclass(kw_only=True)
@@ -97,7 +96,11 @@ class ModelConfig(Hyperparameters):
 
     @classmethod
     def from_json(cls, text):
+        """The config ``to_json`` wrote; every field must be present."""
         raw = json.loads(text)
+        for f in fields(cls):
+            if f.name not in raw:
+                raise ConfigError(f"field {f.name!r} is missing")
         raw["encoder_dims"] = tuple(raw["encoder_dims"])
         raw["lambdas"] = tuple(raw["lambdas"])
         return cls(**raw)
@@ -405,9 +408,9 @@ def load_checkpoint(path):
     not a complete checkpoint, naming the path and any missing array, or any
     array whose shape does not fit the stored config, that holds non-finite
     values, or (a key adjacency) that breaks :class:`LabeledGraph`'s rules.
-    A config out of range, or a checkpoint without a ``format_version`` or
-    with one other than :data:`CHECKPOINT_FORMAT_VERSION`, raises
-    FormatError naming the path.
+    A config out of range or missing a field, or a checkpoint without a
+    ``format_version`` or with one other than
+    :data:`CHECKPOINT_FORMAT_VERSION`, raises FormatError naming the path.
     """
     try:
         data = np.load(path)

@@ -51,7 +51,7 @@ def select_lambdas(count):
     if count == len(DEFAULT_LAMBDA_GRID):
         return DEFAULT_LAMBDA_GRID
     if not 1 <= count <= len(MASTER_LAMBDA_GRID):
-        raise ConfigError(f"sensitivity count must lie in "
+        raise ConfigError(f"sensitivities must lie in "
                           f"[1, {len(MASTER_LAMBDA_GRID)}], got {count}")
     positions = np.round(np.linspace(0, len(MASTER_LAMBDA_GRID) - 1,
                                      count)).astype(int)

@@ -15,7 +15,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .encoder import momentum_update
 from .errors import GraphDictError, IoError, NumericsError
 from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
                     at_least_one, check_ranges, save_checkpoint)
-from .mswe import select_lambdas
 
 
 @dataclass(kw_only=True)
@@ -39,8 +38,6 @@ class TrainConfig(Hyperparameters):
     learning_rate: float = 0.001
     weight_decay: float = 1e-4
     keys: int = 14
-    sensitivities: int = 8
-    lambdas: tuple[float, ...] | None = None  # None: from sensitivities
     momentum: float = 0.999
     seed: int = 0
     folds: int = 10
@@ -54,7 +51,8 @@ class TrainConfig(Hyperparameters):
         betas = self.adam_betas
         check_ranges([
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            *at_least_one(self, "batch_size", "epochs", "workers"),
+            *at_least_one(self, "batch_size", "epochs", "keys", "workers"),
+            (self.folds >= 2, f"folds must be >= 2, got {self.folds}"),
             (0.0 < self.learning_rate < np.inf, "learning_rate must be finite "
              f"and > 0, got {self.learning_rate}"),
             (0.0 <= self.weight_decay < np.inf, "weight_decay must be finite "
@@ -65,15 +63,6 @@ class TrainConfig(Hyperparameters):
             (0.0 <= self.momentum <= 1.0,
              f"momentum must be in [0, 1], got {self.momentum}")])
         super().__post_init__()
-
-    def resolved_lambdas(self):
-        if self.lambdas is not None:
-            return tuple(float(v) for v in self.lambdas)
-        return select_lambdas(self.sensitivities)
-
-
-# Desk-scale preset: identical protocol at a CI-friendly epoch budget.
-DESK_EPOCHS = 100
 
 
 @dataclass
@@ -147,7 +136,6 @@ def model_config_for_fold(bundle, train_graphs, config):
         dim = max(int(g.degrees().max()) for g in train_graphs) + 1
     shared = {f.name: getattr(config, f.name)
               for f in fields(Hyperparameters)}
-    shared["lambdas"] = config.resolved_lambdas()
     return ModelConfig(**shared, num_classes=bundle.num_classes,
                        feature_scheme=scheme, feature_dim=dim,
                        n_padded=bundle.max_node_count(),
@@ -365,8 +353,3 @@ def export_diagnostics(model, prepared, input_id, out_dir):
                f"sensitivities: {list(lambdas)}\n")
     _write(out_dir, "summary.txt", lambda fh: fh.write(summary))
     return result
-
-
-def desk_scale(config):
-    """The desk-scale preset: same protocol, epochs capped for CI runs."""
-    return replace(config, epochs=min(config.epochs, DESK_EPOCHS))

@@ -20,7 +20,7 @@ from graphdict.mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID,
                             embed_keys_multi, sinkhorn, sinkhorn_grid)
 from graphdict.oracles import (exact_ot_by_enumeration, make_report,
                                reference_sinkhorn, write_reports)
-from graphdict.training import TrainConfig, desk_scale, run_cv
+from graphdict.training import TrainConfig, run_cv
 from graphdict.vgda import (bernoulli_kl, sample_factor,
                             sampling_probability, select_substructure)
 from conftest import build_tiny_model, make_synthetic_bundle, write_tu_dataset
@@ -161,8 +161,8 @@ def test_acceptance_6_reference_dataset_accuracy():
             "The criterion requires 10-fold CV mean accuracy >= 0.85 at "
             "epochs=100 and cannot run without the data.")
     bundle = load_tu_dataset(data_dir, "MUTAG")
-    config = desk_scale(TrainConfig(dataset="MUTAG", data_dir=data_dir,
-                                    epochs=100, seed=0))
+    config = TrainConfig(dataset="MUTAG", data_dir=data_dir, epochs=100,
+                         seed=0)
     started = time.perf_counter()
     cv = run_cv(config, bundle=bundle)
     elapsed = time.perf_counter() - started

@@ -8,11 +8,13 @@ import re
 import numpy as np
 import pytest
 
+from graphdict import cli
 from graphdict.cli import (build_parser, build_train_config, load_config_file,
                            main)
 from graphdict.data import DatasetBundle, LabeledGraph
 from graphdict.errors import ConfigError, IoError
 from graphdict.model import save_checkpoint
+from graphdict.mswe import select_lambdas
 from conftest import (build_tiny_model, cycle_adjacency, make_synthetic_bundle,
                       rewrite_checkpoint, write_tu_dataset)
 
@@ -37,6 +39,23 @@ def test_parser_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
     capsys.readouterr()
+
+
+def test_train_options_and_config_keys_are_pinned():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for action in subparsers.choices["train"]._actions
+             for flag in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--dataset", "--data-dir", "--config", "--epochs",
+        "--lr", "--beta", "--p-hat", "--keys", "--sensitivities", "--seed",
+        "--folds", "--workers", "--out"}
+    assert set(cli._FIELD_TYPES) | set(cli._ALIASES) == {
+        "dataset", "data_dir", "epochs", "learning_rate", "lr",
+        "weight_decay", "wd", "keys", "sensitivities", "lambdas",
+        "momentum", "seed", "folds", "batch_size", "adam_betas", "adam_eps",
+        "workers", "out_dir", "out", "encoder_dims", "head_hidden",
+        "temperature", "sinkhorn_max_iter", "sinkhorn_tol", "beta", "p_hat"}
 
 
 # --- config files -----------------------------------------------------------
@@ -112,6 +131,19 @@ def test_flag_precedence_over_config_file(tmp_path):
     assert config.epochs == 2            # flag wins over file
     assert config.seed == 5              # file wins over default
     assert config.folds == 10            # untouched default
+
+
+@pytest.mark.parametrize("file_line, flag, grid", [
+    ("lambdas = 0.5 5.0", ["--sensitivities", "4"], select_lambdas(4)),
+    ("lambdas = 0.5 5.0\nsensitivities = 3", [], select_lambdas(3)),
+    ("lambdas = 0.5 5.0", [], (0.5, 5.0)),
+    ("", [], select_lambdas(8)),
+], ids=["flag-over-file", "count-over-grid", "grid", "default"])
+def test_sensitivities_set_the_grid(tmp_path, file_line, flag, grid):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dataset = DEMO\ndata_dir = /data\n{file_line}\n")
+    args = build_parser().parse_args(["train", "--config", str(path), *flag])
+    assert build_train_config(args).lambdas == grid
 
 
 def test_train_config_requires_dataset():
@@ -303,6 +335,9 @@ def trained_checkpoint(fast_cfg_file, tmp_path_factory):
     return out / "fold_0.npz"
 
 
+DROP = object()  # a config change that deletes the field
+
+
 @pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
 @pytest.mark.parametrize("change, message", [
     ({"lambdas": []}, "lambdas must be one or more finite positive numbers"),
@@ -311,16 +346,20 @@ def trained_checkpoint(fast_cfg_file, tmp_path_factory):
     ({"encoder_dims": []}, "encoder_dims must hold at least one layer"),
     ({"temperature": 0.0}, "temperature must be > 0"),
     ({"feature_scheme": "bogus"}, "feature_scheme must be one of"),
+    ({"beta": DROP, "p_hat": DROP, "sinkhorn_max_iter": DROP},
+     "field 'sinkhorn_max_iter' is missing"),
 ], ids=["no-lambdas", "text-lambda", "negative-lambda", "no-encoder",
-        "zero-temperature", "unknown-scheme"])
+        "zero-temperature", "unknown-scheme", "missing-fields"])
 def test_checkpoint_config_out_of_range_exits_with_error(
         fast_cfg_file, trained_checkpoint, tmp_path, capsys, command, change,
         message):
     with np.load(trained_checkpoint) as data:
         arrays = {name: data[name] for name in data.files}
     config = json.loads(bytes(arrays["config"]).decode("utf-8"))
-    arrays["config"] = np.frombuffer(
-        json.dumps({**config, **change}).encode("utf-8"), dtype=np.uint8)
+    config = {name: value for name, value in {**config, **change}.items()
+              if value is not DROP}
+    arrays["config"] = np.frombuffer(json.dumps(config).encode("utf-8"),
+                                     dtype=np.uint8)
     edited = tmp_path / "edited.npz"
     np.savez(edited, **arrays)
     line = _load_fails_with_one_error_line(fast_cfg_file, edited, tmp_path,
@@ -380,6 +419,9 @@ def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
     ("adam_eps = -1", "adam_eps"),
     ("adam_eps = 0", "adam_eps"),
     ("momentum = -0.5", "momentum"),
+    ("keys = 0", "keys"),
+    ("folds = 1", "folds"),
+    ("sensitivities = 13", "sensitivities"),
 ])
 def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
                                    field):
@@ -389,7 +431,8 @@ def test_config_ranges_are_checked(fast_cfg_file, tmp_path, capsys, line,
     code = main(["train", "--config", str(path)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(lines) == 1 and re.match(f"error: {field} must be", lines[0])
+    assert len(lines) == 1 and re.match(f"error: {field} must (be|lie)",
+                                          lines[0])
 
 
 def test_negative_seed_flag_exits_with_error(fast_cfg_file, capsys):
@@ -397,3 +440,38 @@ def test_negative_seed_flag_exits_with_error(fast_cfg_file, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: seed must be >= 0, got -1"]
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--keys", "0"], "keys must be >= 1, got 0"),
+    (["--folds", "1"], "folds must be >= 2, got 1"),
+    (["--sensitivities", "13"], "sensitivities must lie in [1, 12], got 13"),
+], ids=["keys", "folds", "sensitivities"])
+def test_options_are_checked_before_data_is_read(tmp_path, capsys, flag,
+                                                 message):
+    code = main(["train", "--dataset", "NOPE",
+                 "--data-dir", str(tmp_path / "void"), *flag])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "DEMO_A.txt"),
+    ("train", "DEMO_node_labels.txt"),
+])
+def test_binary_dataset_file_exits_with_error(tmp_path, capsys, command,
+                                              name):
+    root = write_tu_dataset(make_synthetic_bundle(count=8, seed=0,
+                                                  with_node_labels=True),
+                            tmp_path, "DEMO")
+    path = tmp_path / "DEMO" / name
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+    checkpoint = tmp_path / "tiny.npz"
+    save_checkpoint(build_tiny_model()[0], checkpoint)
+    extra = (["--checkpoint", str(checkpoint)] if command == "eval"
+             else ["--epochs", "1", "--folds", "2"])
+    code = main([command, "--dataset", "DEMO", "--data-dir", root, *extra])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and "not a text file" in lines[0]

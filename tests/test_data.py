@@ -128,6 +128,18 @@ def test_round_trip_save_and_load(tmp_path):
         assert np.array_equal(before.node_labels, after.node_labels)
 
 
+def test_save_rejects_bundle_mixing_labeled_and_unlabeled_graphs(tmp_path):
+    edge = path_adjacency(2)
+    bundle = DatasetBundle(graphs=[
+        LabeledGraph(adjacency=edge, class_label=0, node_labels=[0, 1]),
+        LabeledGraph(adjacency=edge, class_label=1),
+        LabeledGraph(adjacency=edge, class_label=1)],
+        num_classes=2, num_node_labels=2, name="MIX")
+    with pytest.raises(FormatError, match="MIX: graph 1 has no node labels"):
+        save_tu_dataset(bundle, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _contiguous(values):
     """Relabel integer ids onto 0..k-1 in sorted order, as loading does."""
     return np.unique(values, return_inverse=True)[1].reshape(-1)

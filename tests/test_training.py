@@ -13,9 +13,8 @@ from graphdict.encoder import momentum_update
 from graphdict.errors import GraphDictError, IoError, NumericsError
 from graphdict.model import Hyperparameters
 from graphdict.training import (Adam, CvResult, FoldResult, TrainConfig,
-                                desk_scale, export_diagnostics,
-                                format_metrics_table, run_cv, train_one_fold,
-                                write_metrics)
+                                export_diagnostics, format_metrics_table,
+                                run_cv, train_one_fold, write_metrics)
 from conftest import build_tiny_model, make_synthetic_bundle
 
 
@@ -221,11 +220,6 @@ def test_fold_crash_is_reported_with_fold_index(monkeypatch):
     bundle = make_synthetic_bundle(count=8)
     with pytest.raises(GraphDictError, match=r"fold 0 crashed"):
         run_cv(fast_config(), bundle=bundle)
-
-
-def test_desk_scale_caps_epochs():
-    assert desk_scale(TrainConfig(epochs=500)).epochs == training.DESK_EPOCHS
-    assert desk_scale(TrainConfig(epochs=7)).epochs == 7
 
 
 def test_model_config_for_fold_carries_every_shared_field():

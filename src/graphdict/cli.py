@@ -71,6 +71,9 @@ def load_config_file(path):
     try:
         with open(path) as fh:
             lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not a text file "
+                          f"({exc})") from exc
     except OSError as exc:
         raise IoError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -88,22 +91,26 @@ def load_config_file(path):
     return values
 
 
-def build_train_config(args):
-    """defaults < config file < flags; ``sensitivities`` beats ``lambdas``."""
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+def _merge_options(args):
+    """The config file's values, then the flags over them, as a {field:
+    value} dict; both --dataset and --data-dir must be set by one of them."""
+    values = load_config_file(args.config) if args.config else {}
     for flag, value in vars(args).items():
         name = _canonical(flag)
         if value is not None and name in _FIELD_TYPES:
             values[name] = value
-    if "sensitivities" in values:
-        values["lambdas"] = select_lambdas(values.pop("sensitivities"))
-    config = TrainConfig(**values)
-    if not config.dataset or not config.data_dir:
+    if not values.get("dataset") or not values.get("data_dir"):
         raise ConfigError("both --dataset and --data-dir are required "
                           "(flags or config file)")
-    return config
+    return values
+
+
+def build_train_config(args):
+    """defaults < config file < flags; ``sensitivities`` beats ``lambdas``."""
+    values = _merge_options(args)
+    if "sensitivities" in values:
+        values["lambdas"] = select_lambdas(values.pop("sensitivities"))
+    return TrainConfig(**values)
 
 
 def _add_dataset_flags(parser):
@@ -150,8 +157,9 @@ def build_parser():
 
 
 def _resolve_dataset(args):
-    config = build_train_config(args)
-    return load_tu_dataset(config.data_dir, config.dataset)
+    """The dataset the options name; no other option is range-checked."""
+    values = _merge_options(args)
+    return load_tu_dataset(values["data_dir"], values["dataset"])
 
 
 def cmd_train(args):

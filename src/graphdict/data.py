@@ -188,35 +188,29 @@ def load_tu_dataset(directory, name):
 
 def save_tu_dataset(bundle, directory):
     """Write a bundle back out in TU format (both edge directions stored);
-    a bundle with node labels on some graphs only raises FormatError."""
+    a bundle with no graphs, or with node labels on some graphs only,
+    raises FormatError."""
+    if not bundle.graphs:
+        raise FormatError(f"{bundle.name}: no graphs to write")
     labeled = [g.node_labels is not None for g in bundle.graphs]
     if any(labeled) and not all(labeled):
         raise FormatError(f"{bundle.name}: graph {labeled.index(False)} has "
                           "no node labels but other graphs have them")
     os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, f"{bundle.name}_")
-    edge_lines = []
-    indicator_lines = []
-    node_label_lines = []
-    offset = 0
-    for gid, graph in enumerate(bundle.graphs, start=1):
-        n = graph.node_count
-        rows, cols = np.nonzero(graph.adjacency)
-        for u, v in zip(rows, cols):
-            edge_lines.append(f"{offset + u + 1}, {offset + v + 1}\n")
-        indicator_lines.extend(f"{gid}\n" for _ in range(n))
-        if graph.node_labels is not None:
-            node_label_lines.extend(f"{lab}\n" for lab in graph.node_labels)
-        offset += n
-    with open(prefix + "A.txt", "w") as fh:
-        fh.writelines(edge_lines)
-    with open(prefix + "graph_indicator.txt", "w") as fh:
-        fh.writelines(indicator_lines)
-    with open(prefix + "graph_labels.txt", "w") as fh:
-        fh.writelines(f"{g.class_label}\n" for g in bundle.graphs)
-    if node_label_lines:
-        with open(prefix + "node_labels.txt", "w") as fh:
-            fh.writelines(node_label_lines)
+    counts = [g.node_count for g in bundle.graphs]
+    starts = np.cumsum([1] + counts[:-1])  # each graph's first 1-based id
+    edges = [np.argwhere(g.adjacency) + start
+             for g, start in zip(bundle.graphs, starts)]
+    np.savetxt(prefix + "A.txt", np.concatenate(edges), fmt="%d, %d")
+    np.savetxt(prefix + "graph_indicator.txt",
+               np.repeat(np.arange(1, len(counts) + 1), counts), fmt="%d")
+    np.savetxt(prefix + "graph_labels.txt",
+               [g.class_label for g in bundle.graphs], fmt="%d")
+    if all(labeled):
+        np.savetxt(prefix + "node_labels.txt",
+                   np.concatenate([g.node_labels for g in bundle.graphs]),
+                   fmt="%d")
 
 
 def featurize(graph, scheme, dim):

@@ -34,10 +34,13 @@ def check_ranges(rules):
 
 
 def at_least_one(config, *names):
-    """Rules that each named field of ``config`` is >= 1."""
-    return [(getattr(config, name) >= 1,
-             f"{name} must be >= 1, got {getattr(config, name)}")
-            for name in names]
+    """Rules that each named field of ``config`` is an integer >= 1."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, numbers.Integral):
+            yield value >= 1, f"{name} must be >= 1, got {value}"
+        else:
+            yield False, f"{name} must be an integer, got {value!r}"
 
 
 @dataclass(kw_only=True)
@@ -85,8 +88,11 @@ class ModelConfig(Hyperparameters):
     num_keys: int = 14
 
     def __post_init__(self):
-        check_ranges([(self.feature_scheme in SCHEMES, "feature_scheme must "
-                       f"be one of {SCHEMES}, got {self.feature_scheme!r}")])
+        check_ranges([
+            *at_least_one(self, "num_classes", "feature_dim", "n_padded",
+                          "num_keys"),
+            (self.feature_scheme in SCHEMES, "feature_scheme must be one of "
+             f"{SCHEMES}, got {self.feature_scheme!r}")])
         super().__post_init__()
 
     def to_json(self):
@@ -299,8 +305,9 @@ class GraphDictionaryModel:
         Every key is adapted and embedded at once, as one stacked matrix.
         Frozen state goes back in as the result holds it: ``masks``, the
         (sum m_j,) array of ``result.factor.z``, replaces the sampled mask
-        (no straight-through surrogate is attached); ``plans``, the padded
-        array of ``result.plans.values``, replaces the transport solves.
+        (no straight-through surrogate is attached); ``plans``, the (C, n,
+        sum m_j) array of ``result.plans.values``, replaces the transport
+        solves.
         Raises NumericsError when the probabilities or the KL come out
         non-finite, in eval mode (no tape) as in training.
         """

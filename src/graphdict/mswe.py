@@ -12,7 +12,9 @@ gradients flow through the cost matrices only.  One loop solves every
 (key, sensitivity) slice in one batch padded to the widest key.  It tests
 convergence on each slice's scaling vectors (or potentials) and freezes them
 at the iteration where the slice converges; each plan is built once, after
-the loop, by the feasibility rounding.  A slice takes the scaling
+the loop, by the feasibility rounding, and leaves the solver in its key's
+cost columns: the plans at one sensitivity form one (n, sum m_j) matrix,
+laid out like the costs.  A slice takes the scaling
 update while ``lam * max(M_j) <= 30`` and the log-domain potential update
 beyond that, to avoid underflow.  Both domains lay their slices out the
 same way: one (key, sensitivity) slice per batch row, carrying its own
@@ -72,21 +74,19 @@ class TransportPlan:
 class PlanStack:
     """Transport plans of one input against K keys at C sensitivities.
 
-    ``values[j, c]`` is key j's plan at ``lams[c]``; key j spans cost columns
-    offsets[j]:offsets[j+1], and its plans are zero-padded to the widest
-    key's width.
+    ``values[c]`` holds every key's plan at ``lams[c]`` in the cost
+    matrix's layout: key j's plan fills columns offsets[j]:offsets[j+1].
     """
 
-    values: np.ndarray             # (K, C, n, max m_j)
+    values: np.ndarray             # (C, n, sum m_j)
     offsets: np.ndarray            # (K + 1,)
     lams: np.ndarray               # (C,)
     iterations: np.ndarray         # (K, C) iterations used
     converged: np.ndarray          # (K, C)
 
     def per_key(self):
-        """Each key's (C, n, m_j) plan stack, padding removed."""
-        return np.split(T.unpad_segments(self.values, self.offsets),
-                        self.offsets[1:-1], axis=-1)
+        """Each key's (C, n, m_j) plan stack."""
+        return np.split(self.values, self.offsets[1:-1], axis=-1)
 
 
 def uniform_marginal(n):
@@ -211,7 +211,8 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
     is None).  Node masses are uniform on both sides, summing to 1 per key.
     All K*C (key, sensitivity) slices are solved together, padded to the
-    widest key with zero-mass columns.  A slice takes the log domain when
+    widest key with zero-mass columns; the padding never leaves this
+    function.  A slice takes the log domain when
     lam * max(M_j) > 30 and the scaling update otherwise.  Each domain runs
     as a batch of one slice per row, and a row leaves its batch at the
     iteration where its slice converges.  Every plan is then built once
@@ -245,11 +246,13 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     # slice s is key s // C at sensitivity lams[s % C]
     key, lam = np.divmod(np.arange(count), lam_count)
     a = uniform_marginal(n)
-    layout = T.segment_index(offsets)
-    costs = T.pad_segments(M, offsets, layout)      # (K, n, max m_j)
-    masses = T.pad_segments(np.repeat(1.0 / widths, widths), offsets,
-                            layout)                 # (K, max m_j)
-    width = costs.shape[2]
+    # the padded batch stays inside this function: key j's columns sit
+    # at seg == j, positions pos, in a (K, ..., max m_j) array
+    seg, pos, width = T.segment_index(offsets)
+    costs = np.zeros((keys, n, width))
+    costs[seg, :, pos] = M.T
+    masses = np.zeros((keys, width))
+    masses[seg, pos] = np.repeat(1.0 / widths, widths)
     peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
     use_log = peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD
     # each slice's frozen iterate: scaling vectors (u, v) or potentials (f, g)
@@ -292,8 +295,9 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
         warnings.warn(f"sinkhorn did not converge within {max_iter} "
                       f"iterations at sensitivity {lams[s % lam_count]:g}",
                       RuntimeWarning)
-    return PlanStack(values=plans.reshape(keys, lam_count, n, -1),
-                     offsets=offsets, lams=lams,
+    # gathered back into the cost matrix's columns, (C, n, sum m_j)
+    plans = plans.reshape(keys, lam_count, n, width).transpose(1, 2, 0, 3)
+    return PlanStack(values=plans[:, :, seg, pos], offsets=offsets, lams=lams,
                      iterations=iterations.reshape(keys, lam_count),
                      converged=done.reshape(keys, lam_count))
 
@@ -305,7 +309,7 @@ def sinkhorn_grid(M, lams, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     per entry of ``lams``.
     """
     solved = sinkhorn_keys(M, lams, max_iter=max_iter, tol=tol)
-    return [TransportPlan(values=solved.values[0, i], lam=float(lam),
+    return [TransportPlan(values=solved.values[i], lam=float(lam),
                           iterations_used=int(solved.iterations[0, i]),
                           converged=bool(solved.converged[0, i]))
             for i, lam in enumerate(solved.lams)]
@@ -330,19 +334,19 @@ def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
     batch solves all (key, sensitivity) pairs.  Returns (H, cost, plans): H
     is a K-by-C tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans
     constant on the tape; ``cost`` is the (n, sum m_j) cost tensor;
-    ``plans`` is the :class:`PlanStack`.  ``plans_override`` (padded (K, C,
-    n, max m_j) plans, like a PlanStack's ``values``) replaces the solve
-    entirely, and ``plans`` is then None — used to freeze plans during
-    gradient checks.
+    ``plans`` is the :class:`PlanStack`.  ``plans_override`` ((C, n,
+    sum m_j) plans in the cost's columns, a PlanStack's ``values``)
+    replaces the solve entirely, and ``plans`` is then None — used to
+    freeze plans during gradient checks.
     """
     cost = cost_matrix(f_input, adapted.features)
     if plans_override is not None:
-        solved, padded = None, plans_override
+        solved, values = None, plans_override
     else:
         solved = sinkhorn_keys(cost.values, lams, offsets=adapted.offsets,
                                max_iter=max_iter, tol=tol)
-        padded = solved.values
-    return T.plan_costs(cost, padded, adapted.offsets), cost, solved
+        values = solved.values
+    return T.plan_costs(cost, values, adapted.offsets), cost, solved
 
 
 def aggregate_attention_matrix(h_matrix, w_m):

@@ -488,52 +488,29 @@ def segment_index(offsets):
     return seg, np.arange(offsets[-1]) - offsets[seg], int(widths.max())
 
 
-def pad_segments(x, offsets, layout=None):
-    """Split the last axis of ``x`` at ``offsets`` into a leading key axis.
-
-    (..., sum m_j) becomes (K, ..., max m_j), each segment zero-padded on the
-    right, in a new array.  ``layout`` is ``segment_index(offsets)`` when the
-    caller already holds it.
-    """
-    seg, pos, width = segment_index(offsets) if layout is None else layout
-    out = np.zeros((len(offsets) - 1,) + x.shape[:-1] + (width,))
-    out[seg, ..., pos] = np.moveaxis(x, -1, 0)
-    return out
-
-
-def unpad_segments(x, offsets, layout=None):
-    """Inverse of :func:`pad_segments`: (K, ..., max m_j) -> (..., sum m_j)."""
-    seg, pos, _ = segment_index(offsets) if layout is None else layout
-    return np.moveaxis(x[seg, ..., pos], 0, -1)
-
-
 def plan_costs(m, plans, offsets=None):
     """Frobenius inner products <plan_{j,c}, M_j> for stacks of constant plans.
 
     ``m`` is (n, sum m_j): key j's cost matrix M_j fills columns
     offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
-    is None).  ``plans`` has shape (K, C, n, max m_j), each key's plans
-    zero-padded like :func:`pad_segments`.  Plans are constant: gradients
-    flow only through ``m`` (the envelope rule for transport plans).  Returns
-    a K x C tensor.
+    is None).  ``plans`` is (C, n, sum m_j), key j's plans in key j's
+    columns.  Plans are constant: gradients flow only through ``m`` (the
+    envelope rule for transport plans).  Returns a K x C tensor.
     """
     mv = m.values
     offsets = as_offsets(offsets, mv.shape[1])
-    layout = segment_index(offsets)  # shared by the pad and backward's unpad
-    padded = pad_segments(mv, offsets, layout)
     plans = np.asarray(plans, dtype=np.float64)
-    if (plans.ndim != 4 or plans.shape[0] != padded.shape[0]
-            or plans.shape[2:] != padded.shape[1:]):
+    if (plans.ndim != 3 or plans.shape[1:] != mv.shape
+            or offsets[-1] != mv.shape[1]):
         raise ShapeError(f"plan_costs: plans {plans.shape} do not stack over "
                          f"cost matrix {m.shape} in {len(offsets) - 1} keys")
-    k, c = plans.shape[:2]
-    flat = plans.reshape(k, c, -1)
-    vals = (flat @ padded.reshape(k, -1, 1))[:, :, 0]
-    shape = padded.shape
+    vals = np.add.reduceat(np.einsum("cnm,nm->cm", plans, mv), offsets[:-1],
+                           axis=1).T
+    widths = np.diff(offsets)
 
     def backward(g):
-        return (unpad_segments((g[:, None, :] @ flat).reshape(shape),
-                               offsets, layout),)
+        # key j's row of g, once per column of key j
+        return (np.einsum("mc,cnm->nm", np.repeat(g, widths, axis=0), plans),)
 
     return _record(vals, (m,), backward)
 

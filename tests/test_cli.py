@@ -118,6 +118,19 @@ def test_config_file_missing_raises_io_error(tmp_path):
         load_config_file(str(tmp_path / "absent.cfg"))
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_config_file_exits_with_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfedataset = DEMO\n")
+    extra = (["--checkpoint", str(tmp_path / "m.npz")] if command == "eval"
+             else [])
+    code = main([command, "--config", str(path), *extra])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and "not a text file" in lines[0]
+
+
 def test_flag_precedence_over_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dataset = DEMO\ndata_dir = /data\nepochs = 9\n"
@@ -348,8 +361,13 @@ DROP = object()  # a config change that deletes the field
     ({"feature_scheme": "bogus"}, "feature_scheme must be one of"),
     ({"beta": DROP, "p_hat": DROP, "sinkhorn_max_iter": DROP},
      "field 'sinkhorn_max_iter' is missing"),
+    ({"num_keys": "2"}, "num_keys must be an integer, got '2'"),
+    ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+    ({"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
+    ({"n_padded": 5.5}, "n_padded must be an integer, got 5.5"),
 ], ids=["no-lambdas", "text-lambda", "negative-lambda", "no-encoder",
-        "zero-temperature", "unknown-scheme", "missing-fields"])
+        "zero-temperature", "unknown-scheme", "missing-fields", "text-keys",
+        "no-classes", "no-features", "fractional-padding"])
 def test_checkpoint_config_out_of_range_exits_with_error(
         fast_cfg_file, trained_checkpoint, tmp_path, capsys, command, change,
         message):
@@ -365,6 +383,22 @@ def test_checkpoint_config_out_of_range_exits_with_error(
     line = _load_fails_with_one_error_line(fast_cfg_file, edited, tmp_path,
                                            capsys, command)
     assert f"has a bad config: {message}" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "export-diagnostics"])
+@pytest.mark.parametrize("line", ["epochs = 0", "folds = 1"])
+def test_scoring_commands_ignore_training_options(
+        fast_cfg_file, trained_checkpoint, tmp_path, capsys, command, line):
+    # eval and export-diagnostics read only the dataset options, so a
+    # training-only value that train would refuse does not stop them
+    path = tmp_path / "score.cfg"
+    with open(fast_cfg_file) as fh:
+        path.write_text(fh.read() + line + "\n")
+    extra = (["--graph-id", "0", "--out", str(tmp_path / "d")]
+             if command == "export-diagnostics" else [])
+    code = main([command, "--config", str(path),
+                 "--checkpoint", str(trained_checkpoint), *extra])
+    assert code == 0, capsys.readouterr().err
 
 
 # --- dataset that does not fit the checkpoint ---------------------------------

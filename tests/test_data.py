@@ -140,6 +140,15 @@ def test_save_rejects_bundle_mixing_labeled_and_unlabeled_graphs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_save_rejects_bundle_without_graphs(tmp_path):
+    # the loader refuses a set with no nodes, so none is written
+    bundle = DatasetBundle(graphs=[], num_classes=0, num_node_labels=0,
+                           name="NONE")
+    with pytest.raises(FormatError, match="NONE: no graphs to write"):
+        save_tu_dataset(bundle, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _contiguous(values):
     """Relabel integer ids onto 0..k-1 in sorted order, as loading does."""
     return np.unique(values, return_inverse=True)[1].reshape(-1)

@@ -176,7 +176,7 @@ def test_stacked_keys_match_one_key_solves(n, keys, seed, lams, max_iter,
         singles = [sinkhorn_grid(M[:, lo:hi], lams, max_iter=max_iter,
                                  tol=tol)
                    for lo, hi in zip(offsets[:-1], offsets[1:])]
-    assert stacked.values.shape == (len(keys), len(lams), n, max(widths))
+    assert stacked.values.shape == (len(lams), n, sum(widths))
     for j, (plans, single) in enumerate(zip(stacked.per_key(), singles)):
         assert stacked.iterations[j].tolist() == [p.iterations_used
                                                   for p in single]
@@ -185,8 +185,40 @@ def test_stacked_keys_match_one_key_solves(n, keys, seed, lams, max_iter,
         assert (plans >= 0.0).all()
         assert np.abs(plans.sum(axis=2) - 1.0 / n).max() <= 1e-12
         assert np.abs(plans.sum(axis=1) - 1.0 / widths[j]).max() <= 1e-12
-        padding = stacked.values[j, :, :, widths[j]:]
-        assert not padding.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 28),
+       keys=st.lists(st.tuples(st.integers(1, 28), st.floats(-3.0, 2.0)),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1),
+       lams=st.sampled_from([DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID,
+                             (0.5,), (3.0, 0.01, 100.0)]))
+def test_plan_costs_sum_each_keys_plans_over_its_own_columns(n, keys, seed,
+                                                             lams):
+    """Plans in the cost's columns give H[j, c] = sum(P_{j,c} * M_j), and
+    d(sum g * H)/dM is sum_c g[j, c] * P_{j,c} on key j's columns."""
+    widths = [w for w, _ in keys]
+    offsets = np.cumsum([0] + widths)
+    rng = np.random.default_rng(seed)
+    M = np.hstack([rng.uniform(0.0, 1.0, size=(n, w)) * 10.0 ** scale
+                   for w, scale in keys])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solved = sinkhorn_keys(M, lams, offsets=offsets)
+    weights = rng.uniform(0.1, 1.0, size=(len(keys), len(lams)))
+    cost = T.Tensor(M, requires_grad=True)
+    with T.Tape() as tape:
+        h = T.plan_costs(cost, solved.values, offsets)
+        tape.backward(T.sum_all(T.multiply(h, T.constant(weights))))
+    for j, plans in enumerate(solved.per_key()):
+        lo, hi = offsets[j], offsets[j + 1]
+        expected = np.array([(plan * M[:, lo:hi]).sum() for plan in plans])
+        assert (np.abs(h.values[j] - expected)
+                <= 1e-12 * np.abs(expected)).all()
+        grad = sum(w * plan for w, plan in zip(weights[j], plans))
+        assert (np.abs(cost.grad[:, lo:hi] - grad)
+                <= 1e-12 * np.abs(grad)).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -225,7 +257,9 @@ def test_log_domain_rows_carry_their_own_key_cost(monkeypatch):
     widths, n = (3, 5, 2), 4
     M, offsets = _cost_scaled_keys(widths, (50.0, 5.0, 20.0), n, seed=12)
     sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=offsets)
-    costs = T.pad_segments(M, offsets)
+    costs = np.zeros((len(widths), n, max(widths)))
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        costs[j, :, :hi - lo] = M[:, lo:hi]
     peaks = [M[:, lo:hi].max() for lo, hi in zip(offsets[:-1], offsets[1:])]
     log_keys = [j for j, peak in enumerate(peaks) for lam in DEFAULT_LAMBDA_GRID
                 if lam * peak > LOG_DOMAIN_THRESHOLD]
@@ -308,8 +342,8 @@ def test_plans_are_built_once_per_solve(monkeypatch, scale, domain):
        max_iter=st.sampled_from([1, 3, 200]))
 def test_plans_feasible_across_shapes_and_sensitivity_scales(
         n, keys, seed, exponents, max_iter):
-    """Exact marginals, nonnegative entries and zero padding, in both domains
-    and at any iteration cap."""
+    """Exact marginals and nonnegative entries, in both domains and at any
+    iteration cap."""
     widths = [w for w, _ in keys]
     rng = np.random.default_rng(seed)
     # key j's largest cost is 10**scale_j, and key 0's is 1, so lam * max M_0
@@ -327,7 +361,6 @@ def test_plans_feasible_across_shapes_and_sensitivity_scales(
         assert (plans >= 0.0).all()
         assert np.abs(plans.sum(axis=2) - 1.0 / n).max() <= 1e-12
         assert np.abs(plans.sum(axis=1) - 1.0 / widths[j]).max() <= 1e-12
-        assert not solved.values[j, :, :, widths[j]:].any()
 
 
 def test_nonconvergence_warns_but_stays_feasible():
@@ -389,7 +422,7 @@ def test_embedding_matrix_shape():
     h_matrix, cost, plans = embed_keys_multi(f, keys, (0.5, 1.0, 5.0, 10.0))
     assert h_matrix.values.shape == (3, 4)
     assert cost.values.shape == (4, 9)
-    assert plans.values.shape == (3, 4, 4, 3)
+    assert plans.values.shape == (4, 4, 9)
     assert plans.iterations.shape == plans.converged.shape == (3, 4)
     assert (h_matrix.values >= 0.0).all()
 

@@ -66,7 +66,7 @@ def test_backward_on_untracked_root_leaves_grads_zero():
 def test_op_outputs_get_grad_buffers_only_when_backward_reaches_them():
     rng = np.random.default_rng(5)
     x = T.Tensor(rng.uniform(size=(4, 6)), requires_grad=True)
-    plans = rng.uniform(size=(3, 2, 4, 3))
+    plans = rng.uniform(size=(2, 4, 6))
     with T.Tape() as tape:
         cost = T.scale(x, 1.0)
         unused = T.relu(x)
@@ -74,7 +74,7 @@ def test_op_outputs_get_grad_buffers_only_when_backward_reaches_them():
         assert cost.grad is None and unused.grad is None
         tape.backward(T.sum_all(h))
     assert unused.grad is None
-    # plan_costs hands back a Fortran-ordered piece; the buffer is C-ordered
+    # the first piece that reaches a tensor is copied into a C-ordered buffer
     assert cost.grad.flags.c_contiguous
     assert np.array_equal(cost.grad, x.grad)
 
@@ -104,24 +104,6 @@ def test_check_finite_names_the_op_under_a_tape_only():
     with pytest.raises(NumericsError, match=r"out must be finite$"):
         T.check_finite("out", T.scale(x, 1e200))
     T.check_finite("out", x, T.relu(x))
-
-
-def test_plan_costs_builds_one_padding_layout(monkeypatch):
-    calls = []
-    real = T.segment_index
-
-    def counted(offsets):
-        calls.append(1)
-        return real(offsets)
-
-    monkeypatch.setattr(T, "segment_index", counted)
-    m = T.Tensor(np.random.default_rng(3).uniform(size=(4, 6)),
-                 requires_grad=True)
-    plans = np.random.default_rng(4).uniform(size=(3, 2, 4, 3))
-    with T.Tape() as tape:
-        h = T.plan_costs(m, plans, offsets=[0, 1, 3, 6])
-        tape.backward(T.sum_all(h))
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +253,12 @@ def test_straight_through_scale_surrogate_backward():
 def test_plan_costs_gradient_is_the_plan_stack():
     rng = np.random.default_rng(2)
     m = T.Tensor(rng.uniform(size=(4, 3)), requires_grad=True)
-    plans = rng.uniform(size=(1, 2, 4, 3))
+    plans = rng.uniform(size=(2, 4, 3))
     with T.Tape() as tape:
         h = T.plan_costs(m, plans)
         assert h.values.shape == (1, 2)
         tape.backward(T.sum_all(h))
-    assert np.allclose(m.grad, plans[0].sum(axis=0))
+    assert np.allclose(m.grad, plans.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +467,7 @@ def _build_case(name, rng):
         return [p], lambda: T.bernoulli_kl_sum(p, 0.5)
     if name == "plan_costs":
         a = _rand(rng, n, m)
-        plans = rng.uniform(0.1, 1.0, size=(1, k, n, m))
+        plans = rng.uniform(0.1, 1.0, size=(k, n, m))
         ws = _probe(rng, 1, k)
         return [a], lambda: _weighted_sum(T.plan_costs(a, plans), ws)
     raise AssertionError(f"unknown case {name}")

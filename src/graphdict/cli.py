@@ -130,15 +130,9 @@ def build_parser():
 
     train = sub.add_parser("train", help="run stratified cross-validation")
     _add_dataset_flags(train)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--lr", type=float)
-    train.add_argument("--beta", type=float)
-    train.add_argument("--p-hat", dest="p_hat", type=float)
-    train.add_argument("--keys", type=int)
-    train.add_argument("--sensitivities", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--folds", type=int)
-    train.add_argument("--workers", type=int)
+    for flag in ("epochs", "lr", "beta", "p-hat", "keys", "sensitivities",
+                 "seed", "folds", "workers"):
+        train.add_argument(f"--{flag}", type=_FIELD_TYPES[_canonical(flag)])
     train.add_argument("--out", help="output directory for metrics and "
                                      "checkpoints")
 

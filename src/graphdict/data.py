@@ -107,7 +107,15 @@ def _load_int_table(path, columns):
             rows.append([int(p) for p in parts])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer token in {line!r}")
-    return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
+    except OverflowError:
+        limit = np.iinfo(np.int64)
+        lineno = next(n for n, text in enumerate(lines, start=1)
+                      if any(not limit.min <= int(p) <= limit.max
+                             for p in text.replace(",", " ").split()))
+        raise ParseError(f"{path}:{lineno}: integer outside the int64 "
+                         "range") from None
 
 
 def load_tu_dataset(directory, name):
@@ -151,7 +159,8 @@ def load_tu_dataset(directory, name):
     adjacencies = [np.zeros((len(nodes), len(nodes))) for nodes in members]
     for u, v in edges:
         if not (1 <= u <= total_nodes) or not (1 <= v <= total_nodes):
-            raise FormatError(f"{paths['edges']}: node {max(u, v)} referenced "
+            bad = v if 1 <= u <= total_nodes else u
+            raise FormatError(f"{paths['edges']}: node {bad} referenced "
                               f"outside any graph (only {total_nodes} nodes)")
         gu, gv = node_graph[u - 1], node_graph[v - 1]
         if gu != gv:

@@ -63,11 +63,12 @@ class Hyperparameters:
             *((d >= 1, f"encoder_dims[{i}] must be >= 1, got {d}")
               for i, d in enumerate(self.encoder_dims)),
             (self.encoder_dims, "encoder_dims must hold at least one layer"),
-            (self.sinkhorn_tol > 0.0,
-             f"sinkhorn_tol must be > 0, got {self.sinkhorn_tol}"),
-            (self.temperature > 0.0,
-             f"temperature must be > 0, got {self.temperature}"),
-            (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
+            (0.0 < self.sinkhorn_tol < np.inf, "sinkhorn_tol must be finite "
+             f"and > 0, got {self.sinkhorn_tol}"),
+            (0.0 < self.temperature < np.inf, "temperature must be finite "
+             f"and > 0, got {self.temperature}"),
+            (0.0 <= self.beta < np.inf,
+             f"beta must be finite and >= 0, got {self.beta}"),
             (0.0 < self.p_hat < 1.0,
              f"p_hat must lie in (0, 1), got {self.p_hat}"),
             (self.lambdas and all(
@@ -116,7 +117,6 @@ class ModelConfig(Hyperparameters):
 class DictionaryKey:
     """One dictionary entry: fixed adjacency, trainable node features."""
 
-    key_id: int
     source_class: int
     adjacency: np.ndarray
     features: T.Tensor            # trainable (psi)
@@ -169,26 +169,20 @@ def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
     dealt = [idx for turn in itertools.zip_longest(*pools)
              for idx in turn if idx is not None]
     return BaseGraphDictionary(keys=[DictionaryKey(
-        key_id=key_id, source_class=graphs[idx].class_label,
+        source_class=graphs[idx].class_label,
         adjacency=graphs[idx].adjacency.copy(),
         features=T.Tensor(featurize(graphs[idx], scheme, feature_dim),
                           requires_grad=True))
-        for key_id, idx in enumerate(dealt[:k])])
+        for idx in dealt[:k]])
 
 
-@dataclass
-class ClassifierHead:
-    """Two dense layers with a ReLU between: K -> hidden -> num_classes."""
-
-    w1: T.Tensor
-    w2: T.Tensor
-
-    @classmethod
-    def initialize(cls, num_keys, hidden, num_classes, rng):
-        return cls(w1=T.Tensor(xavier_uniform(rng, num_keys, hidden),
-                               requires_grad=True),
-                   w2=T.Tensor(xavier_uniform(rng, hidden, num_classes),
-                               requires_grad=True))
+def dense_shapes(config):
+    """The shape of each dense weight, under the name the model and its
+    checkpoint give it, in checkpoint order."""
+    return {"w_r": (config.n_padded, 1),
+            "w_m": (1, config.num_keys),
+            "head_w1": (config.num_keys, config.head_hidden),
+            "head_w2": (config.head_hidden, config.num_classes)}
 
 
 @dataclass
@@ -216,18 +210,21 @@ class ForwardResult:
     plans: mswe.PlanStack | None = None        # None when plans were given
 
 
+@dataclass(eq=False)
 class GraphDictionaryModel:
-    """The full pipeline: encode -> adapt keys -> transport embed -> classify."""
+    """The full pipeline: encode -> adapt keys -> transport embed -> classify.
 
-    def __init__(self, config, encoder_input, encoder_dict, dictionary,
-                 vgda_params, w_m, head):
-        self.config = config
-        self.encoder_input = encoder_input
-        self.encoder_dict = encoder_dict
-        self.dictionary = dictionary
-        self.vgda_params = vgda_params
-        self.w_m = w_m
-        self.head = head
+    The dense weights are trainable and shaped as :func:`dense_shapes` says.
+    """
+
+    config: ModelConfig
+    encoder_input: EncoderParams
+    encoder_dict: EncoderParams     # the momentum branch
+    dictionary: BaseGraphDictionary
+    w_r: T.Tensor                   # VGDA projection; n-node inputs use [:n]
+    w_m: T.Tensor                   # attention over the sensitivities
+    head_w1: T.Tensor               # classifier: K -> hidden, then ReLU
+    head_w2: T.Tensor               # classifier: hidden -> num_classes
 
     # -- construction -------------------------------------------------------
 
@@ -241,24 +238,26 @@ class GraphDictionaryModel:
         dictionary = init_base_dictionary(train_graphs, config.num_keys, rng,
                                           config.feature_scheme,
                                           config.feature_dim)
-        vgda_params = vgda.VgdaParams.initialize(config.n_padded, rng)
-        w_m = T.Tensor(np.zeros((1, config.num_keys)), requires_grad=True)
-        head = ClassifierHead.initialize(config.num_keys, config.head_hidden,
-                                         config.num_classes, rng)
+        shape = dense_shapes(config)
+        initial = {"w_r": rng.normal(0.0, 0.01, size=shape["w_r"]),
+                   "w_m": np.zeros(shape["w_m"]),
+                   "head_w1": xavier_uniform(rng, *shape["head_w1"]),
+                   "head_w2": xavier_uniform(rng, *shape["head_w2"])}
         return cls(config, encoder_input, encoder_dict, dictionary,
-                   vgda_params, w_m, head)
+                   **{name: T.Tensor(initial[name], requires_grad=True)
+                      for name in shape})
 
     # -- parameter partition ------------------------------------------------
 
     def phi_parameters(self):
         """The sampling-projection set (adapted per input)."""
-        return [self.vgda_params.w_r]
+        return [self.w_r]
 
     def psi_parameters(self):
         """Encoder, dictionary features, attention, and head weights."""
         return [*self.encoder_input.weights,
                 *(key.features for key in self.dictionary.keys),
-                self.w_m, self.head.w1, self.head.w2]
+                self.w_m, self.head_w1, self.head_w2]
 
     def parameters(self):
         return self.phi_parameters() + self.psi_parameters()
@@ -320,7 +319,7 @@ class GraphDictionaryModel:
         factor = None
         if use_vgda:
             adapted, factor, kl_total = vgda.adapt_keys(
-                f_input, keys.encoded, keys.offsets, self.vgda_params.w_r,
+                f_input, keys.encoded, keys.offsets, self.w_r,
                 mode, rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat,
                 mask_override=masks)
         else:
@@ -333,8 +332,8 @@ class GraphDictionaryModel:
             tol=cfg.sinkhorn_tol, plans_override=plans)
         h_hat, alpha = mswe.aggregate_attention_matrix(h_matrix, self.w_m)
 
-        hidden = T.relu(T.matmul(T.transpose(h_hat), self.head.w1))
-        logits = T.matmul(hidden, self.head.w2)
+        hidden = T.relu(T.matmul(T.transpose(h_hat), self.head_w1))
+        logits = T.matmul(hidden, self.head_w2)
         probabilities = T.row_softmax(logits)
         T.check_finite("model.forward: class probabilities and KL",
                        probabilities, kl_total)
@@ -397,14 +396,12 @@ def save_checkpoint(model, path):
                            ("enc_dict", model.encoder_dict)):
         arrays.update((f"{branch}_{i}", w.values)
                       for i, w in enumerate(params.weights))
-    for key in model.dictionary.keys:
-        arrays[f"key_{key.key_id}_adjacency"] = key.adjacency
-        arrays[f"key_{key.key_id}_features"] = key.features.values
-        arrays[f"key_{key.key_id}_class"] = np.asarray([key.source_class])
-    arrays["w_r"] = model.vgda_params.w_r.values
-    arrays["w_m"] = model.w_m.values
-    arrays["head_w1"] = model.head.w1.values
-    arrays["head_w2"] = model.head.w2.values
+    for j, key in enumerate(model.dictionary.keys):
+        arrays[f"key_{j}_adjacency"] = key.adjacency
+        arrays[f"key_{j}_features"] = key.features.values
+        arrays[f"key_{j}_class"] = np.asarray([key.source_class])
+    arrays.update((name, getattr(model, name).values)
+                  for name in dense_shapes(model.config))
     np.savez(path, **arrays)
 
 
@@ -473,10 +470,10 @@ def load_checkpoint(path):
             for i in range(len(config.encoder_dims))])
             for branch, grad in (("enc_input", True), ("enc_dict", False)))
         keys = []
-        for key_id in range(config.num_keys):
-            name = f"key_{key_id}_adjacency"
+        for j in range(config.num_keys):
+            name = f"key_{j}_adjacency"
             adjacency = array(name)
-            source_class = int(array(f"key_{key_id}_class", (1,))[0])
+            source_class = int(array(f"key_{j}_class", (1,))[0])
             try:
                 graph = LabeledGraph(adjacency=adjacency,
                                      class_label=source_class)
@@ -484,15 +481,10 @@ def load_checkpoint(path):
                 raise FormatError(f"checkpoint {path}: array {name!r}: "
                                   f"{exc}") from exc
             keys.append(DictionaryKey(
-                key_id=key_id, source_class=source_class,
-                adjacency=graph.adjacency, features=trained(
-                    f"key_{key_id}_features",
-                    (graph.node_count, config.feature_dim))))
-        vgda_params = vgda.VgdaParams(trained("w_r", (config.n_padded, 1)))
-        w_m = trained("w_m", (1, config.num_keys))
-        head = ClassifierHead(
-            trained("head_w1", (config.num_keys, config.head_hidden)),
-            trained("head_w2", (config.head_hidden, config.num_classes)))
+                source_class=source_class, adjacency=graph.adjacency,
+                features=trained(f"key_{j}_features",
+                                 (graph.node_count, config.feature_dim))))
+        dense = {name: trained(name, shape)
+                 for name, shape in dense_shapes(config).items()}
     return GraphDictionaryModel(config, enc_input, enc_dict,
-                                BaseGraphDictionary(keys=keys), vgda_params,
-                                w_m, head)
+                                BaseGraphDictionary(keys=keys), **dense)

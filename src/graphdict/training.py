@@ -59,7 +59,8 @@ class TrainConfig(Hyperparameters):
              f"and >= 0, got {self.weight_decay}"),
             (len(betas) == 2 and all(0.0 <= b < 1.0 for b in betas),
              f"adam_betas must be two values in [0, 1), got {betas}"),
-            (self.adam_eps > 0.0, f"adam_eps must be > 0, got {self.adam_eps}"),
+            (0.0 < self.adam_eps < np.inf,
+             f"adam_eps must be finite and > 0, got {self.adam_eps}"),
             (0.0 <= self.momentum <= 1.0,
              f"momentum must be in [0, 1], got {self.momentum}")])
         super().__post_init__()
@@ -228,8 +229,9 @@ def run_cv(config, bundle=None):
         jobs.append((bundle, i, train_idx, test_idx, config, children[i]))
 
     results = []
-    with (ProcessPoolExecutor(max_workers=config.workers)
-          if config.workers > 1 else contextlib.nullcontext()) as pool:
+    workers = min(config.workers, len(jobs))
+    with (ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         # fold results arrive in fold order, serial or pooled
         outcomes = (pool.map if pool else map)(_fold_worker, jobs)
         for i in range(len(jobs)):

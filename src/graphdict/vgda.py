@@ -30,18 +30,6 @@ EVAL = "eval"
 
 
 @dataclass
-class VgdaParams:
-    """The projection vector, one weight per input node position."""
-
-    w_r: T.Tensor  # (n_padded, 1); an n-node input uses rows [:n]
-
-    @classmethod
-    def initialize(cls, n_padded, rng):
-        values = rng.normal(0.0, 0.01, size=(n_padded, 1))
-        return cls(w_r=T.Tensor(values, requires_grad=True))
-
-
-@dataclass
 class SamplingFactor:
     """Sampling state for one input against its stacked key rows."""
 

@@ -222,7 +222,7 @@ def test_acceptance_8_runtime_ordering():
                              lambdas=lambdas)
         model = GraphDictionaryModel.build(config, graphs,
                                            np.random.default_rng(3))
-        model.vgda_params.w_r.values[:] = 50.0  # all-ones masks when sampling
+        model.w_r.values[:] = 50.0  # all-ones masks when sampling
         model.refresh_key_encodings()
         return model, [model.prepare(g) for g in graphs]
 

@@ -357,7 +357,7 @@ DROP = object()  # a config change that deletes the field
     ({"lambdas": ["x"]}, "lambdas must be one or more finite positive"),
     ({"lambdas": [0.5, -5.0]}, "lambdas must be one or more finite positive"),
     ({"encoder_dims": []}, "encoder_dims must hold at least one layer"),
-    ({"temperature": 0.0}, "temperature must be > 0"),
+    ({"temperature": 0.0}, "temperature must be finite and > 0"),
     ({"feature_scheme": "bogus"}, "feature_scheme must be one of"),
     ({"beta": DROP, "p_hat": DROP, "sinkhorn_max_iter": DROP},
      "field 'sinkhorn_max_iter' is missing"),
@@ -440,9 +440,12 @@ def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
     ("sinkhorn_max_iter = 0", "sinkhorn_max_iter"),
     ("sinkhorn_tol = -1", "sinkhorn_tol"),
     ("sinkhorn_tol = 0", "sinkhorn_tol"),
+    ("sinkhorn_tol = inf", "sinkhorn_tol"),
     ("beta = -1", "beta"),
+    ("beta = inf", "beta"),
     ("seed = -1", "seed"),
     ("temperature = 0", "temperature"),
+    ("temperature = inf", "temperature"),
     ("lambdas = 0.5 -1", "lambdas"),
     ("lr = -1", "learning_rate"),
     ("lr = nan", "learning_rate"),
@@ -452,6 +455,7 @@ def test_dataset_that_does_not_fit_the_checkpoint_exits_with_error(
     ("adam_betas = 0.9, 1.0", "adam_betas"),
     ("adam_eps = -1", "adam_eps"),
     ("adam_eps = 0", "adam_eps"),
+    ("adam_eps = inf", "adam_eps"),
     ("momentum = -0.5", "momentum"),
     ("keys = 0", "keys"),
     ("folds = 1", "folds"),

@@ -102,9 +102,30 @@ def test_load_non_integer_token_raises_parse_with_location(tmp_path):
     assert "X_A.txt:2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("value", ["99999999999999999999",
+                                   "-99999999999999999999"])
+def test_load_integer_beyond_int64_raises_parse_with_location(tmp_path,
+                                                             value):
+    _write_tu(tmp_path, "X", edges=[(1, 2), (3, 4)], indicator=[1, 1, 2, 2],
+              graph_labels=[0, value])
+    with pytest.raises(ParseError, match=r"X_graph_labels\.txt:2: integer "
+                                         "outside the int64 range"):
+        load_tu_dataset(tmp_path, "X")
+
+
 def test_load_edge_outside_any_graph_raises(tmp_path):
     _write_tu(tmp_path, "X", edges=[(1, 5)], indicator=[1, 1], graph_labels=[0])
     with pytest.raises(FormatError):
+        load_tu_dataset(tmp_path, "X")
+
+
+@pytest.mark.parametrize("edge, node", [((0, 3), 0), ((3, 0), 0),
+                                        ((1, 4), 4), ((4, 1), 4)])
+def test_load_edge_outside_any_graph_names_that_node(tmp_path, edge, node):
+    _write_tu(tmp_path, "X", edges=[edge], indicator=[1, 1, 1],
+              graph_labels=[0])
+    with pytest.raises(FormatError, match=rf"X_A\.txt: node {node} referenced "
+                                          r"outside any graph \(only 3 nodes\)"):
         load_tu_dataset(tmp_path, "X")
 
 

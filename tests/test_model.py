@@ -29,7 +29,6 @@ def test_dictionary_round_robin_balances_classes():
     classes = [key.source_class for key in dictionary.keys]
     assert len(dictionary) == 14
     assert classes.count(0) == 7 and classes.count(1) == 7
-    assert [key.key_id for key in dictionary.keys] == list(range(14))
 
 
 def test_dictionary_two_keys_one_per_class():
@@ -212,7 +211,7 @@ def test_forced_full_masks_match_sampling_free_pipeline():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"beta": -0.1}, "beta must be >= 0"),
+    ({"beta": -0.1}, "beta must be finite and >= 0"),
     ({"p_hat": 0.0}, r"p_hat must lie in \(0, 1\)"),
     ({"p_hat": 1.0}, r"p_hat must lie in \(0, 1\)"),
 ])
@@ -244,10 +243,10 @@ def test_padded_copies_predict_identically():
         dst.values[:] = src.values
     for dst, src in zip(large.dictionary.keys, small.dictionary.keys):
         dst.features.values[:] = src.features.values
-    large.vgda_params.w_r.values[:5] = small.vgda_params.w_r.values
+    large.w_r.values[:5] = small.w_r.values
     large.w_m.values[:] = small.w_m.values
-    large.head.w1.values[:] = small.head.w1.values
-    large.head.w2.values[:] = small.head.w2.values
+    large.head_w1.values[:] = small.head_w1.values
+    large.head_w2.values[:] = small.head_w2.values
 
     small.refresh_key_encodings()
     large.refresh_key_encodings()
@@ -279,7 +278,7 @@ def _own_size_model():
                          lambdas=(0.5, 5.0))
     model = GraphDictionaryModel.build(config, graphs,
                                        np.random.default_rng(2))
-    model.vgda_params.w_r.values[:] = np.random.default_rng(3).normal(
+    model.w_r.values[:] = np.random.default_rng(3).normal(
         0.0, 2.0, size=(OWN_SIZE_PAD, 1))  # mixed masks
     model.refresh_key_encodings()
     return model
@@ -307,14 +306,14 @@ def _padded_reference(model, graph, mode, rng):
                     model.encoder_input)
     keys = model.dictionary
     adapted, factor, kl = vgda.adapt_keys(
-        f_full, keys.encoded, keys.offsets, model.vgda_params.w_r, mode,
+        f_full, keys.encoded, keys.offsets, model.w_r, mode,
         rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat)
     h_matrix, _, _ = mswe.embed_keys_multi(
         T.row_select(f_full, np.arange(size) < n), adapted, cfg.lambdas,
         max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
     h_hat, _ = mswe.aggregate_attention_matrix(h_matrix, model.w_m)
-    hidden = T.relu(T.matmul(T.transpose(h_hat), model.head.w1))
-    probabilities = T.row_softmax(T.matmul(hidden, model.head.w2))
+    hidden = T.relu(T.matmul(T.transpose(h_hat), model.head_w1))
+    probabilities = T.row_softmax(T.matmul(hidden, model.head_w2))
     return probabilities, h_matrix, kl, factor.z
 
 
@@ -324,7 +323,7 @@ def _padded_reference(model, graph, mode, rng):
                                                               vgda.EVAL]))
 def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
     model = _own_size_model()
-    w_r = model.vgda_params.w_r
+    w_r = model.w_r
     graph = _random_graph(n, density, seed)
     prepared = model.prepare(graph)
     assert prepared.features.shape == (n, 4)
@@ -363,11 +362,11 @@ def test_parameter_partition_is_exhaustive_and_disjoint():
     phi = model.phi_parameters()
     psi = model.psi_parameters()
     assert {id(p) for p in phi}.isdisjoint({id(p) for p in psi})
-    assert phi == [model.vgda_params.w_r]
+    assert phi == [model.w_r]
     reachable = ([*model.encoder_input.weights]
                  + [key.features for key in model.dictionary.keys]
-                 + [model.w_m, model.head.w1, model.head.w2,
-                    model.vgda_params.w_r])
+                 + [model.w_m, model.head_w1, model.head_w2,
+                    model.w_r])
     assert {id(p) for p in model.parameters()} == {id(p) for p in reachable}
     assert all(p.requires_grad for p in model.parameters())
     assert all(not w.requires_grad for w in model.momentum_parameters())
@@ -480,7 +479,7 @@ def test_every_forward_plan_meets_its_marginals(mode, max_iter):
                          lambdas=(0.01, 1.0, 100.0, 1e4))
     model = GraphDictionaryModel.build(config, graphs,
                                        np.random.default_rng(5))
-    model.vgda_params.w_r.values[:] = 50.0
+    model.w_r.values[:] = 50.0
     model.refresh_key_encodings()
     for graph in graphs:
         prepared = model.prepare(graph)
@@ -584,6 +583,23 @@ def test_checkpoint_stores_its_format_version(tmp_path):
     save_checkpoint(build_tiny_model()[0], path)
     with np.load(path) as data:
         assert data["format_version"].tolist() == [CHECKPOINT_FORMAT_VERSION]
+
+
+def test_checkpoint_holds_exactly_its_named_arrays(tmp_path):
+    # three encoder layers per branch, two keys
+    path = tmp_path / "model.npz"
+    save_checkpoint(build_tiny_model()[0], path)
+    with np.load(path) as data:
+        assert data.files == [
+            "format_version", "config",
+            "enc_input_0", "enc_input_1", "enc_input_2",
+            "enc_dict_0", "enc_dict_1", "enc_dict_2",
+            "key_0_adjacency", "key_0_features", "key_0_class",
+            "key_1_adjacency", "key_1_features", "key_1_class",
+            "w_r", "w_m", "head_w1", "head_w2"]
+        assert {name: data[name].shape for name in data.files[-4:]} == {
+            "w_r": (5, 1), "w_m": (1, 2), "head_w1": (2, 8),
+            "head_w2": (8, 2)}
 
 
 @pytest.mark.parametrize("change, message", [

@@ -118,8 +118,8 @@ def test_overflowing_step_names_the_op_and_changes_nothing():
     rng = np.random.default_rng(0)
     _train_step(model, prepared, optimizer, rng)  # non-zero moments
     # plan costs are nonnegative, so every logit overflows to +inf
-    model.head.w1.values[:] = 1e3
-    model.head.w2.values[:] = 1e308
+    model.head_w1.values[:] = 1e3
+    model.head_w2.values[:] = 1e308
     tensors = model.parameters() + model.momentum_parameters()
     before = [t.values.copy() for t in tensors] + [
         a.copy() for a in optimizer.m + optimizer.v]
@@ -210,6 +210,31 @@ def test_parallel_workers_match_sequential():
         assert a.fold == b.fold
         assert a.accuracy == b.accuracy
         assert a.loss_trace == b.loss_trace
+
+
+def test_fold_pool_starts_no_more_workers_than_folds(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+    bundle = make_synthetic_bundle(count=8)
+    cv = run_cv(fast_config(workers=64, folds=2, epochs=1), bundle=bundle)
+    assert started == [2]
+    assert [fold.fold for fold in cv.folds] == [0, 1]
 
 
 def test_fold_crash_is_reported_with_fold_index(monkeypatch):
@@ -305,7 +330,8 @@ def test_export_diagnostics_contents(tmp_path):
 
     probs = read_csv(out / "sampling_probabilities.csv")
     assert probs[0] == ["input_id", "key_id", "node_index", "probability"]
-    key_nodes = {str(k.key_id): k.node_count for k in model.dictionary.keys}
+    key_nodes = {str(j): k.node_count
+                 for j, k in enumerate(model.dictionary.keys)}
     seen = {}
     for row in probs[1:]:
         assert row[0] == "1"

@@ -18,6 +18,8 @@ import argparse
 import sys
 import typing
 
+import numpy as np
+
 from .data import load_tu_dataset
 from .errors import ConfigError, GraphDictError, IoError
 from .model import load_checkpoint
@@ -199,7 +201,10 @@ def main(argv=None):
     handlers = {"train": cmd_train, "eval": cmd_eval,
                 "export-diagnostics": cmd_export}
     try:
-        return handlers[args.command](args)
+        # a non-finite value ends in one GraphDictError line, not in
+        # numpy's floating-point warnings first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
     except GraphDictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

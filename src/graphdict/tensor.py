@@ -293,22 +293,38 @@ def concat_rows(tensors):
                    tuple(tensors), backward)
 
 
-def row_select(a, mask):
-    """Rows of ``a`` where the boolean ``mask`` is true (order preserved)."""
+def row_select(a, mask, surrogate=None):
+    """Rows of ``a`` where the boolean ``mask`` is true (order preserved).
+
+    With a straight-through ``surrogate`` (a column, one entry per row of
+    ``a``) the forward value is unchanged, as if each kept row were scaled
+    by its hard mask value 1; backward pretends it was scaled by the
+    surrogate, so surrogate row u receives <g_u, a_u> for every kept row u
+    and zero elsewhere.
+    """
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.shape[0] != a.values.shape[0]:
         raise ShapeError(f"row_select: mask length {mask.shape[0]} "
                          f"!= row count {a.values.shape[0]}")
     if not mask.any():
         raise ShapeError("row_select: empty selection")
+    if surrogate is not None and surrogate.values.shape != (mask.shape[0], 1):
+        raise ShapeError("row_select: the surrogate must be a column with "
+                         "one entry per row of a")
     shape = a.values.shape
+    kept = a.values[mask]
 
     def backward(g):
         full = np.zeros(shape)
         full[mask] = g
-        return (full,)
+        if surrogate is None:
+            return (full,)
+        dots = np.zeros((shape[0], 1))
+        dots[mask, 0] = (g * kept).sum(axis=1)
+        return full, dots
 
-    return _record(a.values[mask], (a,), backward)
+    inputs = (a,) if surrogate is None else (a, surrogate)
+    return _record(kept, inputs, backward)
 
 
 def scale(a, c):
@@ -429,25 +445,6 @@ def binary_concrete(p, noise, temperature):
         return (g * s * (1.0 - s) / (temperature * pv * (1.0 - pv)),)
 
     return _record(s, (p,), backward)
-
-
-def straight_through_scale(x, z_tilde):
-    """Row-wise straight-through multiplier for selected rows.
-
-    Forward value is ``x`` unchanged (the hard mask of the surviving rows is
-    all ones); backward pretends each row was multiplied by its relaxed
-    surrogate, so d/d(z_tilde)[u] = <g_u, x_u> and gradients reach the
-    sampling probabilities.
-    """
-    if z_tilde.values.shape != (x.values.shape[0], 1):
-        raise ShapeError("straight_through_scale: z_tilde must be a column "
-                         "with one entry per row of x")
-    xv = x.values
-
-    def backward(g):
-        return g, (g * xv).sum(axis=1, keepdims=True)
-
-    return _record(xv.copy(), (x, z_tilde), backward)
 
 
 def bernoulli_kl_sum(p, p_hat):

@@ -52,10 +52,11 @@ class AdaptedKey:
 def sampling_probability(f_input, f_key, w_r):
     """Per-key-node selection probabilities.
 
-    p = clamp(sigmoid(cosine(F_input, F_key)^T w_r[:n])) for an n-node
-    input, with one entry per key node (stacked keys give one entry per
-    row); differentiable in both feature matrices and the projection
-    vector.  An input with more rows than ``w_r`` raises ShapeError.
+    p = clamp(sigmoid(cosine(F_key, F_input) w_r[:n])) for an n-node input:
+    the cosine matrix is key-major, one row per key node (stacked keys give
+    one row per stacked row), like p itself; differentiable in both feature
+    matrices and the projection vector.  An input with more rows than
+    ``w_r`` raises ShapeError.
     """
     n, positions = f_input.values.shape[0], w_r.values.shape[0]
     if n > positions:
@@ -63,8 +64,7 @@ def sampling_probability(f_input, f_key, w_r):
                          f"{positions} projection weights")
     if n < positions:
         w_r = T.row_select(w_r, np.arange(positions) < n)
-    cos = T.cosine_matrix(f_input, f_key)
-    scores = T.matmul(T.transpose(cos), w_r)
+    scores = T.matmul(T.cosine_matrix(f_key, f_input), w_r)
     return T.clamp(T.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
@@ -108,12 +108,10 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
     offsets = T.as_offsets(offsets, probs.shape[0])
     empty = ~np.logical_or.reduceat(z, offsets[:-1])
     if empty.any():
-        # per key, the first row whose probability equals the key's peak
+        # rows by key, then by falling p; the stable sort keeps ties in
+        # row order, so each key's first row is its first peak
         seg, _, _ = T.segment_index(offsets)
-        peak = np.maximum.reduceat(probs, offsets[:-1])
-        rows = np.arange(probs.shape[0])
-        first = np.minimum.reduceat(
-            np.where(probs == peak[seg], rows, rows.shape[0]), offsets[:-1])
+        first = np.lexsort((-probs, seg))[offsets[:-1]]
         z[first[empty]] = True
     return SamplingFactor(p=p, z=z, z_tilde=z_tilde)
 
@@ -121,18 +119,15 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
 def select_substructure(key_features, z, z_tilde=None, offsets=None):
     """Select the masked rows of encoded keys, preserving node order.
 
-    ``offsets`` bounds each key's rows (default: one key).  With a relaxed
-    surrogate attached (train mode), the surviving rows pass through a
-    straight-through multiplier: forward values are the rows unchanged
-    (hard mask), backward routes each row's gradient into its surrogate so
-    the sampling probabilities learn.
+    ``offsets`` bounds each key's rows (default: one key).  The selection
+    is one ``row_select``.  With a relaxed surrogate attached (train mode)
+    it is straight-through: forward values are the rows unchanged (hard
+    mask), backward routes each kept row's gradient dotted with the row
+    into its surrogate entry, so the sampling probabilities learn.
     """
     z = np.asarray(z, dtype=bool).reshape(-1)
     offsets = T.as_offsets(offsets, z.shape[0])
-    features = T.row_select(key_features, z)
-    if z_tilde is not None:
-        surrogate = T.row_select(z_tilde, z)
-        features = T.straight_through_scale(features, surrogate)
+    features = T.row_select(key_features, z, z_tilde)
     selected_before = np.concatenate(([0], np.cumsum(z)))
     return AdaptedKey(features=features, offsets=selected_before[offsets])
 

@@ -3,11 +3,15 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphdict
 from graphdict import cli
 from graphdict.cli import (build_parser, build_train_config, load_config_file,
                            main)
@@ -270,6 +274,24 @@ def test_main_missing_dataset_flag_exits_with_error(capsys):
     assert code == 2
     assert "error:" in captured.err and "--dataset" in captured.err
 
+
+
+def test_non_finite_training_prints_one_error_line(tmp_path):
+    # numpy's floating-point warnings go to stderr ahead of the error, and
+    # pytest captures warnings in-process, so the CLI runs in a subprocess
+    data = write_tu_dataset(make_synthetic_bundle(count=12, seed=0),
+                            tmp_path, "DEMO")
+    root = os.path.dirname(os.path.dirname(graphdict.__file__))
+    path = [root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "graphdict.cli", "train", "--dataset", "DEMO",
+         "--data-dir", data, "--epochs", "2", "--folds", "2", "--keys", "2",
+         "--lr", "1e308"],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 # --- unusable checkpoints ---------------------------------------------------
 

@@ -234,20 +234,30 @@ def test_matmul_backward_skips_untracked_operands():
                 assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_straight_through_scale_surrogate_backward():
+def test_row_select_surrogate_backward():
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     z_tilde = T.Tensor(rng.uniform(0.2, 0.8, size=(3, 1)), requires_grad=True)
-    weight = rng.normal(size=(3, 4))
-    out = T.straight_through_scale(x, z_tilde)
-    assert np.array_equal(out.values, x.values)  # hard forward: rows unchanged
+    mask = np.array([True, False, True])
+    weight = rng.normal(size=(2, 4))
+    out = T.row_select(x, mask, z_tilde)
+    assert np.array_equal(out.values, x.values[mask])  # hard forward
     with T.Tape() as tape:
-        y = T.sum_all(T.multiply(T.straight_through_scale(x, z_tilde),
+        y = T.sum_all(T.multiply(T.row_select(x, mask, z_tilde),
                                  T.constant(weight)))
         tape.backward(y)
-    assert np.allclose(x.grad, weight)  # pass-through to the rows
-    expected = (weight * x.values).sum(axis=1, keepdims=True)
+    assert np.allclose(x.grad[mask], weight)  # pass-through to kept rows
+    assert np.array_equal(x.grad[~mask], np.zeros((1, 4)))
+    expected = np.zeros((3, 1))
+    expected[mask, 0] = (weight * x.values[mask]).sum(axis=1)
     assert np.allclose(z_tilde.grad, expected)  # row-dot into the surrogate
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (1, 3)])
+def test_row_select_surrogate_must_be_a_column_per_row(shape):
+    x = T.Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="surrogate"):
+        T.row_select(x, np.ones(3, dtype=bool), T.Tensor(np.ones(shape)))
 
 
 def test_plan_costs_gradient_is_the_plan_stack():
@@ -285,21 +295,29 @@ def test_row_select_routes_each_selected_rows_gradient_home(n, m, seed, data):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 9), m=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1))
-def test_straight_through_scale_routes_rows_and_row_dots(n, m, seed):
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_select_surrogate_routes_rows_and_row_dots(n, m, seed, data):
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    if not mask.any():
+        mask[data.draw(st.integers(0, n - 1))] = True
     rng = np.random.default_rng(seed)
     x = _rand(rng, n, m)
     z_tilde = T.Tensor(rng.uniform(0.01, 0.99, size=(n, 1)),
                        requires_grad=True)
-    weight = _probe(rng, n, m)
+    weight = _probe(rng, int(mask.sum()), m)
     with T.Tape() as tape:
-        out = T.straight_through_scale(x, z_tilde)
+        out = T.row_select(x, mask, z_tilde)
         tape.backward(_weighted_sum(out, weight))
-    assert np.array_equal(out.values, x.values)
-    assert np.array_equal(x.grad, weight)
-    assert np.allclose(z_tilde.grad,
-                       (weight * x.values).sum(axis=1, keepdims=True),
-                       rtol=1e-12, atol=1e-12)
+    # a straight-through gradient is not the true one (finite differences
+    # read 0 for the surrogate), so it is checked against its formula
+    assert np.array_equal(out.values, x.values[mask])
+    expected = np.zeros((n, m))
+    expected[mask] = weight
+    assert np.array_equal(x.grad, expected)
+    dots = np.zeros((n, 1))
+    dots[mask, 0] = (weight * x.values[mask]).sum(axis=1)
+    assert np.allclose(z_tilde.grad, dots, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,21 +326,23 @@ def test_straight_through_scale_routes_rows_and_row_dots(n, m, seed):
        factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_reused_tensor_gets_the_sum_of_its_paths_without_aliasing(
         n, m, seed, factors):
-    """x feeds two straight-through ops; u also feeds scale ops recorded
-    before the add that consumes u and w together, and concat_rows stacks
-    the scaled copies with the sum.  concat_rows hands back views of its
-    upstream gradient, and add and straight_through_scale hand back the
-    gradient itself, so unless each tensor's first piece is copied, u, w,
-    the add's output and the stack share one buffer and the later pieces
-    into u leak into w."""
+    """x feeds two straight-through selections; u also feeds scale ops
+    recorded before the add that consumes u and w together, and concat_rows
+    stacks the scaled copies with the sum.  concat_rows hands back views of
+    its upstream gradient, and add hands back the gradient itself, so
+    unless each tensor's first piece is copied, u, w, the add's output and
+    the stack share one buffer and the later pieces into u leak into w."""
     rng = np.random.default_rng(seed)
     x = _rand(rng, n, m)
     z = T.Tensor(rng.uniform(0.1, 0.9, size=(n, 1)), requires_grad=True)
-    weight = _probe(rng, (len(factors) + 1) * n, m)
+    mask = rng.uniform(size=n) < 0.7
+    mask[rng.integers(n)] = True
+    kept = int(mask.sum())
+    weight = _probe(rng, (len(factors) + 1) * kept, m)
     blocks = np.split(weight, len(factors) + 1)
     with T.Tape() as tape:
-        u = T.straight_through_scale(x, z)
-        w = T.straight_through_scale(x, z)
+        u = T.row_select(x, mask, z)
+        w = T.row_select(x, mask, z)
         scaled = [T.scale(u, c) for c in factors]
         both = T.add(u, w)
         total = T.concat_rows(scaled + [both])
@@ -330,11 +350,12 @@ def test_reused_tensor_gets_the_sum_of_its_paths_without_aliasing(
     # paths: x -> u -> scale(c) for every c, x -> u -> add, x -> w -> add
     want_u = sum(c * b for c, b in zip(factors, blocks)) + blocks[-1]
     assert np.allclose(u.grad, want_u, rtol=1e-12, atol=1e-12)
-    assert np.allclose(x.grad, want_u + blocks[-1], rtol=1e-12, atol=1e-12)
-    assert np.allclose(z.grad,
-                       ((want_u + blocks[-1]) * x.values).sum(axis=1,
-                                                              keepdims=True),
-                       rtol=1e-12, atol=1e-12)
+    want_x = np.zeros((n, m))
+    want_x[mask] = want_u + blocks[-1]
+    assert np.allclose(x.grad, want_x, rtol=1e-12, atol=1e-12)
+    want_z = np.zeros((n, 1))
+    want_z[mask, 0] = ((want_u + blocks[-1]) * x.values[mask]).sum(axis=1)
+    assert np.allclose(z.grad, want_z, rtol=1e-12, atol=1e-12)
     assert np.array_equal(w.grad, blocks[-1])
     assert np.array_equal(both.grad, blocks[-1])
     grads = [x.grad, u.grad, w.grad, both.grad, total.grad]

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdict import tensor as T
 from graphdict.errors import ConfigError, ShapeError
@@ -158,6 +159,21 @@ def test_all_low_probabilities_fall_back_to_first_argmax():
     assert factor.z.tolist() == [True, False]
 
 
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.lists(st.sampled_from([0.05, 0.2, 0.3, 0.49]),
+                              min_size=1, max_size=28),
+                     min_size=1, max_size=6))
+def test_ragged_stacked_keys_each_fall_back_to_their_first_argmax(keys):
+    # every probability is below 0.5, so every key falls back, and the few
+    # values make exact ties common
+    probs = np.concatenate(keys)
+    offsets = np.cumsum([0] + [len(k) for k in keys])
+    factor = sample_factor(tens(probs[:, None]), EVAL, offsets=offsets)
+    expected = [lo + int(np.argmax(probs[lo:hi]))
+                for lo, hi in zip(offsets[:-1], offsets[1:])]
+    assert np.flatnonzero(factor.z).tolist() == expected
+
+
 def test_mask_never_empty_in_train_mode():
     p = tens(np.full((3, 1), 1e-6))
     rng = np.random.default_rng(2)
@@ -235,6 +251,23 @@ def test_stacked_adaptation_matches_per_key_calls(mode):
             surrogate.values[:, 0], np.cumsum(widths)[:-1]))
     assert fallbacks > 0  # the per-key fallback was exercised
 
+
+
+@pytest.mark.parametrize("n, ops", [
+    (3, ["row_select"]),   # the input's leading projection weights
+    (5, [])])
+def test_train_adaptation_records_one_op_per_step(n, ops):
+    # op names read as the tape's non-finite report reads them
+    rng = np.random.default_rng(6)
+    f_in = tens(rng.normal(size=(n, 8)), requires_grad=True)
+    f_key = tens(rng.normal(size=(7, 8)), requires_grad=True)
+    w_r = tens(rng.normal(size=(5, 1)), requires_grad=True)
+    with T.Tape() as tape:
+        adapt_keys(f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
+    recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
+    assert recorded == ops + ["cosine_matrix", "matmul", "sigmoid", "clamp",
+                              "binary_concrete", "row_select",
+                              "bernoulli_kl_sum"]
 
 # --- substructure selection -------------------------------------------------
 

@@ -85,37 +85,62 @@ class DatasetBundle:
         return max(g.node_count for g in self.graphs)
 
 
+# what str.split() splits at in ASCII text, plus the comma
+_SEPARATORS = np.frombuffer(b" ,\t\n\v\f\r\x1c\x1d\x1e\x1f", dtype=np.uint8)
+
+
 def _load_int_table(path, columns):
-    """Parse a whitespace/comma-delimited integer table with ``columns`` columns."""
+    """Parse a whitespace/comma-delimited integer table with ``columns`` columns.
+
+    The file is parsed in one pass; one that does not parse that way is
+    parsed again line by line, which names its first bad line as
+    ``path:line``.
+    """
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc})") from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    tokens = text.replace(",", " ").split()
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        gap = np.isin(chars, _SEPARATORS)
+        starts = ~gap & np.concatenate(([True], gap[:-1]))
+        # tokens on each line that holds any
+        per_line = np.bincount(np.cumsum(chars == ord("\n"))[starts])
+        if (len(tokens) == starts.sum()
+                and (per_line[per_line > 0] == columns).all()):
+            try:
+                return np.fromiter(map(int, tokens), dtype=np.int64,
+                                   count=len(tokens)).reshape(-1, columns)
+            except (ValueError, OverflowError):
+                pass
+    return _parse_lines(path, text.split("\n"), columns)
+
+
+def _parse_lines(path, lines, columns):
+    """The table parsed line by line; the first bad line of ``lines`` raises
+    ParseError at ``path:line``."""
+    limit = np.iinfo(np.int64)
     rows = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.replace(",", " ").split()
+        if not parts:
+            continue
         if len(parts) != columns:
             raise ParseError(f"{path}:{lineno}: expected {columns} "
                              f"integer field(s), got {len(parts)}")
         try:
             rows.append([int(p) for p in parts])
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer token in {line!r}")
-    try:
-        return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
-    except OverflowError:
-        limit = np.iinfo(np.int64)
-        lineno = next(n for n, text in enumerate(lines, start=1)
-                      if any(not limit.min <= int(p) <= limit.max
-                             for p in text.replace(",", " ").split()))
-        raise ParseError(f"{path}:{lineno}: integer outside the int64 "
-                         "range") from None
+            raise ParseError(f"{path}:{lineno}: non-integer token in "
+                             f"{line.strip()!r}") from None
+        if not all(limit.min <= value <= limit.max for value in rows[-1]):
+            raise ParseError(f"{path}:{lineno}: integer outside the int64 "
+                             "range")
+    return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
 
 
 def load_tu_dataset(directory, name):
@@ -150,26 +175,37 @@ def load_tu_dataset(directory, name):
         raise FormatError(
             f"{name}: {graph_ids.shape[0]} graphs in the indicator but "
             f"{raw_graph_labels.shape[0]} graph labels")
-    members = np.split(np.argsort(node_graph, kind="stable"),
-                       np.cumsum(np.bincount(node_graph))[:-1])
-    local_index = np.zeros(total_nodes, dtype=np.int64)
-    for nodes in members:
-        local_index[nodes] = np.arange(nodes.shape[0])
+    sizes = np.bincount(node_graph)
+    order = np.argsort(node_graph, kind="stable")
+    members = np.split(order, np.cumsum(sizes)[:-1])
+    local_index = np.empty(total_nodes, dtype=np.int64)
+    local_index[order] = (np.arange(total_nodes)
+                          - np.repeat(np.cumsum(sizes) - sizes, sizes))
 
-    adjacencies = [np.zeros((len(nodes), len(nodes))) for nodes in members]
-    for u, v in edges:
-        if not (1 <= u <= total_nodes) or not (1 <= v <= total_nodes):
-            bad = v if 1 <= u <= total_nodes else u
-            raise FormatError(f"{paths['edges']}: node {bad} referenced "
+    u, v = edges.T
+    outside = (u < 1) | (u > total_nodes) | (v < 1) | (v > total_nodes)
+    gu, gv = (node_graph[np.clip(end, 1, total_nodes) - 1] for end in (u, v))
+    bad = np.flatnonzero(outside | (gu != gv))
+    if bad.size:
+        # the first bad edge in file order names the fault
+        i = bad[0]
+        if outside[i]:
+            end = v[i] if 1 <= u[i] <= total_nodes else u[i]
+            raise FormatError(f"{paths['edges']}: node {end} referenced "
                               f"outside any graph (only {total_nodes} nodes)")
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise FormatError(f"{paths['edges']}: edge ({u}, {v}) crosses graphs")
-        if u == v:
-            continue  # self-loops are not part of the data model
-        lu, lv = local_index[u - 1], local_index[v - 1]
-        adjacencies[gu][lu, lv] = 1.0
-        adjacencies[gu][lv, lu] = 1.0
+        raise FormatError(f"{paths['edges']}: edge ({u[i]}, {v[i]}) crosses "
+                          "graphs")
+    # every graph's adjacency is a block of one flat buffer; self-loops are
+    # not part of the data model
+    proper = u != v
+    g = gu[proper]
+    lu, lv = local_index[u[proper] - 1], local_index[v[proper] - 1]
+    block_starts = np.cumsum(sizes * sizes) - sizes * sizes
+    flat = np.zeros(int((sizes * sizes).sum()))
+    flat[block_starts[g] + lu * sizes[g] + lv] = 1.0
+    flat[block_starts[g] + lv * sizes[g] + lu] = 1.0
+    adjacencies = [flat[start:start + n * n].reshape(n, n)
+                   for start, n in zip(block_starts, sizes)]
 
     node_labels = None
     num_node_labels = 0

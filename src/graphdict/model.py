@@ -200,14 +200,19 @@ class PreparedGraph:
 
 @dataclass
 class ForwardResult:
-    probabilities: T.Tensor     # (1, num_classes)
-    kl: T.Tensor                # (1, 1)
-    h_matrix: T.Tensor          # (K, C)
-    h_hat: T.Tensor             # (K, 1)
-    alpha: T.Tensor             # (1, C)
+    """One forward pass over a batch of G graphs.
+
+    The list fields hold one entry per graph, in batch order.
+    """
+
+    probabilities: T.Tensor     # (G, num_classes)
+    kl: T.Tensor                # (G, 1)
+    h_matrix: list[T.Tensor]    # (K, C) each
+    h_hat: list[T.Tensor]       # (K, 1) each
+    alpha: list[T.Tensor]       # (1, C) each
     factor: vgda.SamplingFactor | None = None  # None when use_vgda=False
-    cost: T.Tensor | None = None               # (n, sum of selected m_j)
-    plans: mswe.PlanStack | None = None        # None when plans were given
+    cost: list[T.Tensor] | None = None         # (n, sum of selected m_j) each
+    plans: list[mswe.PlanStack] | None = None  # None when plans were given
 
 
 @dataclass(eq=False)
@@ -296,17 +301,21 @@ class GraphDictionaryModel:
             [encode(key.features, key.a_hat, self.encoder_dict)
              for key in self.dictionary.keys])
 
-    def forward(self, prepared, mode, rng=None, masks=None, plans=None,
+    def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
-        """One pass: class probabilities, total KL, embeddings, and
-        references to the stacked state they were built from.
+        """One pass over a batch of prepared graphs: class probabilities,
+        KL per graph, embeddings, and references to the stacked state they
+        were built from.
 
-        Every key is adapted and embedded at once, as one stacked matrix.
+        Every key is adapted to every graph at once: the sampling
+        probabilities, masks, KL and classifier head are batch ops with one
+        row or column per graph.  Each graph's encoder, key selection,
+        costs, transport solve and attention run at its own node count.
         Frozen state goes back in as the result holds it: ``masks``, the
-        (sum m_j,) array of ``result.factor.z``, replaces the sampled mask
-        (no straight-through surrogate is attached); ``plans``, the (C, n,
-        sum m_j) array of ``result.plans.values``, replaces the transport
-        solves.
+        (sum m_j, G) array of ``result.factor.z``, replaces the sampled
+        masks (no straight-through surrogate is attached); ``plans``, one
+        (C, n, sum m_j) array per graph (``[s.values for s in
+        result.plans]``), replaces the transport solves.
         Raises NumericsError when the probabilities or the KL come out
         non-finite, in eval mode (no tape) as in training.
         """
@@ -314,37 +323,46 @@ class GraphDictionaryModel:
         keys = self.dictionary
         if keys.encoded is None:
             raise ConfigError("call refresh_key_encodings() before forward()")
-        f_input = encode(prepared.features, prepared.a_hat, self.encoder_input)
+        f_inputs = [encode(g.features, g.a_hat, self.encoder_input)
+                    for g in batch]
 
         factor = None
         if use_vgda:
-            adapted, factor, kl_total = vgda.adapt_keys(
-                f_input, keys.encoded, keys.offsets, self.w_r,
-                mode, rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat,
-                mask_override=masks)
+            adapted, factor, kl = vgda.adapt_keys(
+                T.concat_rows(f_inputs), keys.encoded, keys.offsets,
+                self.w_r, mode, rng=rng, temperature=cfg.temperature,
+                p_hat=cfg.p_hat, mask_override=masks,
+                input_offsets=[0, *itertools.accumulate(
+                    f.values.shape[0] for f in f_inputs)])
         else:
-            adapted = vgda.AdaptedKey(features=keys.encoded,
-                                      offsets=keys.offsets)
-            kl_total = T.constant(0.0)
+            adapted = [vgda.AdaptedKey(features=keys.encoded,
+                                       offsets=keys.offsets)] * len(batch)
+            kl = T.constant(np.zeros((len(batch), 1)))
 
-        h_matrix, cost, solved = mswe.embed_keys_multi(
-            f_input, adapted, cfg.lambdas, max_iter=cfg.sinkhorn_max_iter,
-            tol=cfg.sinkhorn_tol, plans_override=plans)
-        h_hat, alpha = mswe.aggregate_attention_matrix(h_matrix, self.w_m)
+        frozen = [None] * len(batch) if plans is None else plans
+        h_matrix, cost, solved = map(list, zip(*(
+            mswe.embed_keys_multi(f_input, keys_g, cfg.lambdas,
+                                  max_iter=cfg.sinkhorn_max_iter,
+                                  tol=cfg.sinkhorn_tol, plans_override=plan)
+            for f_input, keys_g, plan in zip(f_inputs, adapted, frozen))))
+        h_hat, alpha = map(list, zip(*(
+            mswe.aggregate_attention_matrix(h, self.w_m) for h in h_matrix)))
 
-        hidden = T.relu(T.matmul(T.transpose(h_hat), self.head_w1))
-        logits = T.matmul(hidden, self.head_w2)
-        probabilities = T.row_softmax(logits)
+        # the graphs' (K, 1) aggregates as the rows of one (G, K) input
+        rows = T.reshape(T.concat_rows(h_hat), (len(batch), -1))
+        hidden = T.relu(T.matmul(rows, self.head_w1))
+        probabilities = T.row_softmax(T.matmul(hidden, self.head_w2))
         T.check_finite("model.forward: class probabilities and KL",
-                       probabilities, kl_total)
-        return ForwardResult(probabilities=probabilities, kl=kl_total,
+                       probabilities, kl)
+        return ForwardResult(probabilities=probabilities, kl=kl,
                              h_matrix=h_matrix, h_hat=h_hat, alpha=alpha,
-                             factor=factor, cost=cost, plans=solved)
+                             factor=factor, cost=cost,
+                             plans=None if plans is not None else solved)
 
     # -- loss ---------------------------------------------------------------
 
-    def batch_loss(self, results, labels):
-        """Mean of -log p[label] + beta * KL over a batch of forward results.
+    def batch_loss(self, result, labels):
+        """Mean of -log p[label] + beta * KL over a batch's forward result.
 
         p[label] is each probability row times its one-hot label, summed
         through a ones column: exact, as every other term is zero.
@@ -357,19 +375,18 @@ class GraphDictionaryModel:
                               f"[0, {cfg.num_classes})")
         onehot = np.zeros((labels.shape[0], cfg.num_classes))
         onehot[np.arange(labels.shape[0]), labels] = 1.0
-        probabilities = T.concat_rows([r.probabilities for r in results])
-        p_true = T.matmul(T.multiply(probabilities, T.constant(onehot)),
+        p_true = T.matmul(T.multiply(result.probabilities, T.constant(onehot)),
                           T.constant(np.ones((cfg.num_classes, 1))))
         cross_entropy = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
-        kl = T.scale(T.concat_rows([r.kl for r in results]), cfg.beta)
+        kl = T.scale(result.kl, cfg.beta)
         return T.mean_all(T.add(cross_entropy, kl))
 
     # -- evaluation helpers --------------------------------------------------
 
     def predict(self, prepared):
-        """Eval-mode class probabilities (deterministic, no tape)."""
-        result = self.forward(prepared, vgda.EVAL)
-        return result.probabilities.values[0]
+        """Eval-mode class probabilities of one graph (deterministic, no
+        tape): a forward over a batch of one."""
+        return self.forward([prepared], vgda.EVAL).probabilities.values[0]
 
     def evaluate(self, prepared_list):
         """Eval-mode predicted labels of prepared graphs, and the accuracy."""

@@ -228,7 +228,7 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
         raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
     n, total = M.shape
     offsets = T.as_offsets(offsets, total).reshape(-1)
-    widths = np.diff(offsets)
+    widths = offsets[1:] - offsets[:-1]
     if (n == 0 or widths.size == 0 or offsets[0] != 0
             or offsets[-1] != total or (widths < 1).any()):
         raise ShapeError(f"sinkhorn: cost matrix {M.shape} with key offsets "

@@ -276,9 +276,12 @@ def mean_all(a):
 
 
 def concat_rows(tensors):
+    """The tensors stacked top to bottom; one tensor is returned as it is."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat_rows of an empty sequence")
+    if len(tensors) == 1:
+        return tensors[0]
     cols = tensors[0].values.shape[1]
     for t in tensors[1:]:
         if t.values.shape[1] != cols:
@@ -293,14 +296,15 @@ def concat_rows(tensors):
                    tuple(tensors), backward)
 
 
-def row_select(a, mask, surrogate=None):
+def row_select(a, mask, surrogate=None, column=None):
     """Rows of ``a`` where the boolean ``mask`` is true (order preserved).
 
-    With a straight-through ``surrogate`` (a column, one entry per row of
-    ``a``) the forward value is unchanged, as if each kept row were scaled
-    by its hard mask value 1; backward pretends it was scaled by the
-    surrogate, so surrogate row u receives <g_u, a_u> for every kept row u
-    and zero elsewhere.
+    With a straight-through ``surrogate`` (one row per row of ``a``: a
+    column, or a matrix whose column ``column`` serves) the forward value
+    is unchanged, as if each kept row were scaled by its hard mask value 1;
+    backward pretends it was scaled by the surrogate, so surrogate entry
+    (u, column) receives <g_u, a_u> for every kept row u and every other
+    entry zero.
     """
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.shape[0] != a.values.shape[0]:
@@ -308,9 +312,14 @@ def row_select(a, mask, surrogate=None):
                          f"!= row count {a.values.shape[0]}")
     if not mask.any():
         raise ShapeError("row_select: empty selection")
-    if surrogate is not None and surrogate.values.shape != (mask.shape[0], 1):
-        raise ShapeError("row_select: the surrogate must be a column with "
-                         "one entry per row of a")
+    if surrogate is not None:
+        rows, cols = surrogate.values.shape
+        if column is None and cols == 1:
+            column = 0
+        if rows != mask.shape[0] or column is None or not 0 <= column < cols:
+            raise ShapeError("row_select: the surrogate must have one entry "
+                             "per row of a, in one column or in the column "
+                             "named by column")
     shape = a.values.shape
     kept = a.values[mask]
 
@@ -319,8 +328,8 @@ def row_select(a, mask, surrogate=None):
         full[mask] = g
         if surrogate is None:
             return (full,)
-        dots = np.zeros((shape[0], 1))
-        dots[mask, 0] = (g * kept).sum(axis=1)
+        dots = np.zeros(surrogate.values.shape)
+        dots[mask, column] = (g * kept).sum(axis=1)
         return full, dots
 
     inputs = (a,) if surrogate is None else (a, surrogate)
@@ -345,6 +354,22 @@ def log(a):
         return (g / av,)
 
     return _record(np.log(av), (a,), backward)
+
+
+def reshape(a, shape):
+    """The values of ``a`` in row-major order, laid out as 2-D ``shape``."""
+    av = a.values
+    try:
+        out = av.reshape(shape)
+    except ValueError:
+        out = None
+    if out is None or out.ndim != 2:
+        raise ShapeError(f"reshape: {a.shape} does not fit 2-D {shape}")
+
+    def backward(g):
+        return (g.reshape(av.shape),)
+
+    return _record(out.copy(), (a,), backward)
 
 
 def transpose(a):
@@ -382,21 +407,25 @@ def cosine_matrix(a, b, eps=COSINE_EPS):
     if a.values.shape[1] != b.values.shape[1]:
         raise ShapeError(f"cosine_matrix: feature dims differ ({a.shape}, {b.shape})")
     av, bv = a.values, b.values
-    raw = av @ bv.T
     na = np.sqrt((av * av).sum(axis=1))
     nb = np.sqrt((bv * bv).sum(axis=1))
-    denom = na[:, None] * nb[None, :] + eps
-    out = raw / denom
+    # in place where possible: a batch's (key rows, input rows) matrices
+    # are large
+    denom = np.multiply.outer(na, nb)
+    denom += eps
+    out = av @ bv.T
+    out /= denom
 
     def backward(g):
         gd = g / denom
-        s_over = gd * out  # g * S / D
-        wa = s_over @ nb
+        ga, gb = gd @ bv, gd.T @ av
+        gd *= out  # g * S / D
+        wa = gd @ nb
         wa = np.divide(wa, na, out=np.zeros_like(wa), where=na > 0.0)
-        ga = gd @ bv - av * wa[:, None]
-        wb = s_over.T @ na
+        ga -= av * wa[:, None]
+        wb = gd.T @ na
         wb = np.divide(wb, nb, out=np.zeros_like(wb), where=nb > 0.0)
-        gb = gd.T @ av - bv * wb[:, None]
+        gb -= bv * wb[:, None]
         return ga, gb
 
     return _record(out, (a, b), backward)
@@ -448,10 +477,12 @@ def binary_concrete(p, noise, temperature):
 
 
 def bernoulli_kl_sum(p, p_hat):
-    """Sum over entries of KL(Bernoulli(p_hat) || Bernoulli(p[u])).
+    """Per-column sums of KL(Bernoulli(p_hat) || Bernoulli(p[u, g])).
 
     Closed form per entry: p_hat*log(p_hat/p) + (1-p_hat)*log((1-p_hat)/(1-p)).
-    Exactly zero when every entry equals p_hat.
+    Column g of p sums to row g of the (columns, 1) result, clamped at 0
+    against rounding, and sums exactly as that column would alone.  Exactly
+    zero when every entry equals p_hat.
     """
     pv = p.values
     if not (0.0 < p_hat < 1.0):
@@ -459,12 +490,13 @@ def bernoulli_kl_sum(p, p_hat):
     if ((pv <= 0.0) | (pv >= 1.0)).any():
         raise NumericsError("bernoulli_kl_sum: p must lie strictly in (0, 1)")
     terms = p_hat * np.log(p_hat / pv) + (1.0 - p_hat) * np.log((1.0 - p_hat) / (1.0 - pv))
-    total = max(float(terms.sum()), 0.0)
+    # each column is summed as one contiguous row
+    totals = np.ascontiguousarray(terms.T).sum(axis=1, keepdims=True)
 
     def backward(g):
-        return (g[0, 0] * (-p_hat / pv + (1.0 - p_hat) / (1.0 - pv)),)
+        return (g.T * (-p_hat / pv + (1.0 - p_hat) / (1.0 - pv)),)
 
-    return _record(np.full((1, 1), total), (p,), backward)
+    return _record(np.maximum(totals, 0.0), (p,), backward)
 
 
 def as_offsets(offsets, total):
@@ -480,9 +512,42 @@ def segment_index(offsets):
     the widest segment's width.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    widths = np.diff(offsets)
+    widths = offsets[1:] - offsets[:-1]
     seg = np.repeat(np.arange(widths.shape[0]), widths)
     return seg, np.arange(offsets[-1]) - offsets[seg], int(widths.max())
+
+
+def segment_matvec(a, w, offsets=None):
+    """Each column segment of ``a`` times the leading entries of ``w``.
+
+    ``a`` is (r, sum n_g): segment g fills columns offsets[g]:offsets[g+1]
+    (one segment spanning every column when ``offsets`` is None).  ``w`` is
+    a column with at least as many rows as the widest segment.  Returns the
+    (r, G) tensor out[:, g] = a[:, segment g] @ w[:n_g].
+    """
+    av, wv = a.values, w.values
+    offsets = as_offsets(offsets, av.shape[1])
+    seg, pos, width = segment_index(offsets)
+    if wv.shape[1] != 1 or offsets[-1] != av.shape[1]:
+        raise ShapeError(f"segment_matvec: weights {w.shape} and segments "
+                         f"{offsets.tolist()} do not fit {a.shape}")
+    if width > wv.shape[0]:
+        raise ShapeError(f"segment_matvec: a segment of {width} columns "
+                         f"exceeds the {wv.shape[0]} weights")
+    # column g of blocks holds w[:n_g] at segment g's rows, zeros elsewhere
+    blocks = np.zeros((av.shape[1], offsets.shape[0] - 1))
+    blocks[np.arange(av.shape[1]), seg] = wv[pos, 0]
+
+    def backward(g):
+        gw = None
+        if w.requires_grad:
+            # w's entry i gathers column i of every segment
+            per_column = (av.T @ g)[np.arange(pos.shape[0]), seg]
+            gw = np.bincount(pos, weights=per_column,
+                             minlength=wv.shape[0])[:, None]
+        return (g @ blocks.T if a.requires_grad else None), gw
+
+    return _record(av @ blocks, (a, w), backward)
 
 
 def plan_costs(m, plans, offsets=None):
@@ -503,7 +568,7 @@ def plan_costs(m, plans, offsets=None):
                          f"cost matrix {m.shape} in {len(offsets) - 1} keys")
     vals = np.add.reduceat(np.einsum("cnm,nm->cm", plans, mv), offsets[:-1],
                            axis=1).T
-    widths = np.diff(offsets)
+    widths = offsets[1:] - offsets[:-1]
 
     def backward(g):
         # key j's row of g, once per column of key j

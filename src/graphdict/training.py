@@ -177,12 +177,12 @@ def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):
             optimizer.zero_grad()
             with T.Tape() as tape:
                 model.refresh_key_encodings()
-                # each record references its graph's factor, cost and plans;
-                # a list kept past this call would hold them into the next
+                # the record references the batch's factor, costs and plans;
+                # kept past this call it would hold them into the next
                 # batch's forward
                 loss = model.batch_loss(
-                    [model.forward(prepared_train[i], vgda.TRAIN,
-                                   rng=noise_rng) for i in batch],
+                    model.forward([prepared_train[i] for i in batch],
+                                  vgda.TRAIN, rng=noise_rng),
                     [prepared_train[i].label for i in batch])
                 tape.backward(loss)
             optimizer.step()
@@ -320,8 +320,9 @@ def export_diagnostics(model, prepared, input_id, out_dir):
     to 1), and a short text summary.  Byte-identical on re-export.
     """
     model.refresh_key_encodings()
-    result = model.forward(prepared, vgda.EVAL)
+    result = model.forward([prepared], vgda.EVAL)
     probabilities = result.probabilities.values[0]
+    plans, alpha = result.plans[0], result.alpha[0].values[0]
     lambdas = model.config.lambdas
     write_csv(out_dir, "sampling_probabilities.csv",
               ["input_id", "key_id", "node_index", "probability"],
@@ -333,18 +334,18 @@ def export_diagnostics(model, prepared, input_id, out_dir):
     write_csv(out_dir, "costs.csv", ["input_id", "key_id", "row", "col", "value"],
               ([input_id, key_id, row, col, repr(float(value))]
                for key_id, cost in enumerate(np.split(
-                   result.cost.values, result.plans.offsets[1:-1], axis=1))
+                   result.cost[0].values, plans.offsets[1:-1], axis=1))
                for (row, col), value in np.ndenumerate(cost)))
     write_csv(out_dir, "plans.csv",
               ["input_id", "key_id", "lambda", "row", "col", "value"],
               ([input_id, key_id, repr(float(lam)), row, col,
                 repr(float(value))]
-               for key_id, stack in enumerate(result.plans.per_key())
+               for key_id, stack in enumerate(plans.per_key())
                for c, lam in enumerate(lambdas)
                for (row, col), value in np.ndenumerate(stack[c])))
     write_csv(out_dir, "attention.csv",
               ["input_id"] + [f"weight_{lam:g}" for lam in lambdas],
-              [[input_id] + [repr(float(v)) for v in result.alpha.values[0]]])
+              [[input_id] + [repr(float(v)) for v in alpha]])
     predicted = int(np.argmax(probabilities))
     summary = (f"input_id: {input_id}\n"
                f"true_label: {prepared.label}\n"

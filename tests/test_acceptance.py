@@ -97,13 +97,12 @@ def test_acceptance_3_gradient_integrity():
     # discrete draw held at its sampled value
     with T.Tape():
         model.refresh_key_encodings()
-        results = [model.forward(g, vgda.TRAIN, rng=rng) for g in prepared]
-    frozen_state = [(r.factor.z, r.plans.values) for r in results]
+        result = model.forward(prepared, vgda.TRAIN, rng=rng)
+    masks, plans = result.factor.z, [s.values for s in result.plans]
 
     def closure():
         model.refresh_key_encodings()
-        frozen = [model.forward(g, vgda.TRAIN, masks=masks, plans=plans)
-                  for g, (masks, plans) in zip(prepared, frozen_state)]
+        frozen = model.forward(prepared, vgda.TRAIN, masks=masks, plans=plans)
         return model.batch_loss(frozen, labels)
 
     params = model.parameters()
@@ -139,11 +138,12 @@ def test_acceptance_5_sampling_free_ablation():
     model.refresh_key_encodings()
     masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
     for graph in prepared:
-        forced = model.forward(graph, vgda.EVAL, masks=masks)
-        removed = model.forward(graph, vgda.EVAL, use_vgda=False)
-        assert np.array_equal(forced.h_matrix.values,
-                              removed.h_matrix.values)
-        assert np.array_equal(forced.h_hat.values, removed.h_hat.values)
+        forced = model.forward([graph], vgda.EVAL, masks=masks)
+        removed = model.forward([graph], vgda.EVAL, use_vgda=False)
+        assert np.array_equal(forced.h_matrix[0].values,
+                              removed.h_matrix[0].values)
+        assert np.array_equal(forced.h_hat[0].values,
+                              removed.h_hat[0].values)
         assert np.array_equal(forced.probabilities.values,
                               removed.probabilities.values)
     print("ACCEPTANCE 5 sampling-free ablation: PASS (bit-identical "
@@ -236,7 +236,7 @@ def test_acceptance_8_runtime_ordering():
         model, prepared = model_prepared
         start = time.perf_counter()
         for graph in prepared:
-            model.forward(graph, vgda.EVAL, use_vgda=use_vgda)
+            model.forward([graph], vgda.EVAL, use_vgda=use_vgda)
         return time.perf_counter() - start
 
     for variant in variants:  # warm-up

@@ -136,6 +136,38 @@ def test_load_cross_graph_edge_raises(tmp_path):
         load_tu_dataset(tmp_path, "X")
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 3), (1, 9)], r"edge \(1, 3\) crosses graphs"),
+    ([(1, 9), (1, 3)], r"node 9 referenced outside any graph"),
+])
+def test_load_names_the_first_bad_edge_in_file_order(tmp_path, edges,
+                                                    message):
+    _write_tu(tmp_path, "X", edges=edges, indicator=[1, 1, 2, 2],
+              graph_labels=[0, 1])
+    with pytest.raises(FormatError, match=message):
+        load_tu_dataset(tmp_path, "X")
+
+
+def test_load_rejects_lines_whose_fields_only_add_up(tmp_path):
+    # two lines of 1 and 3 fields hold as many tokens as two pairs
+    _write_tu(tmp_path, "X", edges=[(1, 2)], indicator=[1, 1],
+              graph_labels=[0])
+    (tmp_path / "X_A.txt").write_text("1\n2, 1, 2\n")
+    with pytest.raises(ParseError, match=r"X_A\.txt:1: expected 2 integer "
+                                         r"field\(s\), got 1"):
+        load_tu_dataset(tmp_path, "X")
+
+
+def test_load_accepts_any_whitespace_str_split_accepts(tmp_path):
+    _write_tu(tmp_path, "X", edges=[(1, 2)], indicator=[1, 1],
+              graph_labels=[0])
+    (tmp_path / "X_A.txt").write_text("1,\u00a02\r\n\n2\x0c1\n",
+                                      encoding="utf-8")
+    bundle = load_tu_dataset(tmp_path, "X")
+    assert np.array_equal(bundle.graphs[0].adjacency, [[0.0, 1.0],
+                                                       [1.0, 0.0]])
+
+
 def test_round_trip_save_and_load(tmp_path):
     bundle = make_synthetic_bundle(count=6, with_node_labels=True)
     save_tu_dataset(bundle, tmp_path / "out")

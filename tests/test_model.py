@@ -105,26 +105,28 @@ def test_dictionary_adjacency_fixed_and_features_trainable():
 # --- loss -------------------------------------------------------------------
 
 def fixed_result(probabilities, kl):
-    probs = T.Tensor(np.asarray(probabilities, dtype=float)[None, :])
-    return ForwardResult(probabilities=probs, kl=T.constant(kl),
+    """A record of one probability row and KL per graph."""
+    probs = T.Tensor(np.atleast_2d(np.asarray(probabilities, dtype=float)))
+    return ForwardResult(probabilities=probs,
+                         kl=T.constant(np.reshape(kl, (-1, 1))),
                          h_matrix=None, h_hat=None, alpha=None)
 
 
 def test_loss_zero_for_perfect_confidence_without_penalty():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.batch_loss([fixed_result([1.0, 0.0], 5.0)], [0])
+    loss = model.batch_loss(fixed_result([1.0, 0.0], 5.0), [0])
     assert loss.values.item() == 0.0
 
 
 def test_loss_is_pure_cross_entropy_at_zero_beta():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.batch_loss([fixed_result([0.25, 0.75], 123.0)], [1])
+    loss = model.batch_loss(fixed_result([0.25, 0.75], 123.0), [1])
     assert abs(loss.values.item() + np.log(0.75)) <= 1e-12
 
 
 def test_loss_pinned_composite_value():
     model, _ = build_tiny_model(beta=0.001)
-    loss = model.batch_loss([fixed_result([0.5, 0.5], 2.0)], [0])
+    loss = model.batch_loss(fixed_result([0.5, 0.5], 2.0), [0])
     assert abs(loss.values.item() - 0.6951) <= 1e-4
 
 
@@ -132,14 +134,14 @@ def test_loss_label_validation():
     model, _ = build_tiny_model()
     result = fixed_result([0.5, 0.5], 0.0)
     with pytest.raises(ConfigError):
-        model.batch_loss([result], [2])
+        model.batch_loss(result, [2])
     with pytest.raises(ConfigError):
-        model.batch_loss([result], [-1])
+        model.batch_loss(result, [-1])
     # every label is checked, not only the first
     with pytest.raises(ConfigError, match="label 2 outside"):
-        model.batch_loss([result, result], [0, 2])
-    with pytest.raises(ShapeError):  # one label per result
-        model.batch_loss([result], [0, 1])
+        model.batch_loss(fixed_result([[0.5, 0.5]] * 2, [0.0, 0.0]), [0, 2])
+    with pytest.raises(ShapeError):  # one label per graph
+        model.batch_loss(result, [0, 1])
 
 
 def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
@@ -150,15 +152,12 @@ def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
     rows[4] = [1e-15, 1.0 - 1e-15]     # p[y] under the 1e-12 clamp
     labels = [0, 1, 1, 0, 0, 1]
     kls = rng.uniform(0.0, 3.0, size=6)
-    probabilities = [T.Tensor(row[None, :], requires_grad=True)
-                     for row in rows]
-    kl_tensors = [T.Tensor(np.full((1, 1), kl), requires_grad=True)
-                  for kl in kls]
-    results = [ForwardResult(probabilities=p, kl=kl, h_matrix=None,
-                             h_hat=None, alpha=None)
-               for p, kl in zip(probabilities, kl_tensors)]
+    probabilities = T.Tensor(rows, requires_grad=True)
+    kl_tensor = T.Tensor(kls[:, None], requires_grad=True)
+    result = ForwardResult(probabilities=probabilities, kl=kl_tensor,
+                           h_matrix=None, h_hat=None, alpha=None)
     with T.Tape() as tape:
-        loss = model.batch_loss(results, labels)
+        loss = model.batch_loss(result, labels)
         tape.backward(loss)
 
     per_graph = np.asarray(
@@ -166,13 +165,13 @@ def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
          for row, y, kl in zip(rows, labels, kls)])
     assert loss.values.tobytes() == np.full((1, 1), per_graph.mean()).tobytes()
     weight = 1.0 / len(rows)
-    for row, y, p in zip(rows, labels, probabilities):
-        want = np.zeros((1, 2))
+    for row, y, grad in zip(rows, labels, probabilities.grad):
+        want = np.zeros(2)
         if row[y] >= 1e-12:
-            want[0, y] = -weight / row[y]
-        assert np.array_equal(p.grad, want)
-    for kl in kl_tensors:
-        assert kl.grad.tobytes() == np.full((1, 1), weight * beta).tobytes()
+            want[y] = -weight / row[y]
+        assert np.array_equal(grad, want)
+    assert kl_tensor.grad.tobytes() == np.full((6, 1),
+                                               weight * beta).tobytes()
 
 
 def test_forward_loss_nonnegative_and_probabilities_normalized():
@@ -180,10 +179,10 @@ def test_forward_loss_nonnegative_and_probabilities_normalized():
     model.refresh_key_encodings()
     rng = np.random.default_rng(0)
     for graph in prepared:
-        result = model.forward(graph, vgda.TRAIN, rng=rng)
+        result = model.forward([graph], vgda.TRAIN, rng=rng)
         assert abs(result.probabilities.values.sum() - 1.0) <= 1e-9
         assert result.kl.values.item() >= 0.0
-        loss = model.batch_loss([result], [graph.label])
+        loss = model.batch_loss(result, [graph.label])
         assert loss.values.item() >= 0.0
 
 
@@ -192,20 +191,22 @@ def test_forward_loss_nonnegative_and_probabilities_normalized():
 def test_eval_forward_is_bit_deterministic():
     model, prepared = build_tiny_model()
     model.refresh_key_encodings()
-    first = model.forward(prepared[0], vgda.EVAL)
-    second = model.forward(prepared[0], vgda.EVAL)
+    first = model.forward([prepared[0]], vgda.EVAL)
+    second = model.forward([prepared[0]], vgda.EVAL)
     assert np.array_equal(first.probabilities.values,
                           second.probabilities.values)
-    assert np.array_equal(first.h_matrix.values, second.h_matrix.values)
+    assert np.array_equal(first.h_matrix[0].values,
+                          second.h_matrix[0].values)
 
 
 def test_forced_full_masks_match_sampling_free_pipeline():
     model, prepared = build_tiny_model(beta=0.0)
     model.refresh_key_encodings()
     masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
-    overridden = model.forward(prepared[0], vgda.EVAL, masks=masks)
-    plain = model.forward(prepared[0], vgda.EVAL, use_vgda=False)
-    assert np.array_equal(overridden.h_matrix.values, plain.h_matrix.values)
+    overridden = model.forward([prepared[0]], vgda.EVAL, masks=masks)
+    plain = model.forward([prepared[0]], vgda.EVAL, use_vgda=False)
+    assert np.array_equal(overridden.h_matrix[0].values,
+                          plain.h_matrix[0].values)
     assert np.array_equal(overridden.probabilities.values,
                           plain.probabilities.values)
 
@@ -251,12 +252,12 @@ def test_padded_copies_predict_identically():
     small.refresh_key_encodings()
     large.refresh_key_encodings()
     for graph in (g0, g1):
-        p_small = small.forward(small.prepare(graph), vgda.EVAL)
-        p_large = large.forward(large.prepare(graph), vgda.EVAL)
+        p_small = small.forward([small.prepare(graph)], vgda.EVAL)
+        p_large = large.forward([large.prepare(graph)], vgda.EVAL)
         assert np.allclose(p_small.probabilities.values,
                            p_large.probabilities.values, atol=1e-12)
-        assert np.allclose(p_small.h_matrix.values, p_large.h_matrix.values,
-                           atol=1e-12)
+        assert np.allclose(p_small.h_matrix[0].values,
+                           p_large.h_matrix[0].values, atol=1e-12)
 
 
 OWN_SIZE_PAD = 13
@@ -309,7 +310,7 @@ def _padded_reference(model, graph, mode, rng):
         f_full, keys.encoded, keys.offsets, model.w_r, mode,
         rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat)
     h_matrix, _, _ = mswe.embed_keys_multi(
-        T.row_select(f_full, np.arange(size) < n), adapted, cfg.lambdas,
+        T.row_select(f_full, np.arange(size) < n), adapted[0], cfg.lambdas,
         max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
     h_hat, _ = mswe.aggregate_attention_matrix(h_matrix, model.w_m)
     hidden = T.relu(T.matmul(T.transpose(h_hat), model.head_w1))
@@ -334,14 +335,14 @@ def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
         with T.Tape() as tape:
             probabilities, h_matrix, kl, mask = forward(
                 np.random.default_rng(seed))
-            tape.backward(model.batch_loss([ForwardResult(
-                probabilities, kl, h_matrix, h_hat=None, alpha=None)], [0]))
+            tape.backward(model.batch_loss(ForwardResult(
+                probabilities, kl, h_matrix, h_hat=None, alpha=None), [0]))
         values = [t.values for t in (probabilities, h_matrix, kl)]
         return values, mask, w_r.grad.copy(), tape
 
     def own_size(rng):
-        result = model.forward(prepared, mode, rng=rng)
-        return (result.probabilities, result.h_matrix, result.kl,
+        result = model.forward([prepared], mode, rng=rng)
+        return (result.probabilities, result.h_matrix[0], result.kl,
                 result.factor.z)
 
     values, mask, grad, tape = run(own_size)
@@ -355,6 +356,33 @@ def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
     if n < OWN_SIZE_PAD:
         assert all(out.values.shape[0] != OWN_SIZE_PAD
                    for out, _, _ in tape.nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, OWN_SIZE_PAD), min_size=1, max_size=5),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_batch_forward_matches_single_graph_forwards(sizes, density, seed):
+    model = _own_size_model()
+    batch = [model.prepare(_random_graph(n, density, seed + i))
+             for i, n in enumerate(sizes)]
+    together = model.forward(batch, vgda.EVAL)
+    for g, prepared in enumerate(batch):
+        alone = model.forward([prepared], vgda.EVAL)
+        assert np.abs(together.probabilities.values[g]
+                      - alone.probabilities.values[0]).max() <= 1e-15
+        assert np.array_equal(together.factor.z[:, g], alone.factor.z[:, 0])
+        assert np.array_equal(together.h_matrix[g].values,
+                              alone.h_matrix[0].values)
+    # train mode: one noise draw for the batch reads the stream as one
+    # draw per graph in batch order does
+    batch_rng, single_rng = (np.random.default_rng(seed) for _ in range(2))
+    together = model.forward(batch, vgda.TRAIN, rng=batch_rng)
+    for g, prepared in enumerate(batch):
+        alone = model.forward([prepared], vgda.TRAIN, rng=single_rng)
+        assert np.array_equal(together.factor.z[:, g], alone.factor.z[:, 0])
+        assert np.abs(together.kl.values[g]
+                      - alone.kl.values[0]).max() <= 1e-12
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_parameter_partition_is_exhaustive_and_disjoint():
@@ -376,8 +404,8 @@ def test_mask_overrides_make_train_mode_deterministic_without_rng():
     model, prepared = build_tiny_model()
     model.refresh_key_encodings()
     masks = np.ones(model.dictionary.offsets[-1], dtype=bool)
-    first = model.forward(prepared[1], vgda.TRAIN, masks=masks)
-    second = model.forward(prepared[1], vgda.TRAIN, masks=masks)
+    first = model.forward([prepared[1]], vgda.TRAIN, masks=masks)
+    second = model.forward([prepared[1]], vgda.TRAIN, masks=masks)
     assert np.array_equal(first.probabilities.values,
                           second.probabilities.values)
 
@@ -395,17 +423,16 @@ def test_single_optimizer_step_reduces_loss():
 
         with T.Tape() as tape:
             model.refresh_key_encodings()
-            results = [model.forward(g, vgda.TRAIN, rng=rng)
-                       for g in prepared]
-            loss = model.batch_loss(results, labels)
+            result = model.forward(prepared, vgda.TRAIN, rng=rng)
+            loss = model.batch_loss(result, labels)
             tape.backward(loss)
         before = loss.values.item()
         optimizer.step()
 
         with T.Tape():
             model.refresh_key_encodings()
-            again = [model.forward(g, vgda.TRAIN, masks=r.factor.z)
-                     for g, r in zip(prepared, results)]
+            again = model.forward(prepared, vgda.TRAIN,
+                                  masks=result.factor.z)
             after = model.batch_loss(again, labels).values.item()
         failures += after >= before
     assert failures <= 2
@@ -414,27 +441,30 @@ def test_single_optimizer_step_reduces_loss():
 def test_forward_record_shapes():
     model, prepared = build_tiny_model()
     model.refresh_key_encodings()
-    result = model.forward(prepared[1], vgda.EVAL)
+    result = model.forward([prepared[1]], vgda.EVAL)
     offsets = model.dictionary.offsets
     n = prepared[1].node_count
     n_keys = len(model.dictionary.keys)
     n_lams = len(model.config.lambdas)
     z = result.factor.z
     assert result.factor.p.values.shape == (offsets[-1], 1)
-    assert z.shape == (offsets[-1],)
+    assert z.shape == (offsets[-1], 1)
     assert np.logical_or.reduceat(z, offsets[:-1]).all()
-    selected = np.add.reduceat(z, offsets[:-1])
-    assert np.array_equal(result.plans.offsets,
+    selected = np.add.reduceat(z[:, 0], offsets[:-1])
+    plans = result.plans[0]
+    assert np.array_equal(plans.offsets,
                           np.concatenate(([0], np.cumsum(selected))))
-    assert result.cost.values.shape == (n, int(z.sum()))
-    assert result.plans.values.shape == (n_lams, n, int(z.sum()))
-    stacks = result.plans.per_key()
+    assert result.cost[0].values.shape == (n, int(z.sum()))
+    assert plans.values.shape == (n_lams, n, int(z.sum()))
+    stacks = plans.per_key()
     assert len(stacks) == n_keys
     for stack, m in zip(stacks, selected):
         assert stack.shape == (n_lams, n, m)
-    assert result.h_matrix.values.shape == (n_keys, n_lams)
-    assert result.alpha.values.shape == (1, n_lams)
-    assert abs(result.alpha.values.sum() - 1.0) <= 1e-9
+    assert result.h_matrix[0].values.shape == (n_keys, n_lams)
+    assert result.h_hat[0].values.shape == (n_keys, 1)
+    assert result.alpha[0].values.shape == (1, n_lams)
+    assert abs(result.alpha[0].values.sum() - 1.0) <= 1e-9
+    assert result.kl.values.shape == (1, 1)
     assert result.probabilities.values.shape == (1, 2)
     assert result.kl.item() >= 0.0
 
@@ -448,16 +478,19 @@ def test_frozen_record_state_reproduces_the_forward(n, density, seed, mode):
     # give the same pass without sampling or solving
     model = _own_size_model()
     prepared = model.prepare(_random_graph(n, density, seed))
-    first = model.forward(prepared, mode, rng=np.random.default_rng(seed))
-    frozen = model.forward(prepared, mode, masks=first.factor.z,
-                           plans=first.plans.values)
-    for name in ("probabilities", "h_matrix", "h_hat", "kl"):
+    first = model.forward([prepared], mode, rng=np.random.default_rng(seed))
+    frozen = model.forward([prepared], mode, masks=first.factor.z,
+                           plans=[s.values for s in first.plans])
+    for name in ("probabilities", "kl"):
         assert np.array_equal(getattr(first, name).values,
                               getattr(frozen, name).values), name
+    for name in ("h_matrix", "h_hat"):
+        assert np.array_equal(getattr(first, name)[0].values,
+                              getattr(frozen, name)[0].values), name
     assert frozen.plans is None
     assert frozen.factor.z_tilde is None
     assert np.array_equal(frozen.factor.z, first.factor.z)
-    assert first.cost.values.shape == (n, first.plans.offsets[-1])
+    assert first.cost[0].values.shape == (n, first.plans[0].offsets[-1])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -483,10 +516,10 @@ def test_every_forward_plan_meets_its_marginals(mode, max_iter):
     model.refresh_key_encodings()
     for graph in graphs:
         prepared = model.prepare(graph)
-        result = model.forward(prepared, mode, rng=rng)
+        result = model.forward([prepared], mode, rng=rng)
         n = prepared.node_count
-        for stack, mask in zip(result.plans.per_key(), np.split(
-                result.factor.z, model.dictionary.offsets[1:-1])):
+        for stack, mask in zip(result.plans[0].per_key(), np.split(
+                result.factor.z[:, 0], model.dictionary.offsets[1:-1])):
             m = int(mask.sum())
             assert stack.shape == (4, n, m)
             assert (stack >= 0.0).all()
@@ -628,4 +661,4 @@ def test_overflowing_encoder_raises_numerics_error(mode):
         w.values *= 1e200
     model.refresh_key_encodings()
     with pytest.raises(NumericsError, match="sampling probabilities"):
-        model.forward(prepared[1], mode, rng=np.random.default_rng(0))
+        model.forward([prepared[1]], mode, rng=np.random.default_rng(0))

@@ -374,15 +374,19 @@ def test_nonconvergence_warns_but_stays_feasible():
 
 
 def test_solver_runtime_scales_with_matrix_area():
-    def bench(n):
+    def bench(n, blocks=9, repeats=4):
+        # each sample times a block of back-to-back solves, so one short
+        # swing in host speed moves a sample less
         M = np.random.default_rng(1).uniform(size=(n, n))
         samples = []
-        for _ in range(9):
-            start = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sinkhorn(M, 1.0, max_iter=200, tol=0.0)
-            samples.append(time.perf_counter() - start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sinkhorn(M, 1.0, max_iter=200, tol=0.0)  # warm-up
+            for _ in range(blocks):
+                start = time.perf_counter()
+                for _ in range(repeats):
+                    sinkhorn(M, 1.0, max_iter=200, tol=0.0)
+                samples.append(time.perf_counter() - start)
         return float(np.median(samples))
 
     factor = bench(512) / bench(256)

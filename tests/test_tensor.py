@@ -321,6 +321,74 @@ def test_row_select_surrogate_routes_rows_and_row_dots(n, m, seed, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 6), columns=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_select_column_surrogate_routes_row_dots_to_its_column(
+        n, m, columns, seed, data):
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    if not mask.any():
+        mask[data.draw(st.integers(0, n - 1))] = True
+    column = data.draw(st.integers(0, columns - 1))
+    rng = np.random.default_rng(seed)
+    x = _rand(rng, n, m)
+    z_tilde = T.Tensor(rng.uniform(0.01, 0.99, size=(n, columns)),
+                       requires_grad=True)
+    weight = _probe(rng, int(mask.sum()), m)
+    with T.Tape() as tape:
+        out = T.row_select(x, mask, z_tilde, column)
+        tape.backward(_weighted_sum(out, weight))
+    assert np.array_equal(out.values, x.values[mask])
+    expected = np.zeros((n, m))
+    expected[mask] = weight
+    assert np.array_equal(x.grad, expected)
+    dots = np.zeros((n, columns))
+    dots[mask, column] = (weight * x.values[mask]).sum(axis=1)
+    assert np.allclose(z_tilde.grad, dots, rtol=1e-12, atol=1e-12)
+    assert not np.delete(z_tilde.grad, column, axis=1).any()
+
+
+@pytest.mark.parametrize("shape, column", [((3, 2), 2), ((3, 2), -1),
+                                           ((2, 2), 0)])
+def test_row_select_surrogate_column_must_exist(shape, column):
+    x = T.Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="surrogate"):
+        T.row_select(x, np.ones(3, dtype=bool), T.Tensor(np.ones(shape)),
+                     column)
+
+
+def test_segment_matvec_applies_each_segment_its_leading_weights():
+    rng = np.random.default_rng(4)
+    offsets = np.array([0, 3, 4, 9])
+    a = T.Tensor(rng.normal(size=(5, 9)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(7, 1)), requires_grad=True)
+    with T.Tape() as tape:
+        out = T.segment_matvec(a, w, offsets)
+        tape.backward(T.sum_all(out))
+    want = np.hstack([a.values[:, lo:hi] @ w.values[:hi - lo]
+                      for lo, hi in zip(offsets[:-1], offsets[1:])])
+    assert np.allclose(out.values, want, rtol=1e-14, atol=1e-14)
+    assert not w.grad[5:].any()  # past the widest segment
+    with pytest.raises(ShapeError, match="segment of 5 columns exceeds "
+                       "the 4 weights"):
+        T.segment_matvec(a, T.Tensor(np.ones((4, 1))), offsets)
+    with pytest.raises(ShapeError):
+        T.segment_matvec(a, T.Tensor(np.ones((7, 2))), offsets)
+    with pytest.raises(ShapeError):
+        T.segment_matvec(a, w, np.array([0, 3, 8]))
+
+
+def test_bernoulli_kl_sum_sums_each_column_as_it_would_alone():
+    rng = np.random.default_rng(9)
+    p = rng.uniform(0.01, 0.99, size=(250, 6))
+    total = T.bernoulli_kl_sum(T.Tensor(p), 0.3).values
+    assert total.shape == (6, 1)
+    for g in range(6):
+        alone = T.bernoulli_kl_sum(T.Tensor(p[:, g:g + 1]), 0.3).values
+        assert total[g].tobytes() == alone[0].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1),
        factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
@@ -486,6 +554,35 @@ def _build_case(name, rng):
     if name == "bernoulli_kl_sum":
         p = _rand(rng, n, 1, 0.1, 0.9)
         return [p], lambda: T.bernoulli_kl_sum(p, 0.5)
+    if name == "bernoulli_kl_sum_columns":
+        p = _rand(rng, n, m, 0.1, 0.9)
+        ws = _probe(rng, m, 1)
+        return [p], lambda: _weighted_sum(T.bernoulli_kl_sum(p, 0.3), ws)
+    if name == "row_select_column_surrogate":
+        # the surrogate's straight-through gradient is not a true one, so
+        # only the selected rows are probed (test_row_select_surrogate_*)
+        a = _rand(rng, n, m)
+        surrogate = T.Tensor(rng.uniform(0.01, 0.99, size=(n, k)),
+                             requires_grad=True)
+        column = int(rng.integers(0, k))
+        mask = rng.uniform(size=n) < 0.6
+        if not mask.any():
+            mask[int(rng.integers(0, n))] = True
+        ws = _probe(rng, int(mask.sum()), m)
+        return [a], lambda: _weighted_sum(
+            T.row_select(a, mask, surrogate, column), ws)
+    if name == "segment_matvec":
+        widths = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+        offsets = np.cumsum(np.concatenate(([0], widths)))
+        a = _rand(rng, n, int(offsets[-1]))
+        wv = _rand(rng, int(widths.max() + rng.integers(0, 3)), 1)
+        ws = _probe(rng, n, widths.shape[0])
+        return [a, wv], lambda: _weighted_sum(
+            T.segment_matvec(a, wv, offsets), ws)
+    if name == "reshape":
+        a = _rand(rng, n, m)
+        wr = _probe(rng, m, n)
+        return [a], lambda: _weighted_sum(T.reshape(a, (m, n)), wr)
     if name == "plan_costs":
         a = _rand(rng, n, m)
         plans = rng.uniform(0.1, 1.0, size=(k, n, m))
@@ -499,6 +596,8 @@ PRIMITIVES = [
     "mean_all", "concat_rows", "row_select", "scale", "log",
     "transpose", "clamp", "cosine_matrix", "pairwise_sqdist",
     "binary_concrete", "bernoulli_kl_sum", "plan_costs",
+    "bernoulli_kl_sum_columns", "row_select_column_surrogate",
+    "segment_matvec", "reshape",
 ]
 
 

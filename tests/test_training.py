@@ -9,6 +9,7 @@ import pytest
 
 from graphdict import tensor as T
 from graphdict import training, vgda
+from graphdict.data import stratified_folds
 from graphdict.encoder import momentum_update
 from graphdict.errors import GraphDictError, IoError, NumericsError
 from graphdict.model import Hyperparameters
@@ -105,8 +106,8 @@ def _train_step(model, prepared, optimizer, rng):
     optimizer.zero_grad()
     with T.Tape() as tape:
         model.refresh_key_encodings()
-        results = [model.forward(p, vgda.TRAIN, rng=rng) for p in prepared]
-        tape.backward(model.batch_loss(results, [p.label for p in prepared]))
+        result = model.forward(prepared, vgda.TRAIN, rng=rng)
+        tape.backward(model.batch_loss(result, [p.label for p in prepared]))
     optimizer.step()
     momentum_update(model.encoder_dict, model.encoder_input, 0.999)
 
@@ -162,6 +163,35 @@ def test_train_one_fold_repeats_with_one_seed_sequence():
                        seed_seq) for _ in range(2))
     assert first.loss_trace == second.loss_trace
     assert first.accuracy == second.accuracy
+
+
+class _FirstBackward(Exception):
+    pass
+
+
+def test_first_training_batch_records_the_batched_tape(monkeypatch):
+    """The first 32-graph batch of fold 0 at the default config records 628
+    tape nodes: 14 keys x 9 encoder ops + their stack, 32 graphs x 15 ops
+    (encoder 8, key selection 1, costs 2, attention 4), 13 batch ops
+    (inputs stacked, cosine, segment mat-vec, sigmoid, clamp, relaxed
+    draw, KL, aggregates stacked and reshaped, head 4) and 8 loss ops.
+    A graph that goes back to per-graph VGDA or head ops adds to it."""
+    recorded = []
+
+    def backward(tape, root):
+        recorded.append(len(tape.nodes))
+        raise _FirstBackward
+
+    monkeypatch.setattr(T.Tape, "backward", backward)
+    bundle = make_synthetic_bundle(count=48, with_node_labels=True)
+    folds = stratified_folds(bundle.labels, 4, 0)
+    train_idx = np.setdiff1d(np.arange(48), folds[0])
+    assert len(train_idx) >= 32
+    with pytest.raises(_FirstBackward):
+        train_one_fold(bundle, 0, train_idx, folds[0],
+                       TrainConfig(epochs=1, folds=4),
+                       np.random.SeedSequence(0))
+    assert recorded == [628]
 
 
 def test_two_fold_accuracies_on_four_graphs_are_quantized():

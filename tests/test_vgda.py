@@ -94,7 +94,7 @@ def test_input_uses_its_leading_projection_weights():
         sampling_probability(f_in, f_key, tens(w_r.values[:3],
                                                requires_grad=True))
     assert tape.nodes[0][2].__qualname__.startswith("cosine_matrix")
-    with pytest.raises(ShapeError, match="6 input nodes exceed the 5"):
+    with pytest.raises(ShapeError, match="segment of 6 columns exceeds the 5"):
         sampling_probability(tens(rng.normal(size=(6, 8))), f_key, w_r)
 
 
@@ -150,13 +150,13 @@ def test_train_mask_frequency_tracks_probability_at_low_temperature():
 
 def test_eval_thresholds_deterministically():
     factor = sample_factor(tens([[0.7], [0.3]]), EVAL)
-    assert factor.z.tolist() == [True, False]
+    assert factor.z[:, 0].tolist() == [True, False]
     assert factor.z_tilde is None
 
 
 def test_all_low_probabilities_fall_back_to_first_argmax():
     factor = sample_factor(tens([[0.1], [0.1]]), EVAL)
-    assert factor.z.tolist() == [True, False]
+    assert factor.z[:, 0].tolist() == [True, False]
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,6 +174,39 @@ def test_ragged_stacked_keys_each_fall_back_to_their_first_argmax(keys):
     assert np.flatnonzero(factor.z).tolist() == expected
 
 
+def test_fallback_ties_within_rounding_pick_the_first_row():
+    # row 1 beats row 0 by one ulp, as rounding can make it
+    up = np.nextafter(0.3, 1.0)
+    factor = sample_factor(tens([[0.3, up], [up, 0.3], [0.2, 0.2]]), EVAL)
+    assert factor.z.tolist() == [[True, True], [False, False],
+                                 [False, False]]
+    # a true peak further on still wins
+    factor = sample_factor(tens([[0.3], [0.3 + 1e-6]]), EVAL)
+    assert factor.z[:, 0].tolist() == [False, True]
+
+
+def test_identically_encoded_key_nodes_fall_back_to_node_zero_in_any_batch():
+    # key 0's two nodes encode alike up to a last-bit difference, as
+    # automorphic nodes do under a GCN; every probability is below 0.5
+    rng = np.random.default_rng(21)
+    node = rng.uniform(0.1, 1.0, size=8)
+    f_key = tens(np.vstack([node, np.nextafter(node, 2.0),
+                            rng.uniform(0.1, 1.0, size=(3, 8))]))
+    offsets = np.array([0, 2, 5])
+    inputs = [tens(rng.uniform(0.1, 1.0, size=(int(n), 8)))
+              for n in rng.integers(2, 7, size=12)]
+    w_r = tens(np.full((6, 1), -3.0))
+    for size in (1, 2, 5, 12):
+        for start in range(0, len(inputs) - size + 1, size):
+            batch = inputs[start:start + size]
+            p = sampling_probability(
+                T.concat_rows(batch), f_key, w_r,
+                np.cumsum([0] + [f.values.shape[0] for f in batch]))
+            assert (p.values < 0.5).all()
+            factor = sample_factor(p, EVAL, offsets=offsets)
+            assert factor.z[:2].tolist() == [[True] * size, [False] * size]
+
+
 def test_mask_never_empty_in_train_mode():
     p = tens(np.full((3, 1), 1e-6))
     rng = np.random.default_rng(2)
@@ -186,7 +219,7 @@ def test_train_surrogate_is_attached_and_consistent():
     factor = sample_factor(p, TRAIN, rng=np.random.default_rng(8))
     assert factor.z_tilde is not None
     assert factor.z_tilde.values.shape == (5, 1)
-    assert np.array_equal(factor.z, factor.z_tilde.values[:, 0] > 0.5)
+    assert np.array_equal(factor.z, factor.z_tilde.values > 0.5)
 
 
 def test_sampling_mode_validation():
@@ -203,7 +236,7 @@ def test_mask_override_roundtrip():
     p = tens([[0.9], [0.9], [0.9]])
     factor = sample_factor(p, TRAIN, rng=np.random.default_rng(0),
                            mask_override=[False, True, False])
-    assert factor.z.tolist() == [False, True, False]
+    assert factor.z[:, 0].tolist() == [False, True, False]
     assert factor.z_tilde is None
 
 
@@ -215,7 +248,8 @@ def test_eval_adaptation_is_deterministic():
     first = adapt_key(f_in, f_key, w_r, EVAL)
     second = adapt_key(f_in, f_key, w_r, EVAL)
     assert np.array_equal(first[1].z, second[1].z)
-    assert np.array_equal(first[0].features.values, second[0].features.values)
+    assert np.array_equal(first[0][0].features.values,
+                          second[0][0].features.values)
     assert first[2].values == second[2].values
 
 
@@ -240,10 +274,10 @@ def test_stacked_adaptation_matches_per_key_calls(mode):
         assert np.abs(factor.p.values - np.vstack(
             [s[1].p.values for s in singles])).max() <= 1e-12
         assert abs(kl.item() - sum(s[2].item() for s in singles)) <= 1e-12
-        assert np.array_equal(adapted.features.values, np.vstack(
-            [s[0].features.values for s in singles]))
-        assert np.array_equal(np.diff(adapted.offsets),
-                              [s[0].features.values.shape[0]
+        assert np.array_equal(adapted[0].features.values, np.vstack(
+            [s[0][0].features.values for s in singles]))
+        assert np.array_equal(np.diff(adapted[0].offsets),
+                              [s[0][0].features.values.shape[0]
                                for s in singles])
         assert stacked_rng.uniform() == single_rng.uniform()
         surrogate = factor.z_tilde if mode == TRAIN else factor.p
@@ -254,7 +288,7 @@ def test_stacked_adaptation_matches_per_key_calls(mode):
 
 
 @pytest.mark.parametrize("n, ops", [
-    (3, ["row_select"]),   # the input's leading projection weights
+    (3, []),   # fewer input nodes than projection weights: no prefix op
     (5, [])])
 def test_train_adaptation_records_one_op_per_step(n, ops):
     # op names read as the tape's non-finite report reads them
@@ -265,9 +299,31 @@ def test_train_adaptation_records_one_op_per_step(n, ops):
     with T.Tape() as tape:
         adapt_keys(f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
     recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
-    assert recorded == ops + ["cosine_matrix", "matmul", "sigmoid", "clamp",
-                              "binary_concrete", "row_select",
+    assert recorded == ops + ["cosine_matrix", "segment_matvec", "sigmoid",
+                              "clamp", "binary_concrete", "row_select",
                               "bernoulli_kl_sum"]
+
+
+def test_batch_adaptation_records_one_selection_per_input():
+    rng = np.random.default_rng(6)
+    widths = [3, 5, 1]
+    f_in = tens(rng.normal(size=(sum(widths), 8)), requires_grad=True)
+    f_key = tens(rng.normal(size=(7, 8)), requires_grad=True)
+    w_r = tens(rng.normal(size=(5, 1)), requires_grad=True)
+    with T.Tape() as tape:
+        adapted, factor, kl = adapt_keys(
+            f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng,
+            input_offsets=np.cumsum([0] + widths))
+    recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
+    assert recorded == ["cosine_matrix", "segment_matvec", "sigmoid",
+                        "clamp", "binary_concrete", *["row_select"] * 3,
+                        "bernoulli_kl_sum"]
+    assert factor.p.values.shape == factor.z.shape == (7, 3)
+    assert kl.values.shape == (3, 1)
+    for g, keys in enumerate(adapted):
+        assert np.array_equal(keys.features.values,
+                              f_key.values[factor.z[:, g]])
+
 
 # --- substructure selection -------------------------------------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import mswe, tensor as T, vgda
 from .data import SCHEMES, LabeledGraph, featurize, normalize_adjacency
 from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
-from .errors import ConfigError, FormatError, IoError
+from .errors import ConfigError, FormatError, IoError, ShapeError
 
 
 def check_ranges(rules):
@@ -317,12 +317,16 @@ class GraphDictionaryModel:
         (C, n, sum m_j) array per graph (``[s.values for s in
         result.plans]``), replaces the transport solves.
         Raises NumericsError when the probabilities or the KL come out
-        non-finite, in eval mode (no tape) as in training.
+        non-finite, in eval mode (no tape) as in training, and ShapeError
+        when ``plans`` does not hold one entry per graph.
         """
         cfg = self.config
         keys = self.dictionary
         if keys.encoded is None:
             raise ConfigError("call refresh_key_encodings() before forward()")
+        if plans is not None and len(plans) != len(batch):
+            raise ShapeError(f"forward: {len(plans)} plan stacks for a batch "
+                             f"of {len(batch)} graphs")
         f_inputs = [encode(g.features, g.a_hat, self.encoder_input)
                     for g in batch]
 
@@ -365,10 +369,15 @@ class GraphDictionaryModel:
         """Mean of -log p[label] + beta * KL over a batch's forward result.
 
         p[label] is each probability row times its one-hot label, summed
-        through a ones column: exact, as every other term is zero.
+        through a ones column: exact, as every other term is zero.  One
+        label per probability row; another count raises ShapeError.
         """
         cfg = self.config
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        rows = result.probabilities.values.shape[0]
+        if labels.shape[0] != rows:
+            raise ShapeError(f"batch_loss: {labels.shape[0]} labels for "
+                             f"{rows} probability rows")
         outside = (labels < 0) | (labels >= cfg.num_classes)
         if outside.any():
             raise ConfigError(f"label {labels[outside][0]} outside "

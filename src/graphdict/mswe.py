@@ -227,12 +227,11 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     if M.ndim != 2:
         raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
     n, total = M.shape
-    offsets = T.as_offsets(offsets, total).reshape(-1)
+    if n == 0:
+        raise ShapeError(f"sinkhorn: cost matrix {M.shape} leaves an empty "
+                         "side")
+    offsets = T.as_offsets(offsets, total)
     widths = offsets[1:] - offsets[:-1]
-    if (n == 0 or widths.size == 0 or offsets[0] != 0
-            or offsets[-1] != total or (widths < 1).any()):
-        raise ShapeError(f"sinkhorn: cost matrix {M.shape} with key offsets "
-                         f"{offsets.tolist()} leaves an empty side")
     if not np.isfinite(M).all():
         raise NumericsError("sinkhorn: cost matrix has non-finite entries")
     lams = np.asarray(lams, dtype=np.float64).reshape(-1)

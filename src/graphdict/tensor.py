@@ -397,38 +397,26 @@ def clamp(a, lo=None, hi=None):
 # fused primitives for the model's hot path
 # ---------------------------------------------------------------------------
 
-def cosine_matrix(a, b, eps=COSINE_EPS):
-    """Pairwise cosine similarity: out[u, v] = <a_u, b_v> / (|a_u||b_v| + eps).
+def unit_rows(a):
+    """Each row of ``a`` divided by (its Euclidean norm + COSINE_EPS).
 
     The epsilon guard keeps all-zero rows (a node whose ReLU encoding is all
-    zero) well defined: their similarities are exactly 0 and the norm term
-    of their gradient is taken as 0 (subgradient at the origin).
+    zero) well defined: they stay exactly 0, the norm term of their gradient
+    is taken as 0 (subgradient at the origin), and a near-zero row's
+    gradient stays bounded by 1/eps.
     """
-    if a.values.shape[1] != b.values.shape[1]:
-        raise ShapeError(f"cosine_matrix: feature dims differ ({a.shape}, {b.shape})")
-    av, bv = a.values, b.values
-    na = np.sqrt((av * av).sum(axis=1))
-    nb = np.sqrt((bv * bv).sum(axis=1))
-    # in place where possible: a batch's (key rows, input rows) matrices
-    # are large
-    denom = np.multiply.outer(na, nb)
-    denom += eps
-    out = av @ bv.T
-    out /= denom
+    av = a.values
+    norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
+    denom = norms + COSINE_EPS
 
     def backward(g):
-        gd = g / denom
-        ga, gb = gd @ bv, gd.T @ av
-        gd *= out  # g * S / D
-        wa = gd @ nb
-        wa = np.divide(wa, na, out=np.zeros_like(wa), where=na > 0.0)
-        ga -= av * wa[:, None]
-        wb = gd.T @ na
-        wb = np.divide(wb, nb, out=np.zeros_like(wb), where=nb > 0.0)
-        gb -= bv * wb[:, None]
-        return ga, gb
+        # d(a/(|a|+eps)): (g - a <a,g> / (|a| (|a|+eps))) / (|a|+eps)
+        dots = (av * g).sum(axis=1, keepdims=True)
+        coef = np.divide(dots, norms * denom, out=np.zeros_like(dots),
+                         where=norms > 0.0)
+        return ((g - av * coef) / denom,)
 
-    return _record(out, (a, b), backward)
+    return _record(av / denom, (a,), backward)
 
 
 def pairwise_sqdist(a, b):
@@ -500,9 +488,20 @@ def bernoulli_kl_sum(p, p_hat):
 
 
 def as_offsets(offsets, total):
-    """Segment offsets as an int64 array; None means one segment of ``total``."""
-    return np.asarray((0, total) if offsets is None else offsets,
-                      dtype=np.int64)
+    """Segment offsets as an int64 array; None means one segment of ``total``.
+
+    Segment j spans offsets[j]:offsets[j + 1].  The offsets must rise
+    strictly from 0 to ``total``: every segment holds at least one row and
+    every row lies in a segment.  Any other layout raises ShapeError.
+    """
+    offsets = np.asarray((0, total) if offsets is None else offsets,
+                         dtype=np.int64)
+    if (offsets.ndim != 1 or offsets.shape[0] < 2 or offsets[0] != 0
+            or offsets[-1] != total or (offsets[1:] <= offsets[:-1]).any()):
+        raise ShapeError(f"segment offsets {offsets.tolist()} leave an "
+                         "empty side: they must rise strictly from 0 to "
+                         f"{total}")
+    return offsets
 
 
 def segment_index(offsets):
@@ -528,9 +527,8 @@ def segment_matvec(a, w, offsets=None):
     av, wv = a.values, w.values
     offsets = as_offsets(offsets, av.shape[1])
     seg, pos, width = segment_index(offsets)
-    if wv.shape[1] != 1 or offsets[-1] != av.shape[1]:
-        raise ShapeError(f"segment_matvec: weights {w.shape} and segments "
-                         f"{offsets.tolist()} do not fit {a.shape}")
+    if wv.shape[1] != 1:
+        raise ShapeError(f"segment_matvec: weights {w.shape} are not a column")
     if width > wv.shape[0]:
         raise ShapeError(f"segment_matvec: a segment of {width} columns "
                          f"exceeds the {wv.shape[0]} weights")
@@ -562,8 +560,7 @@ def plan_costs(m, plans, offsets=None):
     mv = m.values
     offsets = as_offsets(offsets, mv.shape[1])
     plans = np.asarray(plans, dtype=np.float64)
-    if (plans.ndim != 3 or plans.shape[1:] != mv.shape
-            or offsets[-1] != mv.shape[1]):
+    if plans.ndim != 3 or plans.shape[1:] != mv.shape:
         raise ShapeError(f"plan_costs: plans {plans.shape} do not stack over "
                          f"cost matrix {m.shape} in {len(offsets) - 1} keys")
     vals = np.add.reduceat(np.einsum("cnm,nm->cm", plans, mv), offsets[:-1],

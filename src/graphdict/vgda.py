@@ -8,9 +8,10 @@ features, and the Bernoulli KL penalty against a fixed expected
 probability.  The K keys are stacked as one (sum m_j, d) matrix with
 segment offsets, and the G inputs as one (sum n_g, d) matrix with input
 offsets, so the probabilities, the mask and the KL are one (sum m_j, G)
-set of tape ops with one column per input; only the selection, whose
-shape differs from input to input, is one op per input.  A single key or
-a single input is the case K = 1 or G = 1.
+set of tape ops with one column per input, and no (sum m_j, sum n_g)
+matrix is built; only the selection, whose shape differs from input to
+input, is one op per input.  A single key or a single input is the case
+K = 1 or G = 1.
 
 Each input runs at its own node count n.  The projection vector has one
 weight per input node position, up to the largest graph's node count, and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 PROB_CLAMP = 1e-6
 # relative rounding tolerance under which two probabilities tie
@@ -61,14 +62,17 @@ def sampling_probability(f_input, f_key, w_r, input_offsets=None):
     ``f_input`` stacks G inputs, input g in rows input_offsets[g]:[g+1]
     (one input when ``input_offsets`` is None).  Column g of the (sum m_j,
     G) result is clamp(sigmoid(cosine(F_key, F_g) w_r[:n_g])) for the
-    n_g-node input g: one cosine op scores every key node against every
-    input node, key-major like p itself, and one segment mat-vec applies
-    each input's leading projection weights.  Differentiable in both
-    feature matrices and the projection vector.  An input with more rows
-    than ``w_r`` raises ShapeError.
+    n_g-node input g.  The score is linear in the input's unit rows,
+    sum_i cos(k, x_i) w_i = unit(k) . sum_i w_i unit(x_i), so one segment
+    mat-vec sums each input's unit rows under its leading projection
+    weights into a (d, G) matrix, and one matmul scores every key node
+    against it.  Differentiable in both feature matrices and the
+    projection vector.  An input with more rows than ``w_r`` raises
+    ShapeError.
     """
-    scores = T.segment_matvec(T.cosine_matrix(f_key, f_input), w_r,
-                              input_offsets)
+    weighted = T.segment_matvec(T.transpose(T.unit_rows(f_input)), w_r,
+                                input_offsets)
+    scores = T.matmul(T.unit_rows(f_key), weighted)
     return T.clamp(T.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
@@ -98,7 +102,9 @@ def sample_factor(p, mode, rng=None, temperature=DEFAULT_TEMPERATURE,
     if mask_override is not None:
         z = np.asarray(mask_override, dtype=bool)
         if z.size != probs.size:
-            raise ConfigError("mask_override length must match key size")
+            raise ConfigError(f"mask_override has {z.size} entries; it must "
+                              "fill the (sum m_j, G) shape "
+                              f"{probs.shape} of the probabilities")
         z = z.reshape(probs.shape).copy()
         z_tilde = None
     elif mode == TRAIN:
@@ -142,7 +148,11 @@ def select_substructure(key_features, z, z_tilde=None, offsets=None,
     input's surrogate entry, so the sampling probabilities learn.
     """
     rows = key_features.values.shape[0]
-    z = np.asarray(z, dtype=bool).reshape(rows, -1)[:, column]
+    z = np.asarray(z, dtype=bool).reshape(rows, -1)
+    if not 0 <= column < z.shape[1]:
+        raise ShapeError(f"select_substructure: column {column} outside "
+                         f"the [0, {z.shape[1]}) columns of the mask")
+    z = z[:, column]
     offsets = T.as_offsets(offsets, rows)
     features = T.row_select(key_features, z, z_tilde,
                             None if z_tilde is None else column)

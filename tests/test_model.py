@@ -144,6 +144,15 @@ def test_loss_label_validation():
         model.batch_loss(result, [0, 1])
 
 
+@pytest.mark.parametrize("labels", [[0], [], [0, 1, 1]])
+def test_batch_loss_needs_one_label_per_probability_row(labels):
+    model, _ = build_tiny_model()
+    result = fixed_result([[0.5, 0.5]] * 2, [0.0, 0.0])
+    with pytest.raises(ShapeError, match=f"{len(labels)} labels for 2 "
+                       "probability rows"):
+        model.batch_loss(result, labels)
+
+
 def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
     beta = 0.37
     model, _ = build_tiny_model(beta=beta)
@@ -436,6 +445,18 @@ def test_single_optimizer_step_reduces_loss():
             after = model.batch_loss(again, labels).values.item()
         failures += after >= before
     assert failures <= 2
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_forward_needs_one_plan_stack_per_graph(count):
+    model, prepared = build_tiny_model()
+    model.refresh_key_encodings()
+    first = model.forward(prepared, vgda.EVAL)
+    plans = [s.values for s in first.plans]
+    plans = plans[:count] + plans[:max(0, count - len(plans))]
+    with pytest.raises(ShapeError, match=f"forward: {count} plan stacks for "
+                       "a batch of 2 graphs"):
+        model.forward(prepared, vgda.EVAL, plans=plans)
 
 
 def test_forward_record_shapes():

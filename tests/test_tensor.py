@@ -6,14 +6,17 @@ deliberately surrogate backwards (straight-through) get analytic checks
 instead.
 """
 
+import inspect
+import re
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdict import tensor as T
+from graphdict import mswe, tensor as T, vgda
 from graphdict.errors import NumericsError, OracleError, ShapeError
+from conftest import build_tiny_model
 
 FD_TOL = 1e-5
 
@@ -132,21 +135,26 @@ def test_sigmoid_extreme_inputs_stable():
     assert s[0, 0] == 0.0 and s[0, 1] == 0.5 and s[0, 2] == 1.0
 
 
-def test_cosine_matrix_pinned_values():
-    unit_rows = T.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    c = T.cosine_matrix(unit_rows, unit_rows).values
-    assert np.abs(np.diag(c) - 1.0).max() < 1e-7
-    assert abs(c[0, 1]) < 1e-12
-    a = T.Tensor(np.array([[1.0, 1.0]]))
-    b = T.Tensor(np.array([[1.0, 0.0]]))
-    assert abs(T.cosine_matrix(a, b).values[0, 0] - 0.7071) < 1e-4
+def test_unit_rows_pinned_values():
+    u = T.unit_rows(T.Tensor(np.array([[3.0, -4.0], [0.0, 2.0]]))).values
+    assert np.abs(u - [[0.6, -0.8], [0.0, 1.0]]).max() < 1e-8
+    assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-8
+    # rows scored against each other give their cosine
+    a = T.unit_rows(T.Tensor(np.array([[1.0, 1.0]]))).values
+    b = T.unit_rows(T.Tensor(np.array([[1.0, 0.0]]))).values
+    assert abs((a @ b.T)[0, 0] - 0.7071) < 1e-4
 
 
-def test_cosine_matrix_zero_row_yields_zero_not_nan():
-    a = T.Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]))
-    b = T.Tensor(np.array([[3.0, 4.0]]))
-    c = T.cosine_matrix(a, b).values
-    assert c[0, 0] == 0.0 and np.isfinite(c).all()
+def test_unit_rows_zero_row_yields_zeros_and_a_finite_gradient():
+    x = T.Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
+    with T.Tape() as tape:
+        u = T.unit_rows(x)
+        tape.backward(_weighted_sum(u, np.array([[1.0, -2.0],
+                                                 [0.5, 1.0]])))
+    assert np.array_equal(u.values[0], [0.0, 0.0])
+    assert np.isfinite(x.grad).all()
+    # at the origin only the 1 / eps scaling of the upstream gradient is left
+    assert np.array_equal(x.grad[0], np.array([1.0, -2.0]) / T.COSINE_EPS)
 
 
 def test_pairwise_sqdist_pinned_value():
@@ -185,6 +193,36 @@ def test_outer_broadcast_rejected():
 def test_elementwise_ops_reject_any_other_shape(op, shape):
     with pytest.raises(ShapeError, match="shapes differ"):
         op(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones(shape)))
+
+
+def _offset_consumers():
+    """Each caller of as_offsets, applied to a layout over 4 rows or
+    columns."""
+    return {
+        "plan_costs": lambda o: T.plan_costs(
+            T.Tensor(np.ones((2, 4))), np.ones((1, 2, 4)), o),
+        "sinkhorn_keys": lambda o: mswe.sinkhorn_keys(np.ones((2, 4)), [1.0],
+                                                      offsets=o),
+        "segment_matvec": lambda o: T.segment_matvec(
+            T.Tensor(np.ones((2, 4))), T.Tensor(np.ones((4, 1))), o),
+        "sample_factor": lambda o: vgda.sample_factor(
+            T.Tensor(np.full((4, 1), 0.3)), vgda.EVAL, offsets=o),
+        "select_substructure": lambda o: vgda.select_substructure(
+            T.Tensor(np.ones((4, 2))), np.ones(4, dtype=bool), offsets=o),
+    }
+
+
+@pytest.mark.parametrize("consumer", sorted(_offset_consumers()))
+@pytest.mark.parametrize("offsets", [[0, 3, 1, 4], [1, 4], [0, 0, 4],
+                                     [0, 3, 2, 4], [0, 3], [0, 5], [0],
+                                     [[0, 4]]])
+def test_every_offset_consumer_rejects_a_bad_layout(consumer, offsets):
+    apply = _offset_consumers()[consumer]
+    apply([0, 1, 4])  # a good layout passes
+    listed = re.escape(str(np.asarray(offsets).tolist()))
+    with pytest.raises(ShapeError, match=rf"segment offsets {listed} leave "
+                       "an empty side: they must rise strictly from 0 to 4"):
+        apply(offsets)
 
 
 def test_row_select_empty_mask_raises():
@@ -533,14 +571,14 @@ def _build_case(name, rng):
         a.values[np.abs(a.values - 1.0) < 0.1] += 0.2  # off the clamp edges
         a.values[np.abs(a.values + 1.0) < 0.1] += 0.2
         return [a], lambda: _weighted_sum(T.clamp(a, -1.0, 1.0), w)
-    if name == "cosine_matrix":
-        # feature dim >= 2 with mixed signs: a 1-D all-positive draw makes
-        # cosine constant up to the eps guard, leaving nothing but FD noise
+    if name == "unit_rows":
+        # rows of >= 2 mixed-sign entries away from zero: a 1-entry row's
+        # unit row is constant up to the eps guard, leaving nothing but FD
+        # noise
         kc = int(rng.integers(2, 9))
         a = T.Tensor(_probe(rng, n, kc), requires_grad=True)
-        b = T.Tensor(_probe(rng, m, kc), requires_grad=True)
-        wc = _probe(rng, n, m)
-        return [a, b], lambda: _weighted_sum(T.cosine_matrix(a, b), wc)
+        wc = _probe(rng, n, kc)
+        return [a], lambda: _weighted_sum(T.unit_rows(a), wc)
     if name == "pairwise_sqdist":
         a, b = _rand(rng, n, k), _rand(rng, m, k)
         wc = _probe(rng, n, m)
@@ -594,7 +632,7 @@ def _build_case(name, rng):
 PRIMITIVES = [
     "matmul", "add", "multiply", "relu", "sigmoid", "row_softmax", "sum_all",
     "mean_all", "concat_rows", "row_select", "scale", "log",
-    "transpose", "clamp", "cosine_matrix", "pairwise_sqdist",
+    "transpose", "clamp", "unit_rows", "pairwise_sqdist",
     "binary_concrete", "bernoulli_kl_sum", "plan_costs",
     "bernoulli_kl_sum_columns", "row_select_column_surrogate",
     "segment_matvec", "reshape",
@@ -609,6 +647,24 @@ def test_primitive_gradients_match_finite_differences(name):
         params, closure = _build_case(name, rng)
         worst = max(worst, T.grad_check(closure, params, epsilon=1e-5))
     assert worst <= FD_TOL, f"{name}: worst relative error {worst:.3e}"
+
+
+def test_every_recording_primitive_is_checked_and_used_by_training():
+    """Each function of the tensor module that records a tape op has a
+    finite-difference case, and one training step plus its loss records
+    every one of them but sum_all, which only gradient probes use."""
+    recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                 if fn.__module__ == T.__name__
+                 and "_record" in fn.__code__.co_names}
+    assert recording - set(PRIMITIVES) == set()
+    model, prepared = build_tiny_model()
+    with T.Tape() as tape:
+        model.refresh_key_encodings()
+        result = model.forward(prepared, vgda.TRAIN,
+                               rng=np.random.default_rng(0))
+        model.batch_loss(result, [g.label for g in prepared])
+    recorded = {fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes}
+    assert recording - recorded == {"sum_all"}
 
 
 def test_matmul_gradient_pinned_shape_tight_tolerance():

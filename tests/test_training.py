@@ -170,16 +170,24 @@ class _FirstBackward(Exception):
 
 
 def test_first_training_batch_records_the_batched_tape(monkeypatch):
-    """The first 32-graph batch of fold 0 at the default config records 628
+    """The first 32-graph batch of fold 0 at the default config records 631
     tape nodes: 14 keys x 9 encoder ops + their stack, 32 graphs x 15 ops
-    (encoder 8, key selection 1, costs 2, attention 4), 13 batch ops
-    (inputs stacked, cosine, segment mat-vec, sigmoid, clamp, relaxed
-    draw, KL, aggregates stacked and reshaped, head 4) and 8 loss ops.
-    A graph that goes back to per-graph VGDA or head ops adds to it."""
-    recorded = []
+    (encoder 8, key selection 1, costs 2, attention 4), 16 batch ops
+    (inputs stacked; unit input rows, transposed, summed per graph by the
+    segment mat-vec; unit key rows and their matmul with the sums; sigmoid,
+    clamp, relaxed draw, KL, aggregates stacked and reshaped, head 4) and 8
+    loss ops.  A graph that goes back to per-graph VGDA or head ops adds to
+    it.  No op output is as large as a (key node x input node) matrix."""
+    recorded, sizes = [], []
 
     def backward(tape, root):
         recorded.append(len(tape.nodes))
+        # the keys are stacked first, then the batch's inputs
+        key_rows, input_rows = [
+            out.values.shape[0] for out, _, fn in tape.nodes
+            if fn.__qualname__.startswith("concat_rows")][:2]
+        sizes.append((max(out.values.size for out, _, _ in tape.nodes),
+                      key_rows * input_rows))
         raise _FirstBackward
 
     monkeypatch.setattr(T.Tape, "backward", backward)
@@ -191,7 +199,9 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
         train_one_fold(bundle, 0, train_idx, folds[0],
                        TrainConfig(epochs=1, folds=4),
                        np.random.SeedSequence(0))
-    assert recorded == [628]
+    assert recorded == [631]
+    (largest, pairs), = sizes
+    assert largest < pairs
 
 
 def test_two_fold_accuracies_on_four_graphs_are_quantized():

@@ -57,6 +57,32 @@ def test_probability_matches_manual_pipeline():
     assert np.allclose(p.values, manual, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.lists(st.integers(1, 28), min_size=1, max_size=4),
+       keys=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.5))
+def test_ragged_batch_matches_dense_cosine_scores(inputs, keys, seed,
+                                                  zero_share):
+    # some all-zero rows on both sides, as ReLU encodings produce
+    rng = np.random.default_rng(seed)
+    f_in = rng.normal(size=(sum(inputs), 6))
+    f_key = rng.normal(size=(sum(keys), 6))
+    f_in[rng.uniform(size=f_in.shape[0]) < zero_share] = 0.0
+    f_key[rng.uniform(size=f_key.shape[0]) < zero_share] = 0.0
+    w_r = rng.normal(0.0, 2.0, size=(max(inputs) + 2, 1))
+    offsets = np.cumsum([0] + inputs)
+    p = sampling_probability(tens(f_in), tens(f_key), tens(w_r), offsets)
+
+    norm_in = np.linalg.norm(f_in, axis=1) + T.COSINE_EPS
+    norm_key = np.linalg.norm(f_key, axis=1) + T.COSINE_EPS
+    cos = (f_key @ f_in.T) / np.outer(norm_key, norm_in)
+    scores = np.hstack([cos[:, lo:hi] @ w_r[:hi - lo]
+                        for lo, hi in zip(offsets[:-1], offsets[1:])])
+    dense = np.clip(1.0 / (1.0 + np.exp(-scores)), 1e-6, 1.0 - 1e-6)
+    assert p.values.shape == (sum(keys), len(inputs))
+    assert np.abs(p.values - dense).max() <= 1e-12
+
+
 def test_probability_clamped_under_extreme_projection():
     f_in = tens(np.ones((2, 4)))
     f_key = tens(np.ones((3, 4)))
@@ -93,7 +119,7 @@ def test_input_uses_its_leading_projection_weights():
     with T.Tape() as tape:  # an input as long as w_r takes it whole
         sampling_probability(f_in, f_key, tens(w_r.values[:3],
                                                requires_grad=True))
-    assert tape.nodes[0][2].__qualname__.startswith("cosine_matrix")
+    assert tape.nodes[0][2].__qualname__.startswith("unit_rows")
     with pytest.raises(ShapeError, match="segment of 6 columns exceeds the 5"):
         sampling_probability(tens(rng.normal(size=(6, 8))), f_key, w_r)
 
@@ -232,6 +258,13 @@ def test_sampling_mode_validation():
         sample_factor(p, EVAL, mask_override=[True, False])
 
 
+def test_mask_override_must_fill_the_probabilities_shape():
+    p = tens(np.full((3, 2), 0.5))
+    with pytest.raises(ConfigError, match=r"mask_override has 3 entries; "
+                       r"it must fill the \(sum m_j, G\) shape \(3, 2\)"):
+        sample_factor(p, EVAL, mask_override=[True, False, True])
+
+
 def test_mask_override_roundtrip():
     p = tens([[0.9], [0.9], [0.9]])
     factor = sample_factor(p, TRAIN, rng=np.random.default_rng(0),
@@ -299,8 +332,9 @@ def test_train_adaptation_records_one_op_per_step(n, ops):
     with T.Tape() as tape:
         adapt_keys(f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
     recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
-    assert recorded == ops + ["cosine_matrix", "segment_matvec", "sigmoid",
-                              "clamp", "binary_concrete", "row_select",
+    assert recorded == ops + ["unit_rows", "transpose", "segment_matvec",
+                              "unit_rows", "matmul", "sigmoid", "clamp",
+                              "binary_concrete", "row_select",
                               "bernoulli_kl_sum"]
 
 
@@ -315,8 +349,9 @@ def test_batch_adaptation_records_one_selection_per_input():
             f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng,
             input_offsets=np.cumsum([0] + widths))
     recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
-    assert recorded == ["cosine_matrix", "segment_matvec", "sigmoid",
-                        "clamp", "binary_concrete", *["row_select"] * 3,
+    assert recorded == ["unit_rows", "transpose", "segment_matvec",
+                        "unit_rows", "matmul", "sigmoid", "clamp",
+                        "binary_concrete", *["row_select"] * 3,
                         "bernoulli_kl_sum"]
     assert factor.p.values.shape == factor.z.shape == (7, 3)
     assert kl.values.shape == (3, 1)
@@ -347,6 +382,14 @@ def test_select_exhaustive_over_nonempty_masks():
         mask = np.array(bits)
         adapted = select_substructure(key, mask)
         assert np.array_equal(adapted.features.values, key.values[mask])
+
+
+@pytest.mark.parametrize("column", [2, 5, -1])
+def test_select_column_must_be_one_of_the_mask_columns(column):
+    key = tens(np.ones((3, 4)))
+    with pytest.raises(ShapeError, match=rf"column {column} outside the "
+                       r"\[0, 2\) columns"):
+        select_substructure(key, np.ones((3, 2), dtype=bool), column=column)
 
 
 def test_select_with_surrogate_keeps_hard_forward():

@@ -206,9 +206,8 @@ class ForwardResult:
     """
 
     probabilities: T.Tensor     # (G, num_classes)
-    kl: T.Tensor                # (G, 1)
     h_matrix: list[T.Tensor]    # (K, C) each
-    h_hat: list[T.Tensor]       # (K, 1) each
+    h_hat: list[T.Tensor]       # (1, K) each
     alpha: list[T.Tensor]       # (1, C) each
     factor: vgda.SamplingFactor | None = None  # None when use_vgda=False
     cost: list[T.Tensor] | None = None         # (n, sum of selected m_j) each
@@ -304,11 +303,11 @@ class GraphDictionaryModel:
     def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
         """One pass over a batch of prepared graphs: class probabilities,
-        KL per graph, embeddings, and references to the stacked state they
-        were built from.
+        embeddings, and references to the stacked state they were built
+        from.  The KL term is the loss's (:meth:`batch_loss`).
 
         Every key is adapted to every graph at once: the sampling
-        probabilities, masks, KL and classifier head are batch ops with one
+        probabilities, masks and classifier head are batch ops with one
         row or column per graph.  Each graph's encoder, key selection,
         costs, transport solve and attention run at its own node count.
         Frozen state goes back in as the result holds it: ``masks``, the
@@ -316,8 +315,8 @@ class GraphDictionaryModel:
         masks (no straight-through surrogate is attached); ``plans``, one
         (C, n, sum m_j) array per graph (``[s.values for s in
         result.plans]``), replaces the transport solves.
-        Raises NumericsError when the probabilities or the KL come out
-        non-finite, in eval mode (no tape) as in training, and ShapeError
+        Raises NumericsError when the probabilities come out non-finite,
+        in eval mode (no tape) as in training, and ShapeError
         when ``plans`` does not hold one entry per graph.
         """
         cfg = self.config
@@ -332,16 +331,15 @@ class GraphDictionaryModel:
 
         factor = None
         if use_vgda:
-            adapted, factor, kl = vgda.adapt_keys(
+            adapted, factor = vgda.adapt_keys(
                 T.concat_rows(f_inputs), keys.encoded, keys.offsets,
                 self.w_r, mode, rng=rng, temperature=cfg.temperature,
-                p_hat=cfg.p_hat, mask_override=masks,
+                mask_override=masks,
                 input_offsets=[0, *itertools.accumulate(
                     f.values.shape[0] for f in f_inputs)])
         else:
             adapted = [vgda.AdaptedKey(features=keys.encoded,
                                        offsets=keys.offsets)] * len(batch)
-            kl = T.constant(np.zeros((len(batch), 1)))
 
         frozen = [None] * len(batch) if plans is None else plans
         h_matrix, cost, solved = map(list, zip(*(
@@ -352,13 +350,10 @@ class GraphDictionaryModel:
         h_hat, alpha = map(list, zip(*(
             mswe.aggregate_attention_matrix(h, self.w_m) for h in h_matrix)))
 
-        # the graphs' (K, 1) aggregates as the rows of one (G, K) input
-        rows = T.reshape(T.concat_rows(h_hat), (len(batch), -1))
-        hidden = T.relu(T.matmul(rows, self.head_w1))
+        hidden = T.relu(T.matmul(T.concat_rows(h_hat), self.head_w1))
         probabilities = T.row_softmax(T.matmul(hidden, self.head_w2))
-        T.check_finite("model.forward: class probabilities and KL",
-                       probabilities, kl)
-        return ForwardResult(probabilities=probabilities, kl=kl,
+        T.check_finite("model.forward: class probabilities", probabilities)
+        return ForwardResult(probabilities=probabilities,
                              h_matrix=h_matrix, h_hat=h_hat, alpha=alpha,
                              factor=factor, cost=cost,
                              plans=None if plans is not None else solved)
@@ -369,7 +364,9 @@ class GraphDictionaryModel:
         """Mean of -log p[label] + beta * KL over a batch's forward result.
 
         p[label] is each probability row times its one-hot label, summed
-        through a ones column: exact, as every other term is zero.  One
+        through a ones column: exact, as every other term is zero.  The KL
+        is each graph's Bernoulli KL of its sampling probabilities against
+        ``p_hat``; a forward without VGDA (no ``factor``) has none.  One
         label per probability row; another count raises ShapeError.
         """
         cfg = self.config
@@ -386,9 +383,11 @@ class GraphDictionaryModel:
         onehot[np.arange(labels.shape[0]), labels] = 1.0
         p_true = T.matmul(T.multiply(result.probabilities, T.constant(onehot)),
                           T.constant(np.ones((cfg.num_classes, 1))))
-        cross_entropy = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
-        kl = T.scale(result.kl, cfg.beta)
-        return T.mean_all(T.add(cross_entropy, kl))
+        loss = T.scale(T.log(T.clamp(p_true, 1e-12, None)), -1.0)
+        if result.factor is not None:
+            kl = vgda.bernoulli_kl(cfg.p_hat, result.factor.p)
+            loss = T.add(loss, T.scale(kl, cfg.beta))
+        return T.mean_all(loss)
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -398,11 +397,15 @@ class GraphDictionaryModel:
         return self.forward([prepared], vgda.EVAL).probabilities.values[0]
 
     def evaluate(self, prepared_list):
-        """Eval-mode predicted labels of prepared graphs, and the accuracy."""
+        """Eval-mode predicted labels of prepared graphs, scored by one
+        forward over them all, and the accuracy."""
         self.refresh_key_encodings()
-        predicted = [int(np.argmax(self.predict(p))) for p in prepared_list]
+        if not prepared_list:
+            return [], 0.0
+        probabilities = self.forward(prepared_list, vgda.EVAL).probabilities
+        predicted = np.argmax(probabilities.values, axis=1).tolist()
         correct = sum(y == p.label for y, p in zip(predicted, prepared_list))
-        return predicted, (correct / len(predicted) if predicted else 0.0)
+        return predicted, correct / len(predicted)
 
 
 # ---------------------------------------------------------------------------

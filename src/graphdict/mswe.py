@@ -235,8 +235,9 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     if not np.isfinite(M).all():
         raise NumericsError("sinkhorn: cost matrix has non-finite entries")
     lams = np.asarray(lams, dtype=np.float64).reshape(-1)
-    if (lams <= 0.0).any():
-        raise ConfigError("sinkhorn: every sensitivity must be positive")
+    if not (lams.size and ((0.0 < lams) & (lams < np.inf)).all()):
+        raise ConfigError("sinkhorn: sensitivities must be one or more "
+                          f"finite positive numbers, got {lams.tolist()}")
     if max_iter < 1:
         raise ConfigError("sinkhorn: max_iter must be >= 1")
 
@@ -352,14 +353,14 @@ def aggregate_attention_matrix(h_matrix, w_m):
     """Attention fusion over the sensitivity axis of a K-by-C embedding.
 
     Scores are (h^{lam_c})^T w_m; alpha is their softmax; the aggregate is
-    the alpha-weighted sum of the per-sensitivity embeddings.
-    Returns (h_hat as (K, 1), alpha as (1, C)).
+    the alpha-weighted sum of the per-sensitivity embeddings, as a row.
+    Returns (h_hat as (1, K), alpha as (1, C)).
     """
     if w_m.values.shape != (1, h_matrix.values.shape[0]):
         raise ShapeError(f"aggregate_attention: w_m {w_m.values.shape} does "
                          f"not match embedding rows {h_matrix.values.shape}")
     scores = T.matmul(w_m, h_matrix)
     alpha = T.row_softmax(scores)
-    h_hat = T.matmul(h_matrix, T.transpose(alpha))
+    h_hat = T.matmul(alpha, T.transpose(h_matrix))
     return h_hat, alpha
 

@@ -356,22 +356,6 @@ def log(a):
     return _record(np.log(av), (a,), backward)
 
 
-def reshape(a, shape):
-    """The values of ``a`` in row-major order, laid out as 2-D ``shape``."""
-    av = a.values
-    try:
-        out = av.reshape(shape)
-    except ValueError:
-        out = None
-    if out is None or out.ndim != 2:
-        raise ShapeError(f"reshape: {a.shape} does not fit 2-D {shape}")
-
-    def backward(g):
-        return (g.reshape(av.shape),)
-
-    return _record(out.copy(), (a,), backward)
-
-
 def transpose(a):
     def backward(g):
         return (np.ascontiguousarray(g.T),)
@@ -444,8 +428,9 @@ def binary_concrete(p, noise, temperature):
     The output is the smooth surrogate whose hard threshold gives the
     binary sample; its gradient in p is s(1-s) / (temperature * p(1-p)).
     """
-    if temperature <= 0.0:
-        raise NumericsError("binary_concrete: temperature must be positive")
+    if not 0.0 < temperature < np.inf:
+        raise NumericsError("binary_concrete: temperature must be finite "
+                            f"and > 0, got {temperature}")
     pv = p.values
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != pv.shape:
@@ -492,10 +477,14 @@ def as_offsets(offsets, total):
 
     Segment j spans offsets[j]:offsets[j + 1].  The offsets must rise
     strictly from 0 to ``total``: every segment holds at least one row and
-    every row lies in a segment.  Any other layout raises ShapeError.
+    every row lies in a segment.  Any other layout, or offsets that are not
+    integers, raises ShapeError.
     """
-    offsets = np.asarray((0, total) if offsets is None else offsets,
-                         dtype=np.int64)
+    offsets = np.asarray((0, total) if offsets is None else offsets)
+    if offsets.size and offsets.dtype.kind not in "iu":
+        raise ShapeError(f"segment offsets {offsets.tolist()} must be "
+                         "integers")
+    offsets = offsets.astype(np.int64, copy=False)
     if (offsets.ndim != 1 or offsets.shape[0] < 2 or offsets[0] != 0
             or offsets[-1] != total or (offsets[1:] <= offsets[:-1]).any()):
         raise ShapeError(f"segment offsets {offsets.tolist()} leave an "

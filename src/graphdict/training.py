@@ -347,11 +347,12 @@ def export_diagnostics(model, prepared, input_id, out_dir):
               ["input_id"] + [f"weight_{lam:g}" for lam in lambdas],
               [[input_id] + [repr(float(v)) for v in alpha]])
     predicted = int(np.argmax(probabilities))
+    kl_total = vgda.bernoulli_kl(model.config.p_hat, result.factor.p).item()
     summary = (f"input_id: {input_id}\n"
                f"true_label: {prepared.label}\n"
                f"predicted_label: {predicted}\n"
                f"probabilities: {np.array2string(probabilities)}\n"
-               f"kl_total: {result.kl.item()!r}\n"
+               f"kl_total: {kl_total!r}\n"
                f"keys: {len(model.dictionary.keys)}\n"
                f"sensitivities: {list(lambdas)}\n")
     _write(out_dir, "summary.txt", lambda fh: fh.write(summary))

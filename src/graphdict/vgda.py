@@ -3,15 +3,15 @@
 For every input and every key at once: node-level sampling probabilities
 from the cosine similarity of encoded features projected through a learned
 vector, a differentiable binary node mask (relaxed Bernoulli with a hard
-straight-through forward), substructure selection on the keys' encoded
-features, and the Bernoulli KL penalty against a fixed expected
-probability.  The K keys are stacked as one (sum m_j, d) matrix with
-segment offsets, and the G inputs as one (sum n_g, d) matrix with input
-offsets, so the probabilities, the mask and the KL are one (sum m_j, G)
-set of tape ops with one column per input, and no (sum m_j, sum n_g)
-matrix is built; only the selection, whose shape differs from input to
-input, is one op per input.  A single key or a single input is the case
-K = 1 or G = 1.
+straight-through forward) and substructure selection on the keys' encoded
+features.  The Bernoulli KL penalty against a fixed expected probability
+(:func:`bernoulli_kl`) is a term of the training loss.  The K keys are
+stacked as one (sum m_j, d) matrix with segment offsets, and the G inputs
+as one (sum n_g, d) matrix with input offsets, so the probabilities and
+the mask are one (sum m_j, G) set of tape ops with one column per input,
+and no (sum m_j, sum n_g) matrix is built; only the selection, whose
+shape differs from input to input, is one op per input.  A single key or
+a single input is the case K = 1 or G = 1.
 
 Each input runs at its own node count n.  The projection vector has one
 weight per input node position, up to the largest graph's node count, and
@@ -173,16 +173,16 @@ def bernoulli_kl(p_hat, p):
 
 
 def adapt_keys(f_input, key_features, offsets, w_r, mode, rng=None,
-               temperature=DEFAULT_TEMPERATURE, p_hat=0.5, mask_override=None,
+               temperature=DEFAULT_TEMPERATURE, mask_override=None,
                input_offsets=None):
     """Adapt K stacked keys to G stacked inputs in one pass.
 
     ``key_features`` stacks the encoded keys as (sum m_j, d) rows, key j in
     rows offsets[j]:offsets[j+1]; ``f_input`` stacks the encoded inputs,
     input g in rows input_offsets[g]:[g+1] (default one input).
-    Probabilities, the masks and the KL summed over all keys are each one
-    set of tape ops over all inputs; each input's selection is one op.
-    Returns (one AdaptedKey per input, SamplingFactor, (G, 1) kl).
+    Probabilities and the masks are each one set of tape ops over all
+    inputs; each input's selection is one op.
+    Returns (one AdaptedKey per input, SamplingFactor).
     """
     p = sampling_probability(f_input, key_features, w_r, input_offsets)
     factor = sample_factor(p, mode, rng=rng, temperature=temperature,
@@ -190,13 +190,12 @@ def adapt_keys(f_input, key_features, offsets, w_r, mode, rng=None,
     adapted = [select_substructure(key_features, factor.z, factor.z_tilde,
                                    offsets=offsets, column=g)
                for g in range(p.values.shape[1])]
-    return adapted, factor, bernoulli_kl(p_hat, p)
+    return adapted, factor
 
 
 def adapt_key(f_input, key_features, w_r, mode, rng=None,
-              temperature=DEFAULT_TEMPERATURE, p_hat=0.5, mask_override=None):
+              temperature=DEFAULT_TEMPERATURE, mask_override=None):
     """Full adaptation of one key to one input: :func:`adapt_keys` with
-    K = 1 and G = 1.  Returns ([AdaptedKey], SamplingFactor, kl)."""
+    K = 1 and G = 1.  Returns ([AdaptedKey], SamplingFactor)."""
     return adapt_keys(f_input, key_features, None, w_r, mode, rng=rng,
-                      temperature=temperature, p_hat=p_hat,
-                      mask_override=mask_override)
+                      temperature=temperature, mask_override=mask_override)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -104,42 +105,47 @@ def test_dictionary_adjacency_fixed_and_features_trainable():
 
 # --- loss -------------------------------------------------------------------
 
-def fixed_result(probabilities, kl):
-    """A record of one probability row and KL per graph."""
+def fixed_result(probabilities, p=None):
+    """A record of one probability row per graph and, when ``p`` is given,
+    the sampling probabilities of a VGDA pass (one column per graph)."""
     probs = T.Tensor(np.atleast_2d(np.asarray(probabilities, dtype=float)))
-    return ForwardResult(probabilities=probs,
-                         kl=T.constant(np.reshape(kl, (-1, 1))),
-                         h_matrix=None, h_hat=None, alpha=None)
+    factor = None if p is None else vgda.SamplingFactor(
+        p=T.constant(np.asarray(p, dtype=float)),
+        z=np.asarray(p) > 0.5, z_tilde=None)
+    return ForwardResult(probabilities=probs, h_matrix=None, h_hat=None,
+                         alpha=None, factor=factor)
 
 
 def test_loss_zero_for_perfect_confidence_without_penalty():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.batch_loss(fixed_result([1.0, 0.0], 5.0), [0])
+    loss = model.batch_loss(fixed_result([1.0, 0.0], [[0.99], [0.01]]), [0])
     assert loss.values.item() == 0.0
 
 
 def test_loss_is_pure_cross_entropy_at_zero_beta():
     model, _ = build_tiny_model(beta=0.0)
-    loss = model.batch_loss(fixed_result([0.25, 0.75], 123.0), [1])
+    loss = model.batch_loss(fixed_result([0.25, 0.75], [[0.99], [0.01]]),
+                            [1])
     assert abs(loss.values.item() + np.log(0.75)) <= 1e-12
 
 
 def test_loss_pinned_composite_value():
+    # -log 0.5 + 0.001 * KL(Bernoulli(0.5) || Bernoulli(0.8))
     model, _ = build_tiny_model(beta=0.001)
-    loss = model.batch_loss(fixed_result([0.5, 0.5], 2.0), [0])
-    assert abs(loss.values.item() - 0.6951) <= 1e-4
+    loss = model.batch_loss(fixed_result([0.5, 0.5], [[0.8]]), [0])
+    assert abs(loss.values.item() - 0.6934) <= 1e-4
 
 
 def test_loss_label_validation():
     model, _ = build_tiny_model()
-    result = fixed_result([0.5, 0.5], 0.0)
+    result = fixed_result([0.5, 0.5])
     with pytest.raises(ConfigError):
         model.batch_loss(result, [2])
     with pytest.raises(ConfigError):
         model.batch_loss(result, [-1])
     # every label is checked, not only the first
     with pytest.raises(ConfigError, match="label 2 outside"):
-        model.batch_loss(fixed_result([[0.5, 0.5]] * 2, [0.0, 0.0]), [0, 2])
+        model.batch_loss(fixed_result([[0.5, 0.5]] * 2), [0, 2])
     with pytest.raises(ShapeError):  # one label per graph
         model.batch_loss(result, [0, 1])
 
@@ -147,7 +153,7 @@ def test_loss_label_validation():
 @pytest.mark.parametrize("labels", [[0], [], [0, 1, 1]])
 def test_batch_loss_needs_one_label_per_probability_row(labels):
     model, _ = build_tiny_model()
-    result = fixed_result([[0.5, 0.5]] * 2, [0.0, 0.0])
+    result = fixed_result([[0.5, 0.5]] * 2)
     with pytest.raises(ShapeError, match=f"{len(labels)} labels for 2 "
                        "probability rows"):
         model.batch_loss(result, labels)
@@ -160,11 +166,14 @@ def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
     rows = rng.dirichlet(np.ones(2), size=6)
     rows[4] = [1e-15, 1.0 - 1e-15]     # p[y] under the 1e-12 clamp
     labels = [0, 1, 1, 0, 0, 1]
-    kls = rng.uniform(0.0, 3.0, size=6)
+    p_hat = model.config.p_hat
+    sampling = rng.uniform(0.05, 0.95, size=(5, 6))
+    kls = vgda.bernoulli_kl(p_hat, T.constant(sampling)).values[:, 0]
     probabilities = T.Tensor(rows, requires_grad=True)
-    kl_tensor = T.Tensor(kls[:, None], requires_grad=True)
-    result = ForwardResult(probabilities=probabilities, kl=kl_tensor,
-                           h_matrix=None, h_hat=None, alpha=None)
+    p = T.Tensor(sampling, requires_grad=True)
+    result = ForwardResult(probabilities=probabilities, h_matrix=None,
+                           h_hat=None, alpha=None, factor=vgda.SamplingFactor(
+                               p=p, z=sampling > 0.5, z_tilde=None))
     with T.Tape() as tape:
         loss = model.batch_loss(result, labels)
         tape.backward(loss)
@@ -179,8 +188,52 @@ def test_batch_loss_matches_the_per_graph_formula_bit_for_bit():
         if row[y] >= 1e-12:
             want[y] = -weight / row[y]
         assert np.array_equal(grad, want)
-    assert kl_tensor.grad.tobytes() == np.full((6, 1),
-                                               weight * beta).tobytes()
+    # each graph's KL column, weighted by beta over the batch
+    assert p.grad.tobytes() == (np.full((1, 6), weight * beta) * (
+        -p_hat / sampling + (1.0 - p_hat) / (1.0 - sampling))).tobytes()
+
+
+@pytest.mark.parametrize("mode", [vgda.TRAIN, vgda.EVAL])
+def test_forward_leaves_the_kl_to_the_loss(monkeypatch, mode):
+    model, prepared = build_tiny_model()
+    calls = []
+    kl_sum = T.bernoulli_kl_sum
+    monkeypatch.setattr(T, "bernoulli_kl_sum",
+                        lambda *args: calls.append(args) or kl_sum(*args))
+    labels = [p.label for p in prepared]
+    with T.Tape() as tape:
+        model.refresh_key_encodings()
+        result = model.forward(prepared, mode, rng=np.random.default_rng(0))
+        assert calls == []
+        recorded = len(tape.nodes)
+        model.batch_loss(result, labels)
+    assert len(calls) == 1
+    assert [fn.__qualname__.split(".")[0] for _, _, fn in
+            tape.nodes[recorded:]].count("bernoulli_kl_sum") == 1
+    assert "kl" not in {f.name for f in fields(ForwardResult)}
+
+
+def _cross_entropy(probabilities, labels):
+    """Mean of -log p[label] over the rows, p clamped at 1e-12."""
+    p_true = probabilities[np.arange(len(labels)), labels]
+    return np.mean(-np.log(np.maximum(p_true, 1e-12)))
+
+
+def test_batch_loss_without_a_kl_term_is_the_cross_entropy():
+    labels = [0, 1]
+    # no VGDA: no KL, whatever beta is
+    model, prepared = build_tiny_model(beta=0.5)
+    model.refresh_key_encodings()
+    plain = model.forward(prepared, vgda.EVAL, use_vgda=False)
+    loss = model.batch_loss(plain, labels).item()
+    assert loss == _cross_entropy(plain.probabilities.values, labels)
+    # VGDA at beta = 0: the KL weighs nothing
+    model, prepared = build_tiny_model(beta=0.0)
+    model.refresh_key_encodings()
+    adapted = model.forward(prepared, vgda.TRAIN,
+                            rng=np.random.default_rng(0))
+    loss = model.batch_loss(adapted, labels).item()
+    assert loss == _cross_entropy(adapted.probabilities.values, labels)
 
 
 def test_forward_loss_nonnegative_and_probabilities_normalized():
@@ -190,7 +243,6 @@ def test_forward_loss_nonnegative_and_probabilities_normalized():
     for graph in prepared:
         result = model.forward([graph], vgda.TRAIN, rng=rng)
         assert abs(result.probabilities.values.sum() - 1.0) <= 1e-9
-        assert result.kl.values.item() >= 0.0
         loss = model.batch_loss(result, [graph.label])
         assert loss.values.item() >= 0.0
 
@@ -315,16 +367,16 @@ def _padded_reference(model, graph, mode, rng):
     f_full = encode(features, normalize_adjacency(adjacency),
                     model.encoder_input)
     keys = model.dictionary
-    adapted, factor, kl = vgda.adapt_keys(
+    adapted, factor = vgda.adapt_keys(
         f_full, keys.encoded, keys.offsets, model.w_r, mode,
-        rng=rng, temperature=cfg.temperature, p_hat=cfg.p_hat)
+        rng=rng, temperature=cfg.temperature)
     h_matrix, _, _ = mswe.embed_keys_multi(
         T.row_select(f_full, np.arange(size) < n), adapted[0], cfg.lambdas,
         max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
     h_hat, _ = mswe.aggregate_attention_matrix(h_matrix, model.w_m)
-    hidden = T.relu(T.matmul(T.transpose(h_hat), model.head_w1))
+    hidden = T.relu(T.matmul(h_hat, model.head_w1))
     probabilities = T.row_softmax(T.matmul(hidden, model.head_w2))
-    return probabilities, h_matrix, kl, factor.z
+    return probabilities, h_matrix, factor
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,17 +394,17 @@ def test_own_size_forward_matches_padded_reference(n, density, seed, mode):
     def run(forward):
         w_r.zero_grad()
         with T.Tape() as tape:
-            probabilities, h_matrix, kl, mask = forward(
+            probabilities, h_matrix, factor = forward(
                 np.random.default_rng(seed))
             tape.backward(model.batch_loss(ForwardResult(
-                probabilities, kl, h_matrix, h_hat=None, alpha=None), [0]))
-        values = [t.values for t in (probabilities, h_matrix, kl)]
-        return values, mask, w_r.grad.copy(), tape
+                probabilities, h_matrix, h_hat=None, alpha=None,
+                factor=factor), [0]))
+        values = [t.values for t in (probabilities, h_matrix, factor.p)]
+        return values, factor.z, w_r.grad.copy(), tape
 
     def own_size(rng):
         result = model.forward([prepared], mode, rng=rng)
-        return (result.probabilities, result.h_matrix[0], result.kl,
-                result.factor.z)
+        return result.probabilities, result.h_matrix[0], result.factor
 
     values, mask, grad, tape = run(own_size)
     want_values, want_mask, want_grad, _ = run(
@@ -389,9 +441,31 @@ def test_batch_forward_matches_single_graph_forwards(sizes, density, seed):
     for g, prepared in enumerate(batch):
         alone = model.forward([prepared], vgda.TRAIN, rng=single_rng)
         assert np.array_equal(together.factor.z[:, g], alone.factor.z[:, 0])
-        assert np.abs(together.kl.values[g]
-                      - alone.kl.values[0]).max() <= 1e-12
+        assert np.abs(together.factor.p.values[:, g]
+                      - alone.factor.p.values[:, 0]).max() <= 1e-12
     assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_evaluate_scores_the_set_in_one_forward_as_predict_does(
+        monkeypatch):
+    model = _own_size_model()
+    prepared = [model.prepare(_random_graph(n, 0.4, seed))
+                for seed, n in enumerate([1, 3, 5, 8, 13, 2, 7, 4])]
+    singles = np.vstack([model.predict(g) for g in prepared])
+    batches = []
+    forward = GraphDictionaryModel.forward
+    monkeypatch.setattr(GraphDictionaryModel, "forward",
+                        lambda self, batch, *args, **kwargs: batches.append(
+                            len(batch)) or forward(self, batch, *args,
+                                                   **kwargs))
+    predicted, accuracy = model.evaluate(prepared)
+    assert batches == [len(prepared)]
+    batched = forward(model, prepared, vgda.EVAL).probabilities.values
+    assert np.abs(batched - singles).max() <= 1e-12
+    assert predicted == np.argmax(singles, axis=1).tolist()
+    assert accuracy == np.mean([y == g.label
+                                for y, g in zip(predicted, prepared)])
+    assert model.evaluate([]) == ([], 0.0)
 
 
 def test_parameter_partition_is_exhaustive_and_disjoint():
@@ -482,12 +556,10 @@ def test_forward_record_shapes():
     for stack, m in zip(stacks, selected):
         assert stack.shape == (n_lams, n, m)
     assert result.h_matrix[0].values.shape == (n_keys, n_lams)
-    assert result.h_hat[0].values.shape == (n_keys, 1)
+    assert result.h_hat[0].values.shape == (1, n_keys)
     assert result.alpha[0].values.shape == (1, n_lams)
     assert abs(result.alpha[0].values.sum() - 1.0) <= 1e-9
-    assert result.kl.values.shape == (1, 1)
     assert result.probabilities.values.shape == (1, 2)
-    assert result.kl.item() >= 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,9 +574,9 @@ def test_frozen_record_state_reproduces_the_forward(n, density, seed, mode):
     first = model.forward([prepared], mode, rng=np.random.default_rng(seed))
     frozen = model.forward([prepared], mode, masks=first.factor.z,
                            plans=[s.values for s in first.plans])
-    for name in ("probabilities", "kl"):
-        assert np.array_equal(getattr(first, name).values,
-                              getattr(frozen, name).values), name
+    assert np.array_equal(first.probabilities.values,
+                          frozen.probabilities.values)
+    assert np.array_equal(first.factor.p.values, frozen.factor.p.values)
     for name in ("h_matrix", "h_hat"):
         assert np.array_equal(getattr(first, name)[0].values,
                               getattr(frozen, name)[0].values), name

@@ -1,5 +1,6 @@
 """Entropic transport solver, multi-sensitivity embedding, attention fusion."""
 
+import re
 import time
 import warnings
 
@@ -97,6 +98,11 @@ def test_solver_validation():
         sinkhorn(M, -1.0)
     with pytest.raises(ConfigError):
         sinkhorn(M, 1.0, max_iter=0)
+    for lams in ([np.nan], [np.inf], [], [1.0, -np.inf]):
+        listed = re.escape(str(lams))
+        with pytest.raises(ConfigError, match="sensitivities must be one or "
+                           rf"more finite positive numbers, got {listed}"):
+            sinkhorn_keys(M, lams)
     with pytest.raises(ShapeError):
         sinkhorn(np.ones(3), 1.0)
     for bad in (np.nan, np.inf, -np.inf):
@@ -477,14 +483,15 @@ def test_attention_single_sensitivity_is_identity():
     h = T.Tensor([[0.4], [1.2]])
     h_hat, alpha = aggregate_attention_matrix(h, T.Tensor([[0.3, -0.7]]))
     assert np.allclose(alpha.values, [[1.0]], atol=1e-12)
-    assert np.allclose(h_hat.values, h.values, atol=1e-12)
+    assert np.allclose(h_hat.values, h.values.T, atol=1e-12)
 
 
 def test_attention_zero_weights_average_columns():
     h = T.Tensor(np.random.default_rng(9).normal(size=(3, 4)))
     h_hat, alpha = aggregate_attention_matrix(h, T.Tensor(np.zeros((1, 3))))
     assert np.allclose(alpha.values, 0.25, atol=1e-12)
-    assert np.allclose(h_hat.values, h.values.mean(axis=1, keepdims=True),
+    assert h_hat.values.shape == (1, 3)
+    assert np.allclose(h_hat.values, h.values.mean(axis=1)[None, :],
                        atol=1e-12)
 
 
@@ -500,7 +507,7 @@ def test_attention_weights_normalized_and_aggregate_exact():
     w_m = T.Tensor(rng.normal(size=(1, 5)))
     h_hat, alpha = aggregate_attention_matrix(h, w_m)
     assert abs(alpha.values.sum() - 1.0) <= 1e-9
-    assert np.allclose(h_hat.values, h.values @ alpha.values.T, atol=1e-12)
+    assert np.allclose(h_hat.values, alpha.values @ h.values.T, atol=1e-12)
 
 
 def test_attention_shape_validation():

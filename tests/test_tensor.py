@@ -215,13 +215,17 @@ def _offset_consumers():
 @pytest.mark.parametrize("consumer", sorted(_offset_consumers()))
 @pytest.mark.parametrize("offsets", [[0, 3, 1, 4], [1, 4], [0, 0, 4],
                                      [0, 3, 2, 4], [0, 3], [0, 5], [0],
-                                     [[0, 4]]])
+                                     [[0, 4]], [0, 2.5, 4]])
 def test_every_offset_consumer_rejects_a_bad_layout(consumer, offsets):
     apply = _offset_consumers()[consumer]
     apply([0, 1, 4])  # a good layout passes
     listed = re.escape(str(np.asarray(offsets).tolist()))
-    with pytest.raises(ShapeError, match=rf"segment offsets {listed} leave "
-                       "an empty side: they must rise strictly from 0 to 4"):
+    if np.asarray(offsets).dtype.kind == "f":
+        message = rf"segment offsets {listed} must be integers"
+    else:
+        message = (rf"segment offsets {listed} leave an empty side: they "
+                   "must rise strictly from 0 to 4")
+    with pytest.raises(ShapeError, match=message):
         apply(offsets)
 
 
@@ -229,6 +233,14 @@ def test_row_select_empty_mask_raises():
     x = T.Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeError):
         T.row_select(x, np.zeros(3, dtype=bool))
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+def test_binary_concrete_needs_a_finite_positive_temperature(temperature):
+    with pytest.raises(NumericsError, match="temperature must be finite and "
+                       rf"> 0, got {temperature}"):
+        T.binary_concrete(T.Tensor([[0.3], [0.6]]), np.full((2, 1), 0.5),
+                          temperature)
 
 
 def test_log_of_nonpositive_raises():
@@ -617,10 +629,6 @@ def _build_case(name, rng):
         ws = _probe(rng, n, widths.shape[0])
         return [a, wv], lambda: _weighted_sum(
             T.segment_matvec(a, wv, offsets), ws)
-    if name == "reshape":
-        a = _rand(rng, n, m)
-        wr = _probe(rng, m, n)
-        return [a], lambda: _weighted_sum(T.reshape(a, (m, n)), wr)
     if name == "plan_costs":
         a = _rand(rng, n, m)
         plans = rng.uniform(0.1, 1.0, size=(k, n, m))
@@ -635,7 +643,7 @@ PRIMITIVES = [
     "transpose", "clamp", "unit_rows", "pairwise_sqdist",
     "binary_concrete", "bernoulli_kl_sum", "plan_costs",
     "bernoulli_kl_sum_columns", "row_select_column_surrogate",
-    "segment_matvec", "reshape",
+    "segment_matvec",
 ]
 
 

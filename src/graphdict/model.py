@@ -397,15 +397,11 @@ class GraphDictionaryModel:
         return self.forward([prepared], vgda.EVAL).probabilities.values[0]
 
     def evaluate(self, prepared_list):
-        """Eval-mode predicted labels of prepared graphs, scored by one
-        forward over them all, and the accuracy."""
+        """Eval-mode predicted labels of prepared graphs, and the accuracy."""
         self.refresh_key_encodings()
-        if not prepared_list:
-            return [], 0.0
-        probabilities = self.forward(prepared_list, vgda.EVAL).probabilities
-        predicted = np.argmax(probabilities.values, axis=1).tolist()
+        predicted = [int(np.argmax(self.predict(p))) for p in prepared_list]
         correct = sum(y == p.label for y, p in zip(predicted, prepared_list))
-        return predicted, correct / len(predicted)
+        return predicted, (correct / len(predicted) if predicted else 0.0)
 
 
 # ---------------------------------------------------------------------------

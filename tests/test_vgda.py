@@ -1,6 +1,7 @@
 """Variational substructure sampling: probabilities, masks, KL penalty."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -285,6 +286,31 @@ def test_eval_adaptation_is_deterministic():
     assert np.array_equal(first[0][0].features.values,
                           second[0][0].features.values)
     assert np.array_equal(first[1].p.values, second[1].p.values)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="perfbench/tracing.py Tracer._after_adapt unpacks "
+                          "three values from adapt_key, which returns two")
+def test_adapt_key_runs_under_the_benchmark_tracer(monkeypatch):
+    # The benchmark's tracer wraps adapt_key; this call must keep working
+    # under it.  strict: once the tracer unpacks (adapted, factor), the
+    # test passes and the xfail marker has to go.
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench"))
+    from tracing import Patches, Tracer
+    from graphdict import vgda
+
+    rng = np.random.default_rng(4)
+    f_in = tens(rng.normal(size=(3, 8)))
+    f_key = tens(rng.normal(size=(5, 8)))
+    w_r = tens(rng.normal(size=(3, 1)))
+    tracer = Tracer(recorder=None)
+    with Patches() as patches:
+        tracer.install(patches)
+        adapted, factor = vgda.adapt_key(f_in, f_key, w_r, EVAL)
+    assert tracer.adapt == [(int(factor.z.sum()), factor.z.size,
+                             not (factor.p.values[:, 0] > 0.5).any())]
 
 
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])

@@ -10,7 +10,7 @@ a fixed-length embedding fed to a small classifier head.
 from . import tensor
 from .data import (DatasetBundle, LabeledGraph, featurize, load_tu_dataset,
                    normalize_adjacency, save_tu_dataset, stratified_folds)
-from .encoder import EncoderParams, encode, momentum_update
+from .encoder import encode, init_weights, momentum_update
 from .errors import (ConfigError, FormatError, GraphDictError, IoError,
                      NumericsError, OracleError, ParseError, SchemeError,
                      ShapeError, SizeError)
@@ -32,7 +32,7 @@ __all__ = [
     "tensor",
     "DatasetBundle", "LabeledGraph", "featurize", "load_tu_dataset",
     "normalize_adjacency", "save_tu_dataset", "stratified_folds",
-    "EncoderParams", "encode", "momentum_update",
+    "encode", "init_weights", "momentum_update",
     "GraphDictError", "FormatError", "ParseError", "SchemeError",
     "ConfigError", "ShapeError", "NumericsError", "OracleError", "SizeError",
     "IoError",

@@ -9,8 +9,6 @@ update).  No bias terms are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -25,31 +23,16 @@ def xavier_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-@dataclass
-class EncoderParams:
-    """Weights of one encoder branch.
-
-    The backprop-trained input branch's weights require gradients; the
-    momentum-updated dictionary branch's never carry them.
-    """
-
-    weights: list[T.Tensor]
-
-    @classmethod
-    def initialize(cls, in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS):
-        dims = (in_dim, *hidden_dims)
-        return cls(weights=[T.Tensor(xavier_uniform(rng, dims[i], dims[i + 1]),
-                                     requires_grad=True)
-                            for i in range(len(hidden_dims))])
-
-    def copy_as_momentum_branch(self):
-        """A frozen branch starting from identical weights."""
-        return EncoderParams(weights=[T.Tensor(w.values.copy())
-                                      for w in self.weights])
+def init_weights(in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS):
+    """One branch's trainable weights, Xavier-uniform, layer by layer."""
+    dims = (in_dim, *hidden_dims)
+    return [T.Tensor(xavier_uniform(rng, dims[i], dims[i + 1]),
+                     requires_grad=True) for i in range(len(hidden_dims))]
 
 
-def encode(features, a_hat, params):
-    """Encode node features against a normalized adjacency.
+def encode(features, a_hat, weights):
+    """Encode node features against a normalized adjacency through one
+    branch's list of layer weights.
 
     ``features`` may be a Tensor (trainable dictionary node features) or a
     plain array (fixed input one-hots); ``a_hat`` is always constant.
@@ -64,20 +47,21 @@ def encode(features, a_hat, params):
                          f"{a_hat.shape[0]} adjacency rows")
     propagate = T.constant(a_hat)
     h = x
-    for w in params.weights:
+    for w in weights:
         h = T.relu(T.matmul(T.matmul(propagate, h), w))
     return h
 
 
-def momentum_update(dict_params, input_params, m):
-    """In-place EMA: every dictionary weight <- m*w_dict + (1-m)*w_input."""
+def momentum_update(dict_weights, input_weights, m):
+    """In-place EMA over two branches' weight lists: every dictionary weight
+    <- m*w_dict + (1-m)*w_input.  Returns ``dict_weights``."""
     if not 0.0 <= m <= 1.0:
         raise ConfigError(f"momentum coefficient must lie in [0, 1], got {m}")
-    if len(dict_params.weights) != len(input_params.weights):
+    if len(dict_weights) != len(input_weights):
         raise ShapeError("momentum_update: branch depths differ")
-    for wd, wi in zip(dict_params.weights, input_params.weights):
+    for wd, wi in zip(dict_weights, input_weights):
         if wd.values.shape != wi.values.shape:
             raise ShapeError(f"momentum_update: shape mismatch "
                              f"{wd.values.shape} vs {wi.values.shape}")
         wd.values[...] = m * wd.values + (1.0 - m) * wi.values
-    return dict_params
+    return dict_weights

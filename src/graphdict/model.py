@@ -15,13 +15,12 @@ import json
 import numbers
 import zipfile
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
 from . import mswe, tensor as T, vgda
 from .data import SCHEMES, LabeledGraph, featurize, normalize_adjacency
-from .encoder import DEFAULT_HIDDEN_DIMS, EncoderParams, encode, xavier_uniform
+from .encoder import DEFAULT_HIDDEN_DIMS, encode, init_weights, xavier_uniform
 from .errors import ConfigError, FormatError, IoError, ShapeError
 
 
@@ -33,14 +32,18 @@ def check_ranges(rules):
             raise ConfigError(message)
 
 
+def integer_at_least(low, name, value):
+    """The (holds, message) rule that ``value``, called ``name``, is an
+    integer >= ``low``."""
+    if isinstance(value, numbers.Integral):
+        return value >= low, f"{name} must be >= {low}, got {value}"
+    return False, f"{name} must be an integer, got {value!r}"
+
+
 def at_least_one(config, *names):
     """Rules that each named field of ``config`` is an integer >= 1."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, numbers.Integral):
-            yield value >= 1, f"{name} must be >= 1, got {value}"
-        else:
-            yield False, f"{name} must be an integer, got {value!r}"
+    return (integer_at_least(1, name, getattr(config, name))
+            for name in names)
 
 
 @dataclass(kw_only=True)
@@ -60,7 +63,7 @@ class Hyperparameters:
     def __post_init__(self):
         check_ranges([
             *at_least_one(self, "head_hidden", "sinkhorn_max_iter"),
-            *((d >= 1, f"encoder_dims[{i}] must be >= 1, got {d}")
+            *(integer_at_least(1, f"encoder_dims[{i}]", d)
               for i, d in enumerate(self.encoder_dims)),
             (self.encoder_dims, "encoder_dims must hold at least one layer"),
             (0.0 < self.sinkhorn_tol < np.inf, "sinkhorn_tol must be finite "
@@ -114,38 +117,28 @@ class ModelConfig(Hyperparameters):
 
 
 @dataclass
-class DictionaryKey:
-    """One dictionary entry: fixed adjacency, trainable node features."""
-
-    source_class: int
-    adjacency: np.ndarray
-    features: T.Tensor            # trainable (psi)
-
-    @cached_property
-    def a_hat(self):
-        return normalize_adjacency(self.adjacency)
-
-    @property
-    def node_count(self):
-        return self.adjacency.shape[0]
-
-
-@dataclass
 class BaseGraphDictionary:
-    """The keys, plus their stacked encodings once refreshed.
+    """The keys as one list per field, in key order: each key's fixed
+    adjacency, its trainable node features and its source graph's class.
 
-    Key j owns rows offsets[j]:offsets[j+1] of ``encoded``.
+    ``a_hat`` (the normalized adjacencies) and ``offsets`` are derived from
+    the adjacencies.  Key j owns rows offsets[j]:offsets[j+1] of
+    ``encoded``, the stacked key encodings once refreshed.
     """
 
-    keys: list[DictionaryKey]
+    adjacency: list[np.ndarray]
+    features: list[T.Tensor]        # trainable (psi)
+    source_class: list[int]
     encoded: T.Tensor | None = None
+    a_hat: list[np.ndarray] = field(init=False)
     offsets: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.offsets = np.cumsum([0] + [key.node_count for key in self.keys])
+        self.a_hat = [normalize_adjacency(a) for a in self.adjacency]
+        self.offsets = np.cumsum([0] + [a.shape[0] for a in self.adjacency])
 
     def __len__(self):
-        return len(self.keys)
+        return len(self.adjacency)
 
 
 def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
@@ -157,8 +150,7 @@ def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
     the seed.
     """
     graphs = list(train_graphs)
-    if k < 1:
-        raise ConfigError(f"dictionary size must be >= 1, got {k}")
+    check_ranges([integer_at_least(1, "dictionary size", k)])
     if k > len(graphs):
         raise ConfigError(f"dictionary size {k} exceeds the {len(graphs)} "
                           "available training graphs")
@@ -168,12 +160,12 @@ def init_base_dictionary(train_graphs, k, seed, scheme, feature_dim):
              for cls in np.unique(classes)]
     dealt = [idx for turn in itertools.zip_longest(*pools)
              for idx in turn if idx is not None]
-    return BaseGraphDictionary(keys=[DictionaryKey(
-        source_class=graphs[idx].class_label,
-        adjacency=graphs[idx].adjacency.copy(),
-        features=T.Tensor(featurize(graphs[idx], scheme, feature_dim),
-                          requires_grad=True))
-        for idx in dealt[:k]])
+    keys = [graphs[idx] for idx in dealt[:k]]
+    return BaseGraphDictionary(
+        adjacency=[key.adjacency.copy() for key in keys],
+        features=[T.Tensor(featurize(key, scheme, feature_dim),
+                           requires_grad=True) for key in keys],
+        source_class=[key.class_label for key in keys])
 
 
 def dense_shapes(config):
@@ -218,12 +210,13 @@ class ForwardResult:
 class GraphDictionaryModel:
     """The full pipeline: encode -> adapt keys -> transport embed -> classify.
 
-    The dense weights are trainable and shaped as :func:`dense_shapes` says.
+    Each encoder branch is a list of layer weights.  The dense weights are
+    trainable and shaped as :func:`dense_shapes` says.
     """
 
     config: ModelConfig
-    encoder_input: EncoderParams
-    encoder_dict: EncoderParams     # the momentum branch
+    encoder_input: list[T.Tensor]   # trained by backprop
+    encoder_dict: list[T.Tensor]    # the momentum branch, never trained
     dictionary: BaseGraphDictionary
     w_r: T.Tensor                   # VGDA projection; n-node inputs use [:n]
     w_m: T.Tensor                   # attention over the sensitivities
@@ -236,9 +229,9 @@ class GraphDictionaryModel:
     def build(cls, config, train_graphs, seed):
         """Fresh model with the dictionary seeded from training graphs."""
         rng = np.random.default_rng(seed)
-        encoder_input = EncoderParams.initialize(
-            config.feature_dim, rng, hidden_dims=config.encoder_dims)
-        encoder_dict = encoder_input.copy_as_momentum_branch()
+        encoder_input = init_weights(config.feature_dim, rng,
+                                     hidden_dims=config.encoder_dims)
+        encoder_dict = [T.Tensor(w.values.copy()) for w in encoder_input]
         dictionary = init_base_dictionary(train_graphs, config.num_keys, rng,
                                           config.feature_scheme,
                                           config.feature_dim)
@@ -259,15 +252,11 @@ class GraphDictionaryModel:
 
     def psi_parameters(self):
         """Encoder, dictionary features, attention, and head weights."""
-        return [*self.encoder_input.weights,
-                *(key.features for key in self.dictionary.keys),
+        return [*self.encoder_input, *self.dictionary.features,
                 self.w_m, self.head_w1, self.head_w2]
 
     def parameters(self):
         return self.phi_parameters() + self.psi_parameters()
-
-    def momentum_parameters(self):
-        return list(self.encoder_dict.weights)
 
     # -- preprocessing ------------------------------------------------------
 
@@ -296,9 +285,10 @@ class GraphDictionaryModel:
         to the trainable node features through the frozen branch weights),
         or once before a batch of evaluation passes.
         """
-        self.dictionary.encoded = T.concat_rows(
-            [encode(key.features, key.a_hat, self.encoder_dict)
-             for key in self.dictionary.keys])
+        keys = self.dictionary
+        keys.encoded = T.concat_rows(
+            [encode(features, a_hat, self.encoder_dict)
+             for features, a_hat in zip(keys.features, keys.a_hat)])
 
     def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
@@ -413,21 +403,26 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 def save_checkpoint(model, path):
     """Serialize all parameters plus config to one .npz, bit-exactly,
-    tagged with :data:`CHECKPOINT_FORMAT_VERSION`."""
+    tagged with :data:`CHECKPOINT_FORMAT_VERSION`.  Raises IoError naming
+    ``path`` when it cannot be written."""
     arrays = {"format_version": np.asarray([CHECKPOINT_FORMAT_VERSION]),
               "config": np.frombuffer(model.config.to_json().encode("utf-8"),
                                       dtype=np.uint8).copy()}
-    for branch, params in (("enc_input", model.encoder_input),
-                           ("enc_dict", model.encoder_dict)):
+    for branch, weights in (("enc_input", model.encoder_input),
+                            ("enc_dict", model.encoder_dict)):
         arrays.update((f"{branch}_{i}", w.values)
-                      for i, w in enumerate(params.weights))
-    for j, key in enumerate(model.dictionary.keys):
-        arrays[f"key_{j}_adjacency"] = key.adjacency
-        arrays[f"key_{j}_features"] = key.features.values
-        arrays[f"key_{j}_class"] = np.asarray([key.source_class])
+                      for i, w in enumerate(weights))
+    keys = model.dictionary
+    for j, features in enumerate(keys.features):
+        arrays[f"key_{j}_adjacency"] = keys.adjacency[j]
+        arrays[f"key_{j}_features"] = features.values
+        arrays[f"key_{j}_class"] = np.asarray([keys.source_class[j]])
     arrays.update((name, getattr(model, name).values)
                   for name in dense_shapes(model.config))
-    np.savez(path, **arrays)
+    try:
+        np.savez(path, **arrays)
+    except OSError as exc:
+        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def load_checkpoint(path):
@@ -490,26 +485,26 @@ def load_checkpoint(path):
             raise FormatError(f"checkpoint {path} has a malformed config: "
                               f"{exc!r}") from exc
         dims = (config.feature_dim, *config.encoder_dims)
-        enc_input, enc_dict = (EncoderParams(weights=[
+        enc_input, enc_dict = ([
             T.Tensor(array(f"{branch}_{i}", dims[i:i + 2]), requires_grad=grad)
-            for i in range(len(config.encoder_dims))])
+            for i in range(len(config.encoder_dims))]
             for branch, grad in (("enc_input", True), ("enc_dict", False)))
-        keys = []
+        adjacency, features, source_class = [], [], []
         for j in range(config.num_keys):
             name = f"key_{j}_adjacency"
-            adjacency = array(name)
-            source_class = int(array(f"key_{j}_class", (1,))[0])
+            stored = array(name)
+            source_class.append(int(array(f"key_{j}_class", (1,))[0]))
             try:
-                graph = LabeledGraph(adjacency=adjacency,
-                                     class_label=source_class)
+                graph = LabeledGraph(adjacency=stored,
+                                     class_label=source_class[-1])
             except FormatError as exc:
                 raise FormatError(f"checkpoint {path}: array {name!r}: "
                                   f"{exc}") from exc
-            keys.append(DictionaryKey(
-                source_class=source_class, adjacency=graph.adjacency,
-                features=trained(f"key_{j}_features",
-                                 (graph.node_count, config.feature_dim))))
+            adjacency.append(graph.adjacency)
+            features.append(trained(f"key_{j}_features",
+                                    (graph.node_count, config.feature_dim)))
         dense = {name: trained(name, shape)
                  for name, shape in dense_shapes(config).items()}
     return GraphDictionaryModel(config, enc_input, enc_dict,
-                                BaseGraphDictionary(keys=keys), **dense)
+                                BaseGraphDictionary(adjacency, features,
+                                                    source_class), **dense)

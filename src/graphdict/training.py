@@ -25,7 +25,8 @@ from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
 from .encoder import momentum_update
 from .errors import GraphDictError, IoError, NumericsError
 from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
-                    at_least_one, check_ranges, save_checkpoint)
+                    at_least_one, check_ranges, integer_at_least,
+                    save_checkpoint)
 
 
 @dataclass(kw_only=True)
@@ -50,9 +51,9 @@ class TrainConfig(Hyperparameters):
     def __post_init__(self):
         betas = self.adam_betas
         check_ranges([
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            integer_at_least(0, "seed", self.seed),
             *at_least_one(self, "batch_size", "epochs", "keys", "workers"),
-            (self.folds >= 2, f"folds must be >= 2, got {self.folds}"),
+            integer_at_least(2, "folds", self.folds),
             (0.0 < self.learning_rate < np.inf, "learning_rate must be finite "
              f"and > 0, got {self.learning_rate}"),
             (0.0 <= self.weight_decay < np.inf, "weight_decay must be finite "
@@ -353,7 +354,7 @@ def export_diagnostics(model, prepared, input_id, out_dir):
                f"predicted_label: {predicted}\n"
                f"probabilities: {np.array2string(probabilities)}\n"
                f"kl_total: {kl_total!r}\n"
-               f"keys: {len(model.dictionary.keys)}\n"
+               f"keys: {len(model.dictionary)}\n"
                f"sensitivities: {list(lambdas)}\n")
     _write(out_dir, "summary.txt", lambda fh: fh.write(summary))
     return result

@@ -12,7 +12,8 @@ from graphdict import mswe, tensor as T
 from graphdict import vgda
 from graphdict.data import LabeledGraph, featurize, normalize_adjacency
 from graphdict.encoder import encode
-from graphdict.errors import ConfigError, FormatError, NumericsError, ShapeError
+from graphdict.errors import (ConfigError, FormatError, IoError, NumericsError,
+                              ShapeError)
 from graphdict.model import (CHECKPOINT_FORMAT_VERSION, ForwardResult,
                              GraphDictionaryModel, ModelConfig,
                              init_base_dictionary, load_checkpoint,
@@ -27,7 +28,7 @@ from conftest import (build_tiny_model, make_synthetic_bundle,
 def test_dictionary_round_robin_balances_classes():
     graphs = make_synthetic_bundle(count=24).graphs
     dictionary = init_base_dictionary(graphs, 14, 0, "degree-onehot", 7)
-    classes = [key.source_class for key in dictionary.keys]
+    classes = dictionary.source_class
     assert len(dictionary) == 14
     assert classes.count(0) == 7 and classes.count(1) == 7
 
@@ -35,17 +36,19 @@ def test_dictionary_round_robin_balances_classes():
 def test_dictionary_two_keys_one_per_class():
     graphs = make_synthetic_bundle(count=8).graphs
     dictionary = init_base_dictionary(graphs, 2, 3, "degree-onehot", 7)
-    assert sorted(key.source_class for key in dictionary.keys) == [0, 1]
+    assert sorted(dictionary.source_class) == [0, 1]
 
 
 def test_dictionary_seeded_identically():
     graphs = make_synthetic_bundle(count=12).graphs
     first = init_base_dictionary(graphs, 6, 42, "degree-onehot", 7)
     second = init_base_dictionary(graphs, 6, 42, "degree-onehot", 7)
-    for a, b in zip(first.keys, second.keys):
-        assert np.array_equal(a.adjacency, b.adjacency)
-        assert np.array_equal(a.features.values, b.features.values)
-        assert a.source_class == b.source_class
+    assert len(first) == len(second) == 6
+    for a, b in zip(first.adjacency, second.adjacency):
+        assert np.array_equal(a, b)
+    for a, b in zip(first.features, second.features):
+        assert np.array_equal(a.values, b.values)
+    assert first.source_class == second.source_class
 
 
 def _rotation_reference(graphs, k, seed):
@@ -79,28 +82,37 @@ def test_dictionary_deals_the_rotation_order():
                                               "degree-onehot", 7)
             want = _rotation_reference(graphs, k, seed)
             assert len(dictionary) == k
-            for key, idx in zip(dictionary.keys, want):
-                assert np.array_equal(key.adjacency, graphs[idx].adjacency)
-                assert key.source_class == graphs[idx].class_label
+            assert dictionary.source_class == [graphs[idx].class_label
+                                               for idx in want]
+            assert list(dictionary.offsets) == [0, *np.cumsum(
+                [graphs[idx].node_count for idx in want])]
+            for j, idx in enumerate(want):
+                assert np.array_equal(dictionary.adjacency[j],
+                                      graphs[idx].adjacency)
                 assert np.array_equal(
-                    key.a_hat, normalize_adjacency(graphs[idx].adjacency))
+                    dictionary.a_hat[j],
+                    normalize_adjacency(graphs[idx].adjacency))
 
 
 def test_dictionary_size_validation():
     graphs = make_synthetic_bundle(count=6).graphs
-    with pytest.raises(ConfigError):
-        init_base_dictionary(graphs, 7, 0, "degree-onehot", 7)
-    with pytest.raises(ConfigError):
-        init_base_dictionary(graphs, 0, 0, "degree-onehot", 7)
+    for k, message in [
+            (7, "dictionary size 7 exceeds the 6 available training graphs"),
+            (0, "dictionary size must be >= 1, got 0"),
+            (2.5, "dictionary size must be an integer, got 2.5")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            init_base_dictionary(graphs, k, 0, "degree-onehot", 7)
 
 
 def test_dictionary_adjacency_fixed_and_features_trainable():
     graphs = make_synthetic_bundle(count=8).graphs
     dictionary = init_base_dictionary(graphs, 4, 1, "degree-onehot", 7)
-    for key in dictionary.keys:
-        assert not isinstance(key.adjacency, T.Tensor)
-        assert key.features.requires_grad
-        assert key.a_hat.shape == key.adjacency.shape
+    assert len(dictionary.adjacency) == len(dictionary.features) == 4
+    for adjacency, features, a_hat in zip(
+            dictionary.adjacency, dictionary.features, dictionary.a_hat):
+        assert not isinstance(adjacency, T.Tensor)
+        assert features.requires_grad
+        assert a_hat.shape == adjacency.shape
 
 
 # --- loss -------------------------------------------------------------------
@@ -279,6 +291,8 @@ def test_forced_full_masks_match_sampling_free_pipeline():
     ({"beta": -0.1}, "beta must be finite and >= 0"),
     ({"p_hat": 0.0}, r"p_hat must lie in \(0, 1\)"),
     ({"p_hat": 1.0}, r"p_hat must lie in \(0, 1\)"),
+    ({"encoder_dims": (4, 4.5)},
+     r"^encoder_dims\[1\] must be an integer, got 4\.5$"),
 ])
 def test_model_config_checks_loss_ranges(change, message):
     base = dict(num_classes=2, feature_scheme="degree-onehot", feature_dim=3,
@@ -300,14 +314,12 @@ def test_padded_copies_predict_identically():
         ModelConfig(n_padded=8, **base_cfg), [g0, g1],
         np.random.default_rng(7))
     # align every weight; the extra projection entries stay arbitrary
-    for dst, src in zip(large.encoder_input.weights,
-                        small.encoder_input.weights):
+    for dst, src in zip(large.encoder_input, small.encoder_input):
         dst.values[:] = src.values
-    for dst, src in zip(large.encoder_dict.weights,
-                        small.encoder_dict.weights):
+    for dst, src in zip(large.encoder_dict, small.encoder_dict):
         dst.values[:] = src.values
-    for dst, src in zip(large.dictionary.keys, small.dictionary.keys):
-        dst.features.values[:] = src.features.values
+    for dst, src in zip(large.dictionary.features, small.dictionary.features):
+        dst.values[:] = src.values
     large.w_r.values[:5] = small.w_r.values
     large.w_m.values[:] = small.w_m.values
     large.head_w1.values[:] = small.head_w1.values
@@ -476,13 +488,13 @@ def test_parameter_partition_is_exhaustive_and_disjoint():
     psi = model.psi_parameters()
     assert {id(p) for p in phi}.isdisjoint({id(p) for p in psi})
     assert phi == [model.w_r]
-    reachable = ([*model.encoder_input.weights]
-                 + [key.features for key in model.dictionary.keys]
+    reachable = ([*model.encoder_input]
+                 + [*model.dictionary.features]
                  + [model.w_m, model.head_w1, model.head_w2,
                     model.w_r])
     assert {id(p) for p in model.parameters()} == {id(p) for p in reachable}
     assert all(p.requires_grad for p in model.parameters())
-    assert all(not w.requires_grad for w in model.momentum_parameters())
+    assert all(not w.requires_grad for w in model.encoder_dict)
 
 
 def test_mask_overrides_make_train_mode_deterministic_without_rng():
@@ -541,7 +553,7 @@ def test_forward_record_shapes():
     result = model.forward([prepared[1]], vgda.EVAL)
     offsets = model.dictionary.offsets
     n = prepared[1].node_count
-    n_keys = len(model.dictionary.keys)
+    n_keys = len(model.dictionary)
     n_lams = len(model.config.lambdas)
     z = result.factor.z
     assert result.factor.p.values.shape == (offsets[-1], 1)
@@ -632,12 +644,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert restored.config == model.config
     for a, b in zip(model.parameters(), restored.parameters()):
         assert np.array_equal(a.values, b.values)
-    for a, b in zip(model.momentum_parameters(),
-                    restored.momentum_parameters()):
+    for a, b in zip(model.encoder_dict, restored.encoder_dict):
         assert np.array_equal(a.values, b.values)
-    for ka, kb in zip(model.dictionary.keys, restored.dictionary.keys):
-        assert np.array_equal(ka.adjacency, kb.adjacency)
-        assert ka.source_class == kb.source_class
+    for a, b in zip(model.dictionary.adjacency, restored.dictionary.adjacency):
+        assert np.array_equal(a, b)
+    assert model.dictionary.source_class == restored.dictionary.source_class
     model.refresh_key_encodings()
     restored.refresh_key_encodings()
     for graph in prepared:
@@ -730,6 +741,16 @@ def test_checkpoint_holds_exactly_its_named_arrays(tmp_path):
             "head_w2": (8, 2)}
 
 
+@pytest.mark.parametrize("parent", ["a_file", "missing_dir"])
+def test_checkpoint_save_to_an_unwritable_path_raises_io_error(tmp_path,
+                                                               parent):
+    (tmp_path / "a_file").write_text("not a directory")
+    path = tmp_path / parent / "model.npz"
+    with pytest.raises(IoError, match=re.escape(
+            f"cannot write checkpoint {path}: ")):
+        save_checkpoint(build_tiny_model()[0], path)
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda version: None, "has no format_version"),
     (lambda version: version + 1,
@@ -752,7 +773,7 @@ def test_overflowing_encoder_raises_numerics_error(mode):
     """Op outputs are not scanned when built, so the first consumer of a
     non-finite value outside the tape must check it."""
     model, prepared = build_tiny_model()
-    for w in model.encoder_input.weights:
+    for w in model.encoder_input:
         w.values *= 1e200
     model.refresh_key_encodings()
     with pytest.raises(NumericsError, match="sampling probabilities"):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,8 @@ from graphdict import tensor as T
 from graphdict import training, vgda
 from graphdict.data import stratified_folds
 from graphdict.encoder import momentum_update
-from graphdict.errors import GraphDictError, IoError, NumericsError
+from graphdict.errors import (ConfigError, GraphDictError, IoError,
+                              NumericsError)
 from graphdict.model import Hyperparameters
 from graphdict.training import (Adam, CvResult, FoldResult, TrainConfig,
                                 export_diagnostics, format_metrics_table,
@@ -121,7 +123,7 @@ def test_overflowing_step_names_the_op_and_changes_nothing():
     # plan costs are nonnegative, so every logit overflows to +inf
     model.head_w1.values[:] = 1e3
     model.head_w2.values[:] = 1e308
-    tensors = model.parameters() + model.momentum_parameters()
+    tensors = model.parameters() + model.encoder_dict
     before = [t.values.copy() for t in tensors] + [
         a.copy() for a in optimizer.m + optimizer.v]
     with pytest.raises(NumericsError, match=r"class probabilities must be "
@@ -286,6 +288,14 @@ def test_fold_crash_is_reported_with_fold_index(monkeypatch):
         run_cv(fast_config(), bundle=bundle)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("folds", 2.5), ("folds", "3"), ("seed", 1.5), ("seed", None)])
+def test_train_config_folds_and_seed_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{field} must be an integer, got {value!r}")):
+        TrainConfig(**{field: value})
+
+
 def test_model_config_for_fold_carries_every_shared_field():
     values = dict(encoder_dims=(4, 6), head_hidden=5, temperature=0.7,
                   sinkhorn_max_iter=33, sinkhorn_tol=1e-5, beta=0.25,
@@ -369,8 +379,8 @@ def test_export_diagnostics_contents(tmp_path):
 
     probs = read_csv(out / "sampling_probabilities.csv")
     assert probs[0] == ["input_id", "key_id", "node_index", "probability"]
-    key_nodes = {str(j): k.node_count
-                 for j, k in enumerate(model.dictionary.keys)}
+    key_nodes = {str(j): a.shape[0]
+                 for j, a in enumerate(model.dictionary.adjacency)}
     seen = {}
     for row in probs[1:]:
         assert row[0] == "1"

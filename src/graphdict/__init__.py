@@ -18,8 +18,8 @@ from .model import (GraphDictionaryModel, ModelConfig, init_base_dictionary,
                     load_checkpoint, save_checkpoint)
 from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, PlanStack,
                    TransportPlan, aggregate_attention_matrix, cost_matrix,
-                   embed_keys_multi, select_lambdas, sinkhorn, sinkhorn_grid,
-                   sinkhorn_keys)
+                   embed_group, embed_keys_multi, select_lambdas, sinkhorn,
+                   sinkhorn_grid, sinkhorn_keys)
 from .training import (Adam, CvResult, FoldResult, TrainConfig,
                        export_diagnostics, run_cv, train_one_fold)
 from .vgda import (AdaptedKey, SamplingFactor, adapt_key, adapt_keys,
@@ -39,7 +39,8 @@ __all__ = [
     "GraphDictionaryModel", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
     "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "PlanStack", "TransportPlan",
-    "aggregate_attention_matrix", "cost_matrix", "embed_keys_multi",
+    "aggregate_attention_matrix", "cost_matrix", "embed_group",
+    "embed_keys_multi",
     "select_lambdas", "sinkhorn", "sinkhorn_grid", "sinkhorn_keys",
     "Adam", "CvResult", "FoldResult", "TrainConfig", "export_diagnostics",
     "run_cv", "train_one_fold",

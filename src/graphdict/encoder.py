@@ -4,7 +4,8 @@ Both branches share one architecture: F = ReLU(A·ReLU(A·ReLU(A·X·W1)·W2)·W
 with A the normalized adjacency.  The input branch is trained by
 backpropagation; the dictionary branch never receives gradients and instead
 tracks the input branch as an exponential moving average (the momentum
-update).  No bias terms are used.
+update).  No bias terms are used.  Graphs of one node count are encoded
+together, A then being the block-diagonal matrix of their adjacencies.
 """
 
 from __future__ import annotations
@@ -31,24 +32,31 @@ def init_weights(in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS):
 
 
 def encode(features, a_hat, weights):
-    """Encode node features against a normalized adjacency through one
-    branch's list of layer weights.
+    """Encode G graphs of n nodes each in one pass through one branch's
+    list of layer weights.
 
-    ``features`` may be a Tensor (trainable dictionary node features) or a
-    plain array (fixed input one-hots); ``a_hat`` is always constant.
-    Returns an (n, last layer width) tensor with nonnegative entries.
+    ``features`` stacks the graphs' node features as (G*n, f) rows, graph
+    g in rows g*n:(g+1)*n; it may be a Tensor (trainable dictionary node
+    features) or a plain array (fixed input one-hots).  ``a_hat`` is the
+    constant (G, n, n) stack of normalized adjacencies, or one graph's
+    (n, n).  Each layer is one block-diagonal propagation, one matmul
+    with the layer weight over all G*n rows and a ReLU.  Returns a (G*n,
+    last layer width) tensor with nonnegative entries, stacked as the
+    features are.
     """
     x = features if isinstance(features, T.Tensor) else T.constant(features)
     a_hat = np.asarray(a_hat, dtype=np.float64)
-    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+    if a_hat.ndim == 2:
+        a_hat = a_hat.reshape(1, *a_hat.shape)
+    if a_hat.ndim != 3 or a_hat.shape[1] != a_hat.shape[2]:
         raise ShapeError(f"encode: adjacency must be square, got {a_hat.shape}")
-    if a_hat.shape[0] != x.values.shape[0]:
+    if a_hat.shape[0] * a_hat.shape[1] != x.values.shape[0]:
         raise ShapeError(f"encode: {x.values.shape[0]} feature rows vs "
-                         f"{a_hat.shape[0]} adjacency rows")
-    propagate = T.constant(a_hat)
+                         f"{a_hat.shape[0]} adjacencies of {a_hat.shape[1]} "
+                         "rows")
     h = x
     for w in weights:
-        h = T.relu(T.matmul(T.matmul(propagate, h), w))
+        h = T.relu(T.matmul(T.block_matmul(a_hat, h), w))
     return h
 
 

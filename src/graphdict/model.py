@@ -40,6 +40,26 @@ def integer_at_least(low, name, value):
     return False, f"{name} must be an integer, got {value!r}"
 
 
+def real_where(holds, must, name, value):
+    """The (holds, message) rule that ``value``, called ``name``, is a real
+    number for which ``holds`` is true; ``must`` words that range."""
+    if isinstance(value, numbers.Real):
+        return holds(value), f"{name} must {must}, got {value}"
+    return False, f"{name} must be a real number, got {value!r}"
+
+
+def positive(name, value):
+    """The rule that ``value`` is a finite real number > 0."""
+    return real_where(lambda v: 0.0 < v < np.inf, "be finite and > 0",
+                      name, value)
+
+
+def nonnegative(name, value):
+    """The rule that ``value`` is a finite real number >= 0."""
+    return real_where(lambda v: 0.0 <= v < np.inf, "be finite and >= 0",
+                      name, value)
+
+
 def at_least_one(config, *names):
     """Rules that each named field of ``config`` is an integer >= 1."""
     return (integer_at_least(1, name, getattr(config, name))
@@ -66,14 +86,11 @@ class Hyperparameters:
             *(integer_at_least(1, f"encoder_dims[{i}]", d)
               for i, d in enumerate(self.encoder_dims)),
             (self.encoder_dims, "encoder_dims must hold at least one layer"),
-            (0.0 < self.sinkhorn_tol < np.inf, "sinkhorn_tol must be finite "
-             f"and > 0, got {self.sinkhorn_tol}"),
-            (0.0 < self.temperature < np.inf, "temperature must be finite "
-             f"and > 0, got {self.temperature}"),
-            (0.0 <= self.beta < np.inf,
-             f"beta must be finite and >= 0, got {self.beta}"),
-            (0.0 < self.p_hat < 1.0,
-             f"p_hat must lie in (0, 1), got {self.p_hat}"),
+            positive("sinkhorn_tol", self.sinkhorn_tol),
+            positive("temperature", self.temperature),
+            nonnegative("beta", self.beta),
+            real_where(lambda v: 0.0 < v < 1.0, "lie in (0, 1)", "p_hat",
+                       self.p_hat),
             (self.lambdas and all(
                 isinstance(v, numbers.Real) and 0.0 < v < np.inf
                 for v in self.lambdas),
@@ -175,6 +192,36 @@ def dense_shapes(config):
             "w_m": (1, config.num_keys),
             "head_w1": (config.num_keys, config.head_hidden),
             "head_w2": (config.head_hidden, config.num_classes)}
+
+
+def node_count_groups(node_counts):
+    """Positions of equal node counts, grouped in first-appearance order."""
+    groups = {}
+    for i, n in enumerate(node_counts):
+        groups.setdefault(n, []).append(i)
+    return list(groups.values())
+
+
+def encode_groups(features, a_hats, weights, groups):
+    """Each graph's encoding through one branch's ``weights``, in input
+    order, from one :func:`encode` per group of equal node count.
+
+    ``groups`` lists the positions of each group's graphs.  A group's
+    feature tensors are stacked and its adjacencies form one (G, n, n)
+    stack; each graph's rows come back out through one ``row_select``, and
+    a group of one is its own encoding.
+    """
+    encoded = [None] * len(features)
+    for members in groups:
+        h = encode(T.concat_rows([features[i] for i in members]),
+                   np.array([a_hats[i] for i in members]), weights)
+        if len(members) == 1:
+            encoded[members[0]] = h
+            continue
+        block = np.arange(h.values.shape[0]) // a_hats[members[0]].shape[0]
+        for k, i in enumerate(members):
+            encoded[i] = T.row_select(h, block == k)
+    return encoded
 
 
 @dataclass
@@ -279,16 +326,17 @@ class GraphDictionaryModel:
     # -- forward ------------------------------------------------------------
 
     def refresh_key_encodings(self):
-        """Re-encode every key through the momentum branch and stack them.
+        """Re-encode every key through the momentum branch and stack them
+        in key order; keys of one node count share an encoder pass.
 
         Call once per optimizer step inside the active tape (gradients flow
         to the trainable node features through the frozen branch weights),
         or once before a batch of evaluation passes.
         """
         keys = self.dictionary
-        keys.encoded = T.concat_rows(
-            [encode(features, a_hat, self.encoder_dict)
-             for features, a_hat in zip(keys.features, keys.a_hat)])
+        keys.encoded = T.concat_rows(encode_groups(
+            keys.features, keys.a_hat, self.encoder_dict,
+            node_count_groups(a.shape[0] for a in keys.a_hat)))
 
     def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
@@ -298,8 +346,14 @@ class GraphDictionaryModel:
 
         Every key is adapted to every graph at once: the sampling
         probabilities, masks and classifier head are batch ops with one
-        row or column per graph.  Each graph's encoder, key selection,
-        costs, transport solve and attention run at its own node count.
+        row or column per graph.  The graphs that share a node count n
+        form a group, in first-appearance order (a batch of one, as in
+        :meth:`predict`, is a group of one).  Each group is encoded in one
+        :func:`encode` pass and transported in one solve
+        (:func:`mswe.embed_group`), so each entry of ``result.plans`` is a
+        column view of its group's plans.  Each graph's rows come back out
+        of its group's encoding in batch order, and its key selection,
+        costs, plan costs and attention run at its own node count.
         Frozen state goes back in as the result holds it: ``masks``, the
         (sum m_j, G) array of ``result.factor.z``, replaces the sampled
         masks (no straight-through surrogate is attached); ``plans``, one
@@ -316,8 +370,10 @@ class GraphDictionaryModel:
         if plans is not None and len(plans) != len(batch):
             raise ShapeError(f"forward: {len(plans)} plan stacks for a batch "
                              f"of {len(batch)} graphs")
-        f_inputs = [encode(g.features, g.a_hat, self.encoder_input)
-                    for g in batch]
+        groups = node_count_groups(g.node_count for g in batch)
+        f_inputs = encode_groups([T.constant(g.features) for g in batch],
+                                 [g.a_hat for g in batch],
+                                 self.encoder_input, groups)
 
         factor = None
         if use_vgda:
@@ -331,12 +387,16 @@ class GraphDictionaryModel:
             adapted = [vgda.AdaptedKey(features=keys.encoded,
                                        offsets=keys.offsets)] * len(batch)
 
-        frozen = [None] * len(batch) if plans is None else plans
-        h_matrix, cost, solved = map(list, zip(*(
-            mswe.embed_keys_multi(f_input, keys_g, cfg.lambdas,
-                                  max_iter=cfg.sinkhorn_max_iter,
-                                  tol=cfg.sinkhorn_tol, plans_override=plan)
-            for f_input, keys_g, plan in zip(f_inputs, adapted, frozen))))
+        h_matrix, cost, solved = ([None] * len(batch) for _ in range(3))
+        for members in groups:
+            embedded = mswe.embed_group(
+                [f_inputs[i] for i in members],
+                [adapted[i] for i in members], cfg.lambdas,
+                max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol,
+                plans_override=(None if plans is None
+                                else [plans[i] for i in members]))
+            for i, h, c, s in zip(members, *embedded):
+                h_matrix[i], cost[i], solved[i] = h, c, s
         h_hat, alpha = map(list, zip(*(
             mswe.aggregate_attention_matrix(h, self.w_m) for h in h_matrix)))
 
@@ -402,9 +462,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 def save_checkpoint(model, path):
-    """Serialize all parameters plus config to one .npz, bit-exactly,
-    tagged with :data:`CHECKPOINT_FORMAT_VERSION`.  Raises IoError naming
-    ``path`` when it cannot be written."""
+    """Serialize all parameters plus config, bit-exactly, to one .npz
+    archive at exactly ``path``, tagged with
+    :data:`CHECKPOINT_FORMAT_VERSION`.  Raises IoError naming ``path`` when
+    it cannot be written."""
     arrays = {"format_version": np.asarray([CHECKPOINT_FORMAT_VERSION]),
               "config": np.frombuffer(model.config.to_json().encode("utf-8"),
                                       dtype=np.uint8).copy()}
@@ -420,7 +481,9 @@ def save_checkpoint(model, path):
     arrays.update((name, getattr(model, name).values)
                   for name in dense_shapes(model.config))
     try:
-        np.savez(path, **arrays)
+        # through an open file, so no ".npz" is appended to ``path``
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 

@@ -20,10 +20,16 @@ beyond that, to avoid underflow.  Both domains lay their slices out the
 same way: one (key, sensitivity) slice per batch row, carrying its own
 kernel or cost matrix, so a row leaves the batch as soon as its slice
 converges.  A single key is the case K = 1.
+
+Inputs of one node count n can share a solve (:func:`embed_group`): their
+cost matrices side by side are K keys per input, and every slice is solved
+on its own, so the joined solve gives each input's own plans.  A single
+input is the group of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -325,28 +331,78 @@ def cost_matrix(f_input, key_features):
     return T.pairwise_sqdist(f_input, key_features)
 
 
+def _side_by_side(cost, adapted):
+    """The inputs' cost matrices side by side and their key offsets shifted
+    and joined; one input's are returned as they are."""
+    if len(cost) == 1:
+        return cost[0].values, adapted[0].offsets
+    if len({c.values.shape[0] for c in cost}) != 1:
+        raise ShapeError("embed_group: the inputs' node counts differ "
+                         f"({[c.values.shape[0] for c in cost]})")
+    joined = np.concatenate([c.values for c in cost], axis=1)
+    starts = itertools.accumulate(
+        (int(keys.offsets[-1]) for keys in adapted), initial=0)
+    return joined, np.concatenate(
+        [keys.offsets[:-1] + start for keys, start in zip(adapted, starts)]
+        + [[joined.shape[1]]])
+
+
+def embed_group(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
+                tol=DEFAULT_TOL, plans_override=None):
+    """Transport embeddings of G inputs of one node count n, each against
+    its own adapted keys.
+
+    ``adapted`` holds one stacked :class:`~graphdict.vgda.AdaptedKey` per
+    input.  Each input's costs are one cost op and its H one
+    :func:`~graphdict.tensor.plan_costs` op.  One :func:`sinkhorn_keys`
+    call solves every input's (key, sensitivity) slices: the G cost
+    matrices side by side, their key offsets shifted and joined.  That is
+    the solve of each input alone, as every slice is solved and retired on
+    its own and the inputs share n and the uniform row mass.  Input g's
+    :class:`PlanStack` is its column view of the group's plans, with its
+    own offsets and its rows of ``iterations`` and ``converged``.
+
+    Returns lists (H, cost, plans), one entry per input: H is a K-by-C
+    tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on
+    the tape; ``cost`` is the (n, sum m_j) cost tensor.  ``plans_override``
+    (one (C, n, sum m_j) array per input, a PlanStack's ``values``)
+    replaces the solve entirely, and ``plans`` is then a list of None —
+    used to freeze plans during gradient checks.
+    """
+    cost = [cost_matrix(f, keys.features)
+            for f, keys in zip(f_inputs, adapted)]
+    if plans_override is not None:
+        solved, values = [None] * len(cost), plans_override
+    else:
+        M, offsets = _side_by_side(cost, adapted)
+        joined = sinkhorn_keys(M, lams, offsets=offsets, max_iter=max_iter,
+                               tol=tol)
+        # input g's columns and key rows follow those of inputs 0..g-1
+        solved, col, row = [], 0, 0
+        for keys in adapted:
+            width, count = int(keys.offsets[-1]), len(keys.offsets) - 1
+            solved.append(PlanStack(
+                values=joined.values[..., col:col + width],
+                offsets=keys.offsets, lams=joined.lams,
+                iterations=joined.iterations[row:row + count],
+                converged=joined.converged[row:row + count]))
+            col, row = col + width, row + count
+        values = [s.values for s in solved]
+    h_matrix = [T.plan_costs(c, v, keys.offsets)
+                for c, v, keys in zip(cost, values, adapted)]
+    return h_matrix, cost, solved
+
+
 def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                      tol=DEFAULT_TOL, plans_override=None):
-    """Transport embedding of one input against every adapted key.
-
-    ``adapted`` is one stacked :class:`~graphdict.vgda.AdaptedKey`.  One
-    cost op covers every selected key row and one :func:`sinkhorn_keys`
-    batch solves all (key, sensitivity) pairs.  Returns (H, cost, plans): H
-    is a K-by-C tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans
-    constant on the tape; ``cost`` is the (n, sum m_j) cost tensor;
-    ``plans`` is the :class:`PlanStack`.  ``plans_override`` ((C, n,
-    sum m_j) plans in the cost's columns, a PlanStack's ``values``)
-    replaces the solve entirely, and ``plans`` is then None — used to
-    freeze plans during gradient checks.
-    """
-    cost = cost_matrix(f_input, adapted.features)
-    if plans_override is not None:
-        solved, values = None, plans_override
-    else:
-        solved = sinkhorn_keys(cost.values, lams, offsets=adapted.offsets,
-                               max_iter=max_iter, tol=tol)
-        values = solved.values
-    return T.plan_costs(cost, values, adapted.offsets), cost, solved
+    """Transport embedding of one input against every adapted key, the
+    group of one of :func:`embed_group`: its (H, cost, plans), with
+    ``plans`` None when ``plans_override`` ((C, n, sum m_j) plans in the
+    cost's columns) replaced the solve."""
+    h_matrix, cost, solved = embed_group(
+        [f_input], [adapted], lams, max_iter=max_iter, tol=tol,
+        plans_override=None if plans_override is None else [plans_override])
+    return h_matrix[0], cost[0], solved[0]
 
 
 def aggregate_attention_matrix(h_matrix, w_m):

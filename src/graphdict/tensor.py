@@ -403,6 +403,30 @@ def unit_rows(a):
     return _record(av / denom, (a,), backward)
 
 
+def block_matmul(blocks, a):
+    """The block-diagonal matrix of the constant ``blocks`` times ``a``.
+
+    ``blocks`` is a (G, n, k) stack and ``a`` holds G blocks of k rows:
+    block g of the (G*n, cols) result is blocks[g] times rows g*k:(g+1)*k
+    of ``a``.  One batched matmul forward, and one with the transposed
+    stack backward; the blocks receive no gradient.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    av = a.values
+    if blocks.ndim != 3 or blocks.shape[0] * blocks.shape[2] != av.shape[0]:
+        raise ShapeError(f"block_matmul: blocks {blocks.shape} do not "
+                         f"cover the {av.shape[0]} rows of a")
+    count, n, k = blocks.shape
+    cols = av.shape[1]
+
+    def backward(g):
+        return (np.matmul(blocks.transpose(0, 2, 1),
+                          g.reshape(count, n, cols)).reshape(count * k, cols),)
+
+    out = np.matmul(blocks, av.reshape(count, k, cols))
+    return _record(out.reshape(count * n, cols), (a,), backward)
+
+
 def pairwise_sqdist(a, b):
     """out[u, v] = squared Euclidean distance between a_u and b_v."""
     if a.values.shape[1] != b.values.shape[1]:

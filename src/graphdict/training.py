@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import numbers
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -26,7 +28,7 @@ from .encoder import momentum_update
 from .errors import GraphDictError, IoError, NumericsError
 from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
                     at_least_one, check_ranges, integer_at_least,
-                    save_checkpoint)
+                    nonnegative, positive, real_where, save_checkpoint)
 
 
 @dataclass(kw_only=True)
@@ -54,16 +56,15 @@ class TrainConfig(Hyperparameters):
             integer_at_least(0, "seed", self.seed),
             *at_least_one(self, "batch_size", "epochs", "keys", "workers"),
             integer_at_least(2, "folds", self.folds),
-            (0.0 < self.learning_rate < np.inf, "learning_rate must be finite "
-             f"and > 0, got {self.learning_rate}"),
-            (0.0 <= self.weight_decay < np.inf, "weight_decay must be finite "
-             f"and >= 0, got {self.weight_decay}"),
-            (len(betas) == 2 and all(0.0 <= b < 1.0 for b in betas),
+            positive("learning_rate", self.learning_rate),
+            nonnegative("weight_decay", self.weight_decay),
+            (isinstance(betas, (Sequence, np.ndarray)) and len(betas) == 2
+             and all(isinstance(b, numbers.Real) and 0.0 <= b < 1.0
+                     for b in betas),
              f"adam_betas must be two values in [0, 1), got {betas}"),
-            (0.0 < self.adam_eps < np.inf,
-             f"adam_eps must be finite and > 0, got {self.adam_eps}"),
-            (0.0 <= self.momentum <= 1.0,
-             f"momentum must be in [0, 1], got {self.momentum}")])
+            positive("adam_eps", self.adam_eps),
+            real_where(lambda v: 0.0 <= v <= 1.0, "be in [0, 1]", "momentum",
+                       self.momentum)])
         super().__post_init__()
 
 

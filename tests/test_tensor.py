@@ -629,6 +629,13 @@ def _build_case(name, rng):
         ws = _probe(rng, n, widths.shape[0])
         return [a, wv], lambda: _weighted_sum(
             T.segment_matvec(a, wv, offsets), ws)
+    if name == "block_matmul":
+        # a stack of >= 2 blocks, each (n, k) times its own k rows of a
+        count = int(rng.integers(2, 5))
+        blocks = rng.uniform(-1.0, 1.0, size=(count, n, k))
+        a = _rand(rng, count * k, m)
+        wb = _probe(rng, count * n, m)
+        return [a], lambda: _weighted_sum(T.block_matmul(blocks, a), wb)
     if name == "plan_costs":
         a = _rand(rng, n, m)
         plans = rng.uniform(0.1, 1.0, size=(k, n, m))
@@ -643,7 +650,7 @@ PRIMITIVES = [
     "transpose", "clamp", "unit_rows", "pairwise_sqdist",
     "binary_concrete", "bernoulli_kl_sum", "plan_costs",
     "bernoulli_kl_sum_columns", "row_select_column_surrogate",
-    "segment_matvec",
+    "segment_matvec", "block_matmul",
 ]
 
 
@@ -708,3 +715,22 @@ def test_grad_check_detects_non_determinism():
 
     with pytest.raises(OracleError):
         T.grad_check(noisy, [x])
+
+
+def test_block_matmul_is_the_block_diagonal_product():
+    rng = np.random.default_rng(3)
+    blocks = rng.normal(size=(3, 4, 2))
+    a = T.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    dense = np.zeros((12, 6))
+    for g in range(3):
+        dense[4 * g:4 * g + 4, 2 * g:2 * g + 2] = blocks[g]
+    weight = rng.normal(size=(12, 5))
+    with T.Tape() as tape:
+        out = T.block_matmul(blocks, a)
+        tape.backward(_weighted_sum(out, weight))
+    np.testing.assert_allclose(out.values, dense @ a.values, atol=1e-14)
+    np.testing.assert_allclose(a.grad, dense.T @ weight, atol=1e-14)
+    with pytest.raises(ShapeError, match="block_matmul"):
+        T.block_matmul(blocks, T.Tensor(np.ones((5, 5))))
+    with pytest.raises(ShapeError, match="block_matmul"):
+        T.block_matmul(blocks[0], a)

@@ -1,5 +1,6 @@
 """Optimizer, cross-validation protocol, and diagnostics export."""
 
+import collections
 import csv
 import os
 import re
@@ -171,24 +172,40 @@ class _FirstBackward(Exception):
 
 
 def test_first_training_batch_records_the_batched_tape(monkeypatch):
-    """The first 32-graph batch of fold 0 at the default config records 630
-    tape nodes: 14 keys x 9 encoder ops + their stack, 32 graphs x 15 ops
-    (encoder 8, key selection 1, costs 2, attention 4), 14 batch ops
-    (inputs stacked; unit input rows, transposed, summed per graph by the
-    segment mat-vec; unit key rows and their matmul with the sums; sigmoid,
-    clamp, relaxed draw, aggregate rows stacked, head 4) and 9 loss ops
-    (cross-entropy 5, KL, its weight, the sum and the mean).  A graph that goes back to per-graph VGDA or head ops adds to
-    it.  No op output is as large as a (key node x input node) matrix."""
-    recorded, sizes = [], []
+    """The first 32-graph batch of fold 0 at the default config records 348
+    tape nodes.  Its graphs and keys have 4-6 nodes, so the 14 keys form 3
+    node-count groups and so do the 32 inputs; an encoder layer is 3 ops
+    per group (block propagation, weight matmul, ReLU).
+    - keys, 45: per group its features stacked and 9 encoder ops, one row
+      selection per key, and the keys stacked;
+    - inputs, 56: per group 8 encoder ops (the first propagation acts on
+      constant one-hots and is not recorded), one row selection per graph;
+    - per graph, 32 x 7: key selection 1, costs 2, attention 4;
+    - 14 batch ops (inputs stacked; unit input rows, transposed, summed
+      per graph by the segment mat-vec; unit key rows and their matmul
+      with the sums; sigmoid, clamp, relaxed draw, aggregate rows stacked,
+      head 4) and 9 loss ops (cross-entropy 5, KL, its weight, the sum and
+      the mean).
+    Encoding each key and graph on its own recorded 630: 14 x 9 encoder
+    ops plus the stack, and 32 x (8 + 7).  A graph that goes back to
+    per-graph encoder, VGDA or head ops adds to the count.  Only encoder
+    layers of a node-count group, a layer width wide, are as large as a
+    (key node x input node) matrix."""
+    recorded, kinds, sizes = [], [], []
+    dims = TrainConfig().encoder_dims
 
     def backward(tape, root):
         recorded.append(len(tape.nodes))
-        # the keys are stacked first, then the batch's inputs
+        kinds.append(collections.Counter(
+            fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes))
+        # of the stacks of encodings, the keys' comes first, then the
+        # batch's inputs
         key_rows, input_rows = [
             out.values.shape[0] for out, _, fn in tape.nodes
-            if fn.__qualname__.startswith("concat_rows")][:2]
-        sizes.append((max(out.values.size for out, _, _ in tape.nodes),
-                      key_rows * input_rows))
+            if fn.__qualname__.startswith("concat_rows")
+            and out.values.shape[1] == dims[-1]]
+        sizes.append({out.values.shape[1] for out, _, _ in tape.nodes
+                      if out.values.size >= key_rows * input_rows})
         raise _FirstBackward
 
     monkeypatch.setattr(T.Tape, "backward", backward)
@@ -200,9 +217,14 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
         train_one_fold(bundle, 0, train_idx, folds[0],
                        TrainConfig(epochs=1, folds=4),
                        np.random.SeedSequence(0))
-    assert recorded == [630]
-    (largest, pairs), = sizes
-    assert largest < pairs
+    assert recorded == [348]
+    (kind,) = kinds
+    assert kind["block_matmul"] == 3 * 3 + 3 * 2
+    assert kind["row_select"] == 14 + 32 + 32
+    # 3 key groups stacked, the keys, the inputs, the aggregate rows
+    assert kind["concat_rows"] == 3 + 3
+    (wide,) = sizes
+    assert wide <= set(dims)
 
 
 def test_two_fold_accuracies_on_four_graphs_are_quantized():
@@ -294,6 +316,32 @@ def test_train_config_folds_and_seed_must_be_integers(field, value):
     with pytest.raises(ConfigError, match=re.escape(
             f"{field} must be an integer, got {value!r}")):
         TrainConfig(**{field: value})
+
+
+FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+def test_float_fields_cover_the_shared_and_run_level_ranges():
+    assert set(FLOAT_FIELDS) == {
+        "temperature", "sinkhorn_tol", "beta", "p_hat", "learning_rate",
+        "weight_decay", "momentum", "adam_eps"}
+
+
+@pytest.mark.parametrize("value", [None, "0.5"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_train_config_float_fields_must_be_real_numbers(field, value):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{field} must be a real number, got {value!r}")):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("betas", [
+    None, "0.9", (0.9,), (None, 0.999), ("0.9", 0.999), (0.9, None),
+    (0.9, "0.999")])
+def test_train_config_adam_betas_must_be_two_real_numbers(betas):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"adam_betas must be two values in [0, 1), got {betas}")):
+        TrainConfig(adam_betas=betas)
 
 
 def test_model_config_for_fold_carries_every_shared_field():

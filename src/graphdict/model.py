@@ -206,18 +206,19 @@ def encode_groups(features, a_hats, weights, groups):
     """Each graph's encoding through one branch's ``weights``, in input
     order, from one :func:`encode` per group of equal node count.
 
-    ``groups`` lists the positions of each group's graphs.  A group's
-    feature tensors are stacked and its adjacencies form one (G, n, n)
-    stack; each graph's rows come back out through one ``row_select``, and
-    a group of one is its own encoding.
+    ``groups`` lists the positions of each group's graphs.  A group of one
+    is its graph's own encoding.  A larger group's feature tensors are
+    stacked and its adjacencies form one (G, n, n) stack; each graph's
+    rows come back out through one ``row_select``.
     """
     encoded = [None] * len(features)
     for members in groups:
+        if len(members) == 1:
+            (i,) = members
+            encoded[i] = encode(features[i], a_hats[i], weights)
+            continue
         h = encode(T.concat_rows([features[i] for i in members]),
                    np.array([a_hats[i] for i in members]), weights)
-        if len(members) == 1:
-            encoded[members[0]] = h
-            continue
         block = np.arange(h.values.shape[0]) // a_hats[members[0]].shape[0]
         for k, i in enumerate(members):
             encoded[i] = T.row_select(h, block == k)

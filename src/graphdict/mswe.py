@@ -347,6 +347,25 @@ def _side_by_side(cost, adapted):
         + [[joined.shape[1]]])
 
 
+def _split_columns(joined, adapted):
+    """Each input's :class:`PlanStack` out of the group's ``joined`` one:
+    its column view of the plans and its rows of ``iterations`` and
+    ``converged``; one input's is ``joined`` as it is."""
+    if len(adapted) == 1:
+        return [joined]
+    # input g's columns and key rows follow those of inputs 0..g-1
+    solved, col, row = [], 0, 0
+    for keys in adapted:
+        width, count = int(keys.offsets[-1]), len(keys.offsets) - 1
+        solved.append(PlanStack(
+            values=joined.values[..., col:col + width],
+            offsets=keys.offsets, lams=joined.lams,
+            iterations=joined.iterations[row:row + count],
+            converged=joined.converged[row:row + count]))
+        col, row = col + width, row + count
+    return solved
+
+
 def embed_group(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                 tol=DEFAULT_TOL, plans_override=None):
     """Transport embeddings of G inputs of one node count n, each against
@@ -377,16 +396,7 @@ def embed_group(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
         M, offsets = _side_by_side(cost, adapted)
         joined = sinkhorn_keys(M, lams, offsets=offsets, max_iter=max_iter,
                                tol=tol)
-        # input g's columns and key rows follow those of inputs 0..g-1
-        solved, col, row = [], 0, 0
-        for keys in adapted:
-            width, count = int(keys.offsets[-1]), len(keys.offsets) - 1
-            solved.append(PlanStack(
-                values=joined.values[..., col:col + width],
-                offsets=keys.offsets, lams=joined.lams,
-                iterations=joined.iterations[row:row + count],
-                converged=joined.converged[row:row + count]))
-            col, row = col + width, row + count
+        solved = _split_columns(joined, adapted)
         values = [s.values for s in solved]
     h_matrix = [T.plan_costs(c, v, keys.offsets)
                 for c, v, keys in zip(cost, values, adapted)]

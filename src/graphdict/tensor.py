@@ -409,7 +409,8 @@ def block_matmul(blocks, a):
     ``blocks`` is a (G, n, k) stack and ``a`` holds G blocks of k rows:
     block g of the (G*n, cols) result is blocks[g] times rows g*k:(g+1)*k
     of ``a``.  One batched matmul forward, and one with the transposed
-    stack backward; the blocks receive no gradient.
+    stack backward; the blocks receive no gradient.  A stack of one block
+    is the plain :func:`matmul` of that block and ``a``, recorded as one.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     av = a.values
@@ -417,6 +418,11 @@ def block_matmul(blocks, a):
         raise ShapeError(f"block_matmul: blocks {blocks.shape} do not "
                          f"cover the {av.shape[0]} rows of a")
     count, n, k = blocks.shape
+    if count == 1:
+        # the block is wrapped as it is: blocks are not checked finite
+        held = Tensor.__new__(Tensor)
+        held.values, held.requires_grad, held.grad = blocks[0], False, None
+        return matmul(held, a)
     cols = av.shape[1]
 
     def backward(g):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import numbers
 import os
 import time
 from collections.abc import Sequence
@@ -52,16 +51,17 @@ class TrainConfig(Hyperparameters):
 
     def __post_init__(self):
         betas = self.adam_betas
+        pair = (isinstance(betas, (Sequence, np.ndarray))
+                and len(betas) == 2)
         check_ranges([
             integer_at_least(0, "seed", self.seed),
             *at_least_one(self, "batch_size", "epochs", "keys", "workers"),
             integer_at_least(2, "folds", self.folds),
             positive("learning_rate", self.learning_rate),
             nonnegative("weight_decay", self.weight_decay),
-            (isinstance(betas, (Sequence, np.ndarray)) and len(betas) == 2
-             and all(isinstance(b, numbers.Real) and 0.0 <= b < 1.0
-                     for b in betas),
-             f"adam_betas must be two values in [0, 1), got {betas}"),
+            (pair, f"adam_betas must be two values in [0, 1), got {betas}"),
+            *(real_where(lambda v: 0.0 <= v < 1.0, "be two values in [0, 1)",
+                         "adam_betas", b) for b in (betas if pair else ())),
             positive("adam_eps", self.adam_eps),
             real_where(lambda v: 0.0 <= v <= 1.0, "be in [0, 1]", "momentum",
                        self.momentum)])

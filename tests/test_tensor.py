@@ -667,7 +667,9 @@ def test_primitive_gradients_match_finite_differences(name):
 def test_every_recording_primitive_is_checked_and_used_by_training():
     """Each function of the tensor module that records a tape op has a
     finite-difference case, and one training step plus its loss records
-    every one of them but sum_all, which only gradient probes use."""
+    every one of them but sum_all, which only gradient probes use.  Each
+    graph appears twice in the batch, so its node count is a group of two
+    and propagates through block_matmul, as a training batch's groups do."""
     recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
                  if fn.__module__ == T.__name__
                  and "_record" in fn.__code__.co_names}
@@ -675,9 +677,10 @@ def test_every_recording_primitive_is_checked_and_used_by_training():
     model, prepared = build_tiny_model()
     with T.Tape() as tape:
         model.refresh_key_encodings()
-        result = model.forward(prepared, vgda.TRAIN,
+        batch = prepared * 2
+        result = model.forward(batch, vgda.TRAIN,
                                rng=np.random.default_rng(0))
-        model.batch_loss(result, [g.label for g in prepared])
+        model.batch_loss(result, [g.label for g in batch])
     recorded = {fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes}
     assert recording - recorded == {"sum_all"}
 

@@ -188,9 +188,10 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
       the mean).
     Encoding each key and graph on its own recorded 630: 14 x 9 encoder
     ops plus the stack, and 32 x (8 + 7).  A graph that goes back to
-    per-graph encoder, VGDA or head ops adds to the count.  Only encoder
-    layers of a node-count group, a layer width wide, are as large as a
-    (key node x input node) matrix."""
+    per-graph encoder, VGDA or head ops adds to the count.  No op output
+    is as large as a (key node x input node) matrix but the encoder ops
+    (propagation, weight matmul, ReLU) on a node-count group's stacked
+    rows."""
     recorded, kinds, sizes = [], [], []
     dims = TrainConfig().encoder_dims
 
@@ -204,8 +205,17 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
             out.values.shape[0] for out, _, fn in tape.nodes
             if fn.__qualname__.startswith("concat_rows")
             and out.values.shape[1] == dims[-1]]
-        sizes.append({out.values.shape[1] for out, _, _ in tape.nodes
-                      if out.values.size >= key_rows * input_rows})
+        op = {id(out): fn.__qualname__.split(".")[0]
+              for out, _, fn in tape.nodes}
+        # a group's encoding is the ReLU output split into its graphs' rows
+        group_rows = {inputs[0].values.shape[0]
+                      for _, inputs, fn in tape.nodes
+                      if fn.__qualname__.startswith("row_select")
+                      and op.get(id(inputs[0])) == "relu"}
+        sizes.append(({(op[id(out)], out.values.shape[0])
+                       for out, _, _ in tape.nodes
+                       if out.values.size >= key_rows * input_rows},
+                      group_rows, {key_rows, input_rows}))
         raise _FirstBackward
 
     monkeypatch.setattr(T.Tape, "backward", backward)
@@ -223,8 +233,10 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
     assert kind["row_select"] == 14 + 32 + 32
     # 3 key groups stacked, the keys, the inputs, the aggregate rows
     assert kind["concat_rows"] == 3 + 3
-    (wide,) = sizes
-    assert wide <= set(dims)
+    ((wide, group_rows, stacks),) = sizes
+    assert len(group_rows) == 6 and not group_rows & stacks
+    assert all(kind in {"block_matmul", "matmul", "relu"}
+               and rows in group_rows for kind, rows in wide)
 
 
 def test_two_fold_accuracies_on_four_graphs_are_quantized():
@@ -335,13 +347,26 @@ def test_train_config_float_fields_must_be_real_numbers(field, value):
         TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("betas", [
-    None, "0.9", (0.9,), (None, 0.999), ("0.9", 0.999), (0.9, None),
-    (0.9, "0.999")])
-def test_train_config_adam_betas_must_be_two_real_numbers(betas):
+@pytest.mark.parametrize("betas", [None, "0.9", (0.9,), (0.9, 0.99, 0.999)])
+def test_train_config_adam_betas_must_be_two_values(betas):
     with pytest.raises(ConfigError, match=re.escape(
             f"adam_betas must be two values in [0, 1), got {betas}")):
         TrainConfig(adam_betas=betas)
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "be a real number, got None"), ("0.9", "be a real number, got '0.9'"),
+    (1.0, "be two values in [0, 1), got 1.0"),
+    (-0.1, "be two values in [0, 1), got -0.1")])
+@pytest.mark.parametrize("index", [0, 1])
+def test_train_config_adam_betas_values_must_be_in_range(index, value,
+                                                        message):
+    # the message names the offending value
+    betas = [0.9, 0.999]
+    betas[index] = value
+    with pytest.raises(ConfigError, match=re.escape(
+            f"adam_betas must {message}")):
+        TrainConfig(adam_betas=tuple(betas))
 
 
 def test_model_config_for_fold_carries_every_shared_field():

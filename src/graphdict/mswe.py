@@ -8,8 +8,11 @@ aggregation across sensitivities.
 The keys' selected rows are stacked, so one cost op gives the (n, sum m_j)
 matrix of every key's costs side by side.  Plans are solved outside the
 differentiation tape and re-enter it as constants (the envelope rule):
-gradients flow through the cost matrices only.  One loop solves every
-(key, sensitivity) slice in one batch padded to the widest key.  It tests
+gradients flow through the cost matrices only.  A key of one node has a
+single coupling, the column of input masses, so its plans take that closed
+form at every sensitivity without iterating.  One loop solves every other
+(key, sensitivity) slice in one batch padded to the widest of those keys;
+their Gibbs kernels are exponentiated on the real columns only.  It tests
 convergence on each slice's scaling vectors (or potentials) and freezes them
 at the iteration where the slice converges; each plan is built once, after
 the loop, by the feasibility rounding, and leaves the solver in its key's
@@ -30,6 +33,7 @@ input is the group of one.
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -56,6 +60,8 @@ def select_lambdas(count):
     The 8-value default keeps its hand-picked log-uniform thinning; other
     counts take evenly spaced positions along the master grid.
     """
+    if not isinstance(count, numbers.Integral):
+        raise ConfigError(f"sensitivities must be an integer, got {count!r}")
     if count == len(DEFAULT_LAMBDA_GRID):
         return DEFAULT_LAMBDA_GRID
     if not 1 <= count <= len(MASTER_LAMBDA_GRID):
@@ -72,7 +78,7 @@ class TransportPlan:
 
     values: np.ndarray
     lam: float
-    iterations_used: int
+    iterations_used: int           # 0 for a closed-form one-column plan
     converged: bool
 
 
@@ -87,7 +93,7 @@ class PlanStack:
     values: np.ndarray             # (C, n, sum m_j)
     offsets: np.ndarray            # (K + 1,)
     lams: np.ndarray               # (C,)
-    iterations: np.ndarray         # (K, C) iterations used
+    iterations: np.ndarray         # (K, C) iterations; 0 = closed form
     converged: np.ndarray          # (K, C)
 
     def per_key(self):
@@ -111,6 +117,16 @@ def _capped_ratio(target, total):
                      where=target < total)
 
 
+def _matvec(kernel, v):
+    """Each row's kernel times its vector: (r, n, m) by (r, m) -> (r, n)."""
+    return np.matmul(kernel, v[:, :, None])[:, :, 0]
+
+
+def _vecmat(u, kernel):
+    """Each row's vector times its kernel: (r, n) by (r, n, m) -> (r, m)."""
+    return np.matmul(u[:, None, :], kernel)[:, 0, :]
+
+
 def _round_to_feasible(x, base, y, a, b):
     """Round the plans diag(x) base diag(y) of an (s, n, m) stack onto the
     exact transport polytope, building each plan once, in place of ``base``.
@@ -124,11 +140,11 @@ def _round_to_feasible(x, base, y, a, b):
     violation; plans cut off at the iteration cap become feasible couplings
     instead of approximate ones.
     """
-    x = x * _capped_ratio(a, x * np.einsum("snm,sm->sn", base, y))
-    cols = y * np.einsum("snm,sn->sm", base, x)
+    x = x * _capped_ratio(a, x * _matvec(base, y))
+    cols = y * _vecmat(x, base)
     col_ratio = _capped_ratio(b, cols)
     y = y * col_ratio
-    err_a = np.maximum(a - x * np.einsum("snm,sm->sn", base, y), 0.0)
+    err_a = np.maximum(a - x * _matvec(base, y), 0.0)
     err_b = np.maximum(b - cols * col_ratio, 0.0)
     missing = err_a.sum(axis=1)
     # a plan missing no mass has err_a = 0, so its correction is exactly 0
@@ -148,11 +164,11 @@ def _scaling_step(a, b, kernel, v, kv):
     violation.
     """
     u = a / kv
-    v = b / np.einsum("rnm,rn->rm", kernel, u)
+    v = b / _vecmat(u, kernel)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericsError("sinkhorn: non-finite scaling vector "
                             "(use the log-domain branch)")
-    kv = np.einsum("rnm,rm->rn", kernel, v)
+    kv = _matvec(kernel, v)
     return (b, kernel, v, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
 
 
@@ -209,54 +225,23 @@ def _solve(step, state, ids, out, max_iter, tol):
             state = tuple(s[stay] for s in state)
 
 
-def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
-                  tol=DEFAULT_TOL):
-    """Entropic transport plans of one input against K keys at C sensitivities.
+def _solve_keys(M, offsets, lams, a, max_iter, tol):
+    """Plans of K keys of two or more columns each at C sensitivities.
 
-    ``M`` is (n, sum m_j): key j's cost matrix fills columns
-    offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
-    is None).  Node masses are uniform on both sides, summing to 1 per key.
-    All K*C (key, sensitivity) slices are solved together, padded to the
-    widest key with zero-mass columns; the padding never leaves this
-    function.  A slice takes the log domain when
-    lam * max(M_j) > 30 and the scaling update otherwise.  Each domain runs
-    as a batch of one slice per row, and a row leaves its batch at the
-    iteration where its slice converges.  Every plan is then built once
-    from its frozen vectors and rounded onto the exact transport polytope
-    (row/column downscaling plus a rank-one correction), so marginals hold
-    to machine precision even when iteration stopped at the cap.  Plans
-    that did not meet the convergence tolerance are flagged in
-    ``converged`` with a warning each; callers decide how to proceed.
-    Returns a :class:`PlanStack`.
+    The body of :func:`sinkhorn_keys` on validated input: every (key,
+    sensitivity) slice in one batch padded to the widest key.  Returns the
+    (C, n, sum m_j) plans in the cost matrix's columns and the (K, C)
+    iterations and converged flags.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
-    n, total = M.shape
-    if n == 0:
-        raise ShapeError(f"sinkhorn: cost matrix {M.shape} leaves an empty "
-                         "side")
-    offsets = T.as_offsets(offsets, total)
+    n = M.shape[0]
     widths = offsets[1:] - offsets[:-1]
-    if not np.isfinite(M).all():
-        raise NumericsError("sinkhorn: cost matrix has non-finite entries")
-    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
-    if not (lams.size and ((0.0 < lams) & (lams < np.inf)).all()):
-        raise ConfigError("sinkhorn: sensitivities must be one or more "
-                          f"finite positive numbers, got {lams.tolist()}")
-    if max_iter < 1:
-        raise ConfigError("sinkhorn: max_iter must be >= 1")
-
     keys, lam_count = widths.shape[0], lams.shape[0]
     count = keys * lam_count
     # slice s is key s // C at sensitivity lams[s % C]
     key, lam = np.divmod(np.arange(count), lam_count)
-    a = uniform_marginal(n)
     # the padded batch stays inside this function: key j's columns sit
     # at seg == j, positions pos, in a (K, ..., max m_j) array
     seg, pos, width = T.segment_index(offsets)
-    costs = np.zeros((keys, n, width))
-    costs[seg, :, pos] = M.T
     masses = np.zeros((keys, width))
     masses[seg, pos] = np.repeat(1.0 / widths, widths)
     peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
@@ -266,19 +251,24 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     iterations = np.empty(count, dtype=np.int64)
     done = np.empty(count, dtype=bool)
     out = (xs, ys, iterations, done)
-    # every slice's Gibbs kernel; log-domain slices replace theirs below
-    base = np.exp(-lams[None, :, None, None] * costs[:, None]).reshape(
-        count, n, width)
+    # every slice's Gibbs kernel, exponentiated on the real columns only;
+    # log-domain slices replace theirs below.  The padding holds 1, not 0:
+    # its K^T u stays positive, so v = 0 / K^T u = 0 there, not 0 / 0
+    base = np.ones((keys, lam_count, n, width))
+    base[seg, :, :, pos] = np.exp(-lams[:, None, None] * M).transpose(2, 0, 1)
+    base = base.reshape(count, n, width)
     slices = np.flatnonzero(~use_log)
     if slices.size:
         # a view of base when every slice takes the scaling update
         kernel = base if slices.size == count else base[slices]
         b_rows = masses[key[slices]]
         v = (b_rows > 0.0) * 1.0
-        state = (b_rows, kernel, v, np.einsum("rnm,rm->rn", kernel, v))
+        state = (b_rows, kernel, v, _matvec(kernel, v))
         _solve(partial(_scaling_step, a), state, slices, out, max_iter, tol)
     slices = np.flatnonzero(use_log)
     if slices.size:
+        costs = np.zeros((keys, n, width))
+        costs[seg, :, pos] = M.T
         cost_rows, b_rows = costs[key[slices]], masses[key[slices]]
         eps = 1.0 / lams[lam[slices]]
         with np.errstate(divide="ignore"):
@@ -303,9 +293,70 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
                       RuntimeWarning)
     # gathered back into the cost matrix's columns, (C, n, sum m_j)
     plans = plans.reshape(keys, lam_count, n, width).transpose(1, 2, 0, 3)
-    return PlanStack(values=plans[:, :, seg, pos], offsets=offsets, lams=lams,
-                     iterations=iterations.reshape(keys, lam_count),
-                     converged=done.reshape(keys, lam_count))
+    return (plans[:, :, seg, pos], iterations.reshape(keys, lam_count),
+            done.reshape(keys, lam_count))
+
+
+def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
+                  tol=DEFAULT_TOL):
+    """Entropic transport plans of one input against K keys at C sensitivities.
+
+    ``M`` is (n, sum m_j): key j's cost matrix fills columns
+    offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
+    is None).  Node masses are uniform on both sides, summing to 1 per key.
+    A key of one column has one coupling, the column a = 1/n, at every
+    sensitivity: its plans take that closed form with ``iterations`` 0 and
+    ``converged`` True.  The (key, sensitivity) slices of the other keys
+    are solved together, padded to the widest of them with zero-mass
+    columns; the padding never leaves this function.  A slice takes the
+    log domain when lam * max(M_j) > 30 and the scaling update otherwise.
+    Each domain runs as a batch of one slice per row, and a row leaves its
+    batch at the iteration where its slice converges.  Every plan is then
+    built once from its frozen vectors and rounded onto the exact
+    transport polytope (row/column downscaling plus a rank-one correction),
+    so marginals hold to machine precision even when iteration stopped at
+    the cap.  Plans that did not meet the convergence tolerance are flagged
+    in ``converged`` with a warning each; callers decide how to proceed.
+    ``max_iter`` must be an integer >= 1 and ``tol`` a real number >= 0.
+    Returns a :class:`PlanStack`.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
+    n, total = M.shape
+    if n == 0:
+        raise ShapeError(f"sinkhorn: cost matrix {M.shape} leaves an empty "
+                         "side")
+    offsets = T.as_offsets(offsets, total)
+    widths = offsets[1:] - offsets[:-1]
+    if not np.isfinite(M).all():
+        raise NumericsError("sinkhorn: cost matrix has non-finite entries")
+    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
+    if not (lams.size and ((0.0 < lams) & (lams < np.inf)).all()):
+        raise ConfigError("sinkhorn: sensitivities must be one or more "
+                          f"finite positive numbers, got {lams.tolist()}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ConfigError("sinkhorn: max_iter must be an integer >= 1, got "
+                          f"{max_iter!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
+        raise ConfigError("sinkhorn: tol must be a real number >= 0, got "
+                          f"{tol!r}")
+
+    a = uniform_marginal(n)
+    one = widths == 1
+    values = np.empty((lams.shape[0], n, total))
+    values[:, :, offsets[:-1][one]] = a[:, None]
+    iterations = np.zeros((widths.shape[0], lams.shape[0]), dtype=np.int64)
+    converged = np.ones(iterations.shape, dtype=bool)
+    if not one.all():
+        # the wider keys' columns; a view of M when there is no one-column key
+        cols = (np.flatnonzero(np.repeat(~one, widths)) if one.any()
+                else slice(None))
+        values[:, :, cols], iterations[~one], converged[~one] = _solve_keys(
+            M[:, cols], np.concatenate(([0], np.cumsum(widths[~one]))), lams,
+            a, max_iter, tol)
+    return PlanStack(values=values, offsets=offsets, lams=lams,
+                     iterations=iterations, converged=converged)
 
 
 def sinkhorn_grid(M, lams, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):

@@ -318,8 +318,10 @@ def export_diagnostics(model, prepared, input_id, out_dir):
     """Write one eval pass's internals as CSV files.
 
     Emits sampling probabilities per (key, node), cost matrices, transport
-    plans per sensitivity, attention weights (one row per input, summing
-    to 1), and a short text summary.  Byte-identical on re-export.
+    plans per sensitivity, the solver's iterations and convergence per
+    (key, sensitivity) (0 iterations for a key of one node, whose plan is
+    closed-form), attention weights (one row per input, summing to 1), and
+    a short text summary.  Byte-identical on re-export.
     """
     model.refresh_key_encodings()
     result = model.forward([prepared], vgda.EVAL)
@@ -345,6 +347,12 @@ def export_diagnostics(model, prepared, input_id, out_dir):
                for key_id, stack in enumerate(plans.per_key())
                for c, lam in enumerate(lambdas)
                for (row, col), value in np.ndenumerate(stack[c])))
+    write_csv(out_dir, "solver.csv",
+              ["input_id", "key_id", "lambda", "iterations", "converged"],
+              ([input_id, key_id, repr(float(lambdas[c])), int(iterations),
+                bool(plans.converged[key_id, c])]
+               for (key_id, c), iterations in np.ndenumerate(
+                   plans.iterations)))
     write_csv(out_dir, "attention.csv",
               ["input_id"] + [f"weight_{lam:g}" for lam in lambdas],
               [[input_id] + [repr(float(v)) for v in alpha]])

@@ -241,8 +241,20 @@ def test_main_export_diagnostics_end_to_end(fast_cfg_file, tmp_path, capsys):
     assert code == 0
     assert "diagnostics written" in captured.out
     for name in ("sampling_probabilities.csv", "costs.csv", "plans.csv",
-                 "attention.csv", "summary.txt"):
+                 "solver.csv", "attention.csv", "summary.txt"):
         assert (diag_out / name).exists()
+    with open(diag_out / "solver.csv", newline="") as fh:
+        solver = list(csv.reader(fh))
+    assert solver[0] == ["input_id", "key_id", "lambda", "iterations",
+                         "converged"]
+    with open(diag_out / "plans.csv", newline="") as fh:
+        plans = list(csv.reader(fh))[1:]
+    # one row per (key, sensitivity), as in plans.csv
+    assert ({(r[1], r[2]) for r in solver[1:]}
+            == {(r[1], r[2]) for r in plans})
+    assert len(solver) - 1 == len({(r[1], r[2]) for r in plans})
+    for row in solver[1:]:
+        assert row[0] == "0" and int(row[3]) >= 0
 
 
 def test_main_export_rejects_out_of_range_graph(fast_cfg_file, tmp_path,

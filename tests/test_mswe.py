@@ -88,6 +88,9 @@ def test_sensitivity_grids():
         select_lambdas(0)
     with pytest.raises(ConfigError):
         select_lambdas(13)
+    for count in (2.5, 8.0, "8", None):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            select_lambdas(count)
 
 
 def test_solver_validation():
@@ -98,6 +101,17 @@ def test_solver_validation():
         sinkhorn(M, -1.0)
     with pytest.raises(ConfigError):
         sinkhorn(M, 1.0, max_iter=0)
+    for max_iter in (2.5, 3.0, "3", None):
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            sinkhorn_keys(M, [1.0], max_iter=max_iter)
+    for tol in (np.nan, -1e-9, -np.inf, "1e-6", None):
+        with pytest.raises(ConfigError, match="tol must be a real number"):
+            sinkhorn_keys(M, [1.0], tol=tol)
+    with warnings.catch_warnings():
+        # tol = 0 is valid: every slice runs to max_iter and warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        plan = sinkhorn(M, 1.0, max_iter=np.int64(3), tol=0)
+    assert plan.iterations_used == 3
     for lams in ([np.nan], [np.inf], [], [1.0, -np.inf]):
         listed = re.escape(str(lams))
         with pytest.raises(ConfigError, match="sensitivities must be one or "
@@ -239,6 +253,86 @@ def test_stacked_embedding_matches_per_key_embeddings():
         assert np.abs(stacked.values[j] - single.values[0]).max() <= 1e-12
         lo, hi = plans.offsets[j], plans.offsets[j + 1]
         assert np.array_equal(cost.values[:, lo:hi], single_cost.values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 28])
+def test_one_column_key_takes_its_closed_form_plan(n):
+    """One column admits one coupling, the column a, at every sensitivity,
+    also past the log-domain threshold; nothing iterates or warns."""
+    M = np.random.default_rng(n).uniform(1.0, 50.0, size=(n, 1))
+    lams = (*MASTER_LAMBDA_GRID, 1e4)
+    assert lams[-1] * M.max() > LOG_DOMAIN_THRESHOLD
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = sinkhorn_keys(M, lams, max_iter=1, tol=0.0)
+    assert solved.values.shape == (len(lams), n, 1)
+    for plan in solved.values:
+        assert plan[:, 0].tobytes() == mswe.uniform_marginal(n).tobytes()
+    assert solved.iterations.tolist() == [[0] * len(lams)]
+    assert solved.converged.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 28),
+       keys=st.lists(st.tuples(st.integers(1, 12), st.floats(-3.0, 2.0)),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1),
+       lams=st.sampled_from([DEFAULT_LAMBDA_GRID, (0.5,),
+                             (3.0, 0.01, 100.0)]),
+       max_iter=st.sampled_from([3, 200]))
+def test_mixed_stack_solves_wider_keys_as_alone(n, keys, seed, lams,
+                                                max_iter):
+    """One-column keys among wider ones leave the wider keys' solve as it
+    is alone: the same plan bytes, iterations and converged flags."""
+    widths = np.array([1 if j % 2 else w for j, (w, _) in enumerate(keys)])
+    offsets = np.cumsum([0, *widths])
+    rng = np.random.default_rng(seed)
+    M = np.hstack([rng.uniform(0.0, 1.0, size=(n, w)) * 10.0 ** scale
+                   for w, (_, scale) in zip(widths, keys)])
+    wide = widths > 1
+    cols = np.repeat(wide, widths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked = sinkhorn_keys(M, lams, offsets=offsets, max_iter=max_iter)
+        alone = (sinkhorn_keys(M[:, cols], lams,
+                               offsets=np.cumsum([0, *widths[wide]]),
+                               max_iter=max_iter) if wide.any() else None)
+    assert (stacked.iterations[~wide] == 0).all()
+    assert stacked.converged[~wide].all()
+    assert (stacked.values[:, :, ~cols] == 1.0 / n).all()
+    if alone is not None:
+        assert stacked.values[:, :, cols].tobytes() == alone.values.tobytes()
+        assert np.array_equal(stacked.iterations[wide], alone.iterations)
+        assert np.array_equal(stacked.converged[wide], alone.converged)
+
+
+def test_one_column_keys_call_no_solver(monkeypatch):
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return spy
+
+    for name in ("_solve", "_round_to_feasible"):
+        monkeypatch.setattr(mswe, name, refuse(name))
+    monkeypatch.setattr(np, "exp", refuse("exp"))
+    M = np.random.default_rng(3).uniform(size=(6, 4)) * 100.0
+    solved = sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=[0, 1, 2, 3, 4])
+    assert (solved.values == 1.0 / 6.0).all()
+    assert (solved.iterations == 0).all() and solved.converged.all()
+
+
+def test_one_column_keys_are_validated():
+    M = np.ones((3, 3))
+    M[1, 2] = np.nan
+    with pytest.raises(NumericsError, match="non-finite"):
+        sinkhorn_keys(M, [1.0], offsets=[0, 2, 3])
+    with pytest.raises(NumericsError, match="non-finite"):
+        sinkhorn_keys(M[:, 2:], [1.0])
+    for lams in ([0.0], [np.nan], [], [1.0, -1.0]):
+        with pytest.raises(ConfigError, match="sensitivities"):
+            sinkhorn_keys(np.ones((3, 1)), lams)
+    with pytest.raises(ConfigError, match="max_iter"):
+        sinkhorn_keys(np.ones((3, 1)), [1.0], max_iter=2.5)
 
 
 def _cost_scaled_keys(widths, scales, n, seed):

@@ -476,6 +476,18 @@ def test_export_diagnostics_contents(tmp_path):
     assert len(weights) == 2
     assert abs(sum(weights) - 1.0) <= 1e-9
 
+    solver = read_csv(out / "solver.csv")
+    assert solver[0] == ["input_id", "key_id", "lambda", "iterations",
+                         "converged"]
+    assert len(solver) == 1 + len(combos)
+    assert {(r[1], r[2]) for r in solver[1:]} == combos
+    key_nodes = {j: len({r[4] for r in plans[1:] if r[1] == str(j)})
+                 for j in range(2)}
+    for row in solver[1:]:
+        assert row[0] == "1" and row[4] in ("True", "False")
+        # a key adapted to one node has its plan in closed form
+        assert (int(row[3]) == 0) == (key_nodes[int(row[1])] == 1)
+
     costs = read_csv(out / "costs.csv")
     assert costs[0] == ["input_id", "key_id", "row", "col", "value"]
     assert all(float(r[4]) >= 0.0 for r in costs[1:])
@@ -488,7 +500,7 @@ def test_export_diagnostics_is_byte_stable(tmp_path):
     export_diagnostics(model, prepared[0], 0, str(out_a))
     export_diagnostics(model, prepared[0], 0, str(out_b))
     for name in ("sampling_probabilities.csv", "costs.csv", "plans.csv",
-                 "attention.csv", "summary.txt"):
+                 "solver.csv", "attention.csv", "summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 

@@ -18,7 +18,7 @@ from .model import (GraphDictionaryModel, ModelConfig, init_base_dictionary,
                     load_checkpoint, save_checkpoint)
 from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, PlanStack,
                    TransportPlan, aggregate_attention_matrix, cost_matrix,
-                   embed_group, embed_keys_multi, select_lambdas, sinkhorn,
+                   embed_batch, embed_keys_multi, select_lambdas, sinkhorn,
                    sinkhorn_grid, sinkhorn_keys)
 from .training import (Adam, CvResult, FoldResult, TrainConfig,
                        export_diagnostics, run_cv, train_one_fold)
@@ -39,7 +39,7 @@ __all__ = [
     "GraphDictionaryModel", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
     "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "PlanStack", "TransportPlan",
-    "aggregate_attention_matrix", "cost_matrix", "embed_group",
+    "aggregate_attention_matrix", "cost_matrix", "embed_batch",
     "embed_keys_multi",
     "select_lambdas", "sinkhorn", "sinkhorn_grid", "sinkhorn_keys",
     "Adam", "CvResult", "FoldResult", "TrainConfig", "export_diagnostics",

@@ -10,6 +10,7 @@ float64 NumPy arrays.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -28,7 +29,8 @@ class LabeledGraph:
     """One undirected graph with an optional node labeling and a class label.
 
     The adjacency is binary and symmetric with a zero diagonal; node labels,
-    when present, are contiguous 0-based ids.
+    when present, are contiguous 0-based ids.  Labels must be integers, of
+    any numeric type; a fractional or non-numeric one raises FormatError.
     """
 
     adjacency: np.ndarray
@@ -46,8 +48,13 @@ class LabeledGraph:
         if not np.isin(adj, (0.0, 1.0)).all():
             raise FormatError("adjacency must be binary")
         self.adjacency = adj
+        label = _integers("class_label", self.class_label)
+        if label.ndim != 0:
+            raise FormatError(f"class_label must be one integer, got "
+                              f"{self.class_label!r}")
+        self.class_label = int(label)
         if self.node_labels is not None:
-            labels = np.asarray(self.node_labels, dtype=np.int64)
+            labels = _integers("node label", self.node_labels)
             if labels.shape != (adj.shape[0],):
                 raise FormatError("node_labels length must equal node count")
             if (labels < 0).any():
@@ -62,6 +69,18 @@ class LabeledGraph:
 
     def degrees(self):
         return self.adjacency.sum(axis=1).astype(np.int64)
+
+
+def _integers(name, values):
+    """``values`` as int64, or FormatError naming the first value that is
+    not a whole number."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biu":
+        for value in raw.reshape(-1).tolist():
+            if not (isinstance(value, numbers.Real)
+                    and float(value).is_integer() and abs(value) < 2 ** 63):
+                raise FormatError(f"{name} {value!r} is not an integer")
+    return raw.astype(np.int64)
 
 
 @dataclass
@@ -267,6 +286,8 @@ def featurize(graph, scheme, dim):
     exactly 1.
     """
     n = graph.node_count
+    if not isinstance(dim, numbers.Integral):
+        raise SchemeError(f"featurize: dim must be an integer, got {dim!r}")
     if dim < 1:
         raise SchemeError(f"featurize: dim must be >= 1, got {dim}")
     if scheme == NODE_LABEL_ONEHOT:
@@ -310,6 +331,8 @@ def stratified_folds(labels, k, seed):
     Deterministic given the seed.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    if not isinstance(k, numbers.Integral):
+        raise ConfigError(f"stratified_folds: k must be an integer, got {k!r}")
     if k < 2:
         raise ConfigError(f"stratified_folds: k must be >= 2, got {k}")
     if k > labels.shape[0]:

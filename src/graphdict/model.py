@@ -194,25 +194,18 @@ def dense_shapes(config):
             "head_w2": (config.head_hidden, config.num_classes)}
 
 
-def node_count_groups(node_counts):
-    """Positions of equal node counts, grouped in first-appearance order."""
-    groups = {}
-    for i, n in enumerate(node_counts):
-        groups.setdefault(n, []).append(i)
-    return list(groups.values())
-
-
-def encode_groups(features, a_hats, weights, groups):
+def encode_groups(features, a_hats, weights):
     """Each graph's encoding through one branch's ``weights``, in input
     order, from one :func:`encode` per group of equal node count.
 
-    ``groups`` lists the positions of each group's graphs.  A group of one
-    is its graph's own encoding.  A larger group's feature tensors are
-    stacked and its adjacencies form one (G, n, n) stack; each graph's
-    rows come back out through one ``row_select``.
+    The graphs whose adjacencies share a node count n form a group, in
+    first-appearance order (:func:`~graphdict.tensor.node_count_groups`).
+    A group of one is its graph's own encoding.  A larger group's feature
+    tensors are stacked and its adjacencies form one (G, n, n) stack; each
+    graph's rows come back out through one ``row_select``.
     """
     encoded = [None] * len(features)
-    for members in groups:
+    for members in T.node_count_groups(a.shape[0] for a in a_hats):
         if len(members) == 1:
             (i,) = members
             encoded[i] = encode(features[i], a_hats[i], weights)
@@ -336,8 +329,7 @@ class GraphDictionaryModel:
         """
         keys = self.dictionary
         keys.encoded = T.concat_rows(encode_groups(
-            keys.features, keys.a_hat, self.encoder_dict,
-            node_count_groups(a.shape[0] for a in keys.a_hat)))
+            keys.features, keys.a_hat, self.encoder_dict))
 
     def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
@@ -347,14 +339,12 @@ class GraphDictionaryModel:
 
         Every key is adapted to every graph at once: the sampling
         probabilities, masks and classifier head are batch ops with one
-        row or column per graph.  The graphs that share a node count n
-        form a group, in first-appearance order (a batch of one, as in
-        :meth:`predict`, is a group of one).  Each group is encoded in one
-        :func:`encode` pass and transported in one solve
-        (:func:`mswe.embed_group`), so each entry of ``result.plans`` is a
-        column view of its group's plans.  Each graph's rows come back out
-        of its group's encoding in batch order, and its key selection,
-        costs, plan costs and attention run at its own node count.
+        row or column per graph.  The input encoder
+        (:func:`encode_groups`) and the transport stage
+        (:func:`mswe.embed_batch`) each take the whole batch; graphs of
+        one node count share an encoder pass and a Sinkhorn solve there.
+        Each graph's key selection, costs, plan costs and attention run at
+        its own node count.
         Frozen state goes back in as the result holds it: ``masks``, the
         (sum m_j, G) array of ``result.factor.z``, replaces the sampled
         masks (no straight-through surrogate is attached); ``plans``, one
@@ -371,10 +361,8 @@ class GraphDictionaryModel:
         if plans is not None and len(plans) != len(batch):
             raise ShapeError(f"forward: {len(plans)} plan stacks for a batch "
                              f"of {len(batch)} graphs")
-        groups = node_count_groups(g.node_count for g in batch)
         f_inputs = encode_groups([T.constant(g.features) for g in batch],
-                                 [g.a_hat for g in batch],
-                                 self.encoder_input, groups)
+                                 [g.a_hat for g in batch], self.encoder_input)
 
         factor = None
         if use_vgda:
@@ -388,16 +376,9 @@ class GraphDictionaryModel:
             adapted = [vgda.AdaptedKey(features=keys.encoded,
                                        offsets=keys.offsets)] * len(batch)
 
-        h_matrix, cost, solved = ([None] * len(batch) for _ in range(3))
-        for members in groups:
-            embedded = mswe.embed_group(
-                [f_inputs[i] for i in members],
-                [adapted[i] for i in members], cfg.lambdas,
-                max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol,
-                plans_override=(None if plans is None
-                                else [plans[i] for i in members]))
-            for i, h, c, s in zip(members, *embedded):
-                h_matrix[i], cost[i], solved[i] = h, c, s
+        h_matrix, cost, solved = mswe.embed_batch(
+            f_inputs, adapted, cfg.lambdas, max_iter=cfg.sinkhorn_max_iter,
+            tol=cfg.sinkhorn_tol, plans_override=plans)
         h_hat, alpha = map(list, zip(*(
             mswe.aggregate_attention_matrix(h, self.w_m) for h in h_matrix)))
 

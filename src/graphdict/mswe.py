@@ -24,10 +24,11 @@ same way: one (key, sensitivity) slice per batch row, carrying its own
 kernel or cost matrix, so a row leaves the batch as soon as its slice
 converges.  A single key is the case K = 1.
 
-Inputs of one node count n can share a solve (:func:`embed_group`): their
-cost matrices side by side are K keys per input, and every slice is solved
-on its own, so the joined solve gives each input's own plans.  A single
-input is the group of one.
+A batch of inputs is embedded in one call (:func:`embed_batch`), which
+groups the inputs by node count n: one group's cost matrices side by side
+are K keys per input, and every slice is solved on its own, so the group's
+one solve gives each input's own plans.  A single input is the batch of
+one (:func:`embed_keys_multi`).
 """
 
 from __future__ import annotations
@@ -382,73 +383,67 @@ def cost_matrix(f_input, key_features):
     return T.pairwise_sqdist(f_input, key_features)
 
 
-def _side_by_side(cost, adapted):
-    """The inputs' cost matrices side by side and their key offsets shifted
-    and joined; one input's are returned as they are."""
-    if len(cost) == 1:
-        return cost[0].values, adapted[0].offsets
-    if len({c.values.shape[0] for c in cost}) != 1:
-        raise ShapeError("embed_group: the inputs' node counts differ "
-                         f"({[c.values.shape[0] for c in cost]})")
-    joined = np.concatenate([c.values for c in cost], axis=1)
-    starts = itertools.accumulate(
-        (int(keys.offsets[-1]) for keys in adapted), initial=0)
-    return joined, np.concatenate(
-        [keys.offsets[:-1] + start for keys, start in zip(adapted, starts)]
-        + [[joined.shape[1]]])
-
-
-def _split_columns(joined, adapted):
-    """Each input's :class:`PlanStack` out of the group's ``joined`` one:
-    its column view of the plans and its rows of ``iterations`` and
-    ``converged``; one input's is ``joined`` as it is."""
-    if len(adapted) == 1:
-        return [joined]
-    # input g's columns and key rows follow those of inputs 0..g-1
-    solved, col, row = [], 0, 0
-    for keys in adapted:
-        width, count = int(keys.offsets[-1]), len(keys.offsets) - 1
-        solved.append(PlanStack(
-            values=joined.values[..., col:col + width],
-            offsets=keys.offsets, lams=joined.lams,
-            iterations=joined.iterations[row:row + count],
-            converged=joined.converged[row:row + count]))
-        col, row = col + width, row + count
-    return solved
-
-
-def embed_group(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
+def embed_batch(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                 tol=DEFAULT_TOL, plans_override=None):
-    """Transport embeddings of G inputs of one node count n, each against
-    its own adapted keys.
+    """Transport embeddings of a batch of inputs, each against its own
+    adapted keys.
 
     ``adapted`` holds one stacked :class:`~graphdict.vgda.AdaptedKey` per
     input.  Each input's costs are one cost op and its H one
-    :func:`~graphdict.tensor.plan_costs` op.  One :func:`sinkhorn_keys`
-    call solves every input's (key, sensitivity) slices: the G cost
-    matrices side by side, their key offsets shifted and joined.  That is
-    the solve of each input alone, as every slice is solved and retired on
-    its own and the inputs share n and the uniform row mass.  Input g's
-    :class:`PlanStack` is its column view of the group's plans, with its
-    own offsets and its rows of ``iterations`` and ``converged``.
+    :func:`~graphdict.tensor.plan_costs` op.  The inputs whose costs share
+    a row count n form a group, in first-appearance order, and one
+    :func:`sinkhorn_keys` call solves every (key, sensitivity) slice of a
+    group: its cost matrices side by side, their key offsets shifted and
+    joined.  That is the solve of each input alone, as every slice is
+    solved and retired on its own and the inputs share n and the uniform
+    row mass; an input padded to a wider key than its own moves by
+    rounding only.  A grouped input's :class:`PlanStack` is its column view of
+    the group's plans, with its own offsets and its rows of ``iterations``
+    and ``converged``; an input alone in its group keeps its solve's.
 
     Returns lists (H, cost, plans), one entry per input: H is a K-by-C
     tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on
     the tape; ``cost`` is the (n, sum m_j) cost tensor.  ``plans_override``
     (one (C, n, sum m_j) array per input, a PlanStack's ``values``)
-    replaces the solve entirely, and ``plans`` is then a list of None —
-    used to freeze plans during gradient checks.
+    replaces the solves entirely, and ``plans`` is then a list of None —
+    used to freeze plans during gradient checks.  ``adapted`` or
+    ``plans_override`` without one entry per input raises ShapeError.
     """
+    for name, entries in (("adapted key stacks", adapted),
+                          ("plan stacks", plans_override)):
+        if entries is not None and len(entries) != len(f_inputs):
+            raise ShapeError(f"embed_batch: {len(entries)} {name} for "
+                             f"{len(f_inputs)} inputs")
     cost = [cost_matrix(f, keys.features)
             for f, keys in zip(f_inputs, adapted)]
-    if plans_override is not None:
-        solved, values = [None] * len(cost), plans_override
-    else:
-        M, offsets = _side_by_side(cost, adapted)
-        joined = sinkhorn_keys(M, lams, offsets=offsets, max_iter=max_iter,
-                               tol=tol)
-        solved = _split_columns(joined, adapted)
-        values = [s.values for s in solved]
+    solved = [None] * len(cost)
+    groups = ([] if plans_override is not None
+              else T.node_count_groups(c.values.shape[0] for c in cost))
+    for members in groups:
+        if len(members) == 1:
+            (i,) = members
+            solved[i] = sinkhorn_keys(cost[i].values, lams,
+                                      offsets=adapted[i].offsets,
+                                      max_iter=max_iter, tol=tol)
+            continue
+        # each input's key columns and key rows follow those of the
+        # members before it
+        own = [adapted[i].offsets for i in members]
+        cols = [0, *itertools.accumulate(int(o[-1]) for o in own)]
+        rows = [0, *itertools.accumulate(len(o) - 1 for o in own)]
+        joined = sinkhorn_keys(
+            np.concatenate([cost[i].values for i in members], axis=1), lams,
+            offsets=np.concatenate([o[:-1] + c for o, c in zip(own, cols)]
+                                   + [cols[-1:]]),
+            max_iter=max_iter, tol=tol)
+        for k, i in enumerate(members):
+            solved[i] = PlanStack(
+                values=joined.values[..., cols[k]:cols[k + 1]],
+                offsets=own[k], lams=joined.lams,
+                iterations=joined.iterations[rows[k]:rows[k + 1]],
+                converged=joined.converged[rows[k]:rows[k + 1]])
+    values = (plans_override if plans_override is not None
+              else [s.values for s in solved])
     h_matrix = [T.plan_costs(c, v, keys.offsets)
                 for c, v, keys in zip(cost, values, adapted)]
     return h_matrix, cost, solved
@@ -457,10 +452,10 @@ def embed_group(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
 def embed_keys_multi(f_input, adapted, lams, max_iter=DEFAULT_MAX_ITER,
                      tol=DEFAULT_TOL, plans_override=None):
     """Transport embedding of one input against every adapted key, the
-    group of one of :func:`embed_group`: its (H, cost, plans), with
+    batch of one of :func:`embed_batch`: its (H, cost, plans), with
     ``plans`` None when ``plans_override`` ((C, n, sum m_j) plans in the
     cost's columns) replaced the solve."""
-    h_matrix, cost, solved = embed_group(
+    h_matrix, cost, solved = embed_batch(
         [f_input], [adapted], lams, max_iter=max_iter, tol=tol,
         plans_override=None if plans_override is None else [plans_override])
     return h_matrix[0], cost[0], solved[0]

@@ -535,6 +535,14 @@ def segment_index(offsets):
     return seg, np.arange(offsets[-1]) - offsets[seg], int(widths.max())
 
 
+def node_count_groups(node_counts):
+    """Positions of equal node counts, grouped in first-appearance order."""
+    groups = {}
+    for i, n in enumerate(node_counts):
+        groups.setdefault(n, []).append(i)
+    return list(groups.values())
+
+
 def segment_matvec(a, w, offsets=None):
     """Each column segment of ``a`` times the leading entries of ``w``.
 

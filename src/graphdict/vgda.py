@@ -148,7 +148,11 @@ def select_substructure(key_features, z, z_tilde=None, offsets=None,
     input's surrogate entry, so the sampling probabilities learn.
     """
     rows = key_features.values.shape[0]
-    z = np.asarray(z, dtype=bool).reshape(rows, -1)
+    z = np.atleast_1d(np.asarray(z, dtype=bool))
+    if z.shape[0] != rows:
+        raise ShapeError(f"select_substructure: {z.shape[0]} mask entries "
+                         f"per input for {rows} key rows")
+    z = z.reshape(rows, -1)
     if not 0 <= column < z.shape[1]:
         raise ShapeError(f"select_substructure: column {column} outside "
                          f"the [0, {z.shape[1]}) columns of the mask")

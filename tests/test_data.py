@@ -1,5 +1,6 @@
 """Graph data model, TU-format loading, featurization, folds."""
 
+import re
 import tempfile
 
 import numpy as np
@@ -35,6 +36,34 @@ def test_graph_rejects_negative_node_label():
     with pytest.raises(FormatError, match="node 1 has negative label -2"):
         LabeledGraph(adjacency=path_adjacency(3), class_label=0,
                      node_labels=[0, -2, -1])
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (dict(class_label=1.7), "class_label 1.7"),
+    (dict(class_label=np.float32(-0.5)), "class_label -0.5"),
+    (dict(class_label="1"), "class_label '1'"),
+    (dict(class_label=0, node_labels=[0.9, 2.2, 1.0]), "node label 0.9"),
+    (dict(class_label=0, node_labels=[0.0, 1.0, np.nan]), "node label nan"),
+])
+def test_graph_rejects_non_integral_labels(labels, bad):
+    # a cast would truncate 1.7 to class 1 and 0.9 to one-hot bin 0
+    with pytest.raises(FormatError, match=re.escape(bad) + " is not an "
+                       "integer"):
+        LabeledGraph(adjacency=path_adjacency(3), **labels)
+
+
+def test_graph_accepts_integral_labels_of_any_numeric_dtype():
+    for label, nodes in [(1.0, [0.0, 2.0, 1.0]),
+                         (np.int32(1), np.array([0, 2, 1], dtype=np.uint8)),
+                         (np.float32(1.0), np.array([0, 2, 1], np.float32))]:
+        graph = LabeledGraph(adjacency=path_adjacency(3), class_label=label,
+                             node_labels=nodes)
+        assert graph.class_label == 1 and type(graph.class_label) is int
+        assert graph.node_labels.dtype == np.int64
+        assert graph.node_labels.tolist() == [0, 2, 1]
+    bundle = DatasetBundle(graphs=[graph], num_classes=2, num_node_labels=3,
+                           name="F")
+    assert bundle.labels.tolist() == [1]
 
 
 def test_graph_degrees():
@@ -291,6 +320,12 @@ def test_featurize_scheme_errors():
         featurize(labeled, NODE_LABEL_ONEHOT, 3)
 
 
+def test_featurize_rejects_a_non_integer_dim():
+    graph = LabeledGraph(adjacency=path_adjacency(2), class_label=0)
+    with pytest.raises(SchemeError, match=r"dim must be an integer, got 2\.5"):
+        featurize(graph, DEGREE_ONEHOT, 2.5)
+
+
 # ---------------------------------------------------------------------------
 # adjacency normalization
 # ---------------------------------------------------------------------------
@@ -390,3 +425,8 @@ def test_folds_config_errors():
         stratified_folds(labels, 1, seed=0)
     with pytest.raises(ConfigError):
         stratified_folds(labels, 5, seed=0)
+
+
+def test_folds_reject_a_non_integer_k():
+    with pytest.raises(ConfigError, match=r"k must be an integer, got 2\.5"):
+        stratified_folds(np.array([0, 1, 0, 1]), 2.5, 0)

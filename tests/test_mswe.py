@@ -12,7 +12,8 @@ from graphdict import mswe, tensor as T
 from graphdict.errors import ConfigError, NumericsError, ShapeError
 from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
                             MASTER_LAMBDA_GRID, aggregate_attention_matrix,
-                            cost_matrix, embed_keys_multi, select_lambdas,
+                            cost_matrix, embed_batch, embed_keys_multi,
+                            select_lambdas,
                             sinkhorn, sinkhorn_grid, sinkhorn_keys)
 from graphdict.vgda import AdaptedKey
 
@@ -253,6 +254,97 @@ def test_stacked_embedding_matches_per_key_embeddings():
         assert np.abs(stacked.values[j] - single.values[0]).max() <= 1e-12
         lo, hi = plans.offsets[j], plans.offsets[j + 1]
         assert np.array_equal(cost.values[:, lo:hi], single_cost.values)
+
+
+def _batch(rng, widths):
+    """Inputs of node counts 5, 3, 5, 7 and their adapted keys, one key
+    list per input from ``widths``."""
+    f_inputs = [T.Tensor(rng.normal(size=(n, 6))) for n in (5, 3, 5, 7)]
+    return f_inputs, [make_keys(*(rng.normal(size=(w, 6)) for w in row))
+                      for row in widths]
+
+
+def _assert_same_embedding(got, want, exact):
+    close = (np.array_equal if exact else
+             lambda a, b: np.allclose(a, b, rtol=1e-13, atol=1e-15))
+    (h, cost, plans), (h1, cost1, plans1) = got, want
+    assert np.array_equal(cost.values, cost1.values)
+    assert close(h.values, h1.values)
+    assert close(plans.values, plans1.values)
+    assert np.array_equal(plans.offsets, plans1.offsets)
+    assert np.array_equal(plans.iterations, plans1.iterations)
+    assert np.array_equal(plans.converged, plans1.converged)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_embedding_is_each_inputs_embedding_alone():
+    """Same-size inputs share a solve padded to their widest key.  Where
+    that is each input's own widest key the solve is byte for byte each
+    input's own; where it is wider, BLAS sums the padded mat-vecs in
+    another order, so plans and H move by rounding only."""
+    lams = DEFAULT_LAMBDA_GRID
+    rng = np.random.default_rng(12)
+    f_inputs, adapted = _batch(rng, [(6, 1, 3), (2, 4), (1, 6, 6, 5), (6,)])
+    for g, got in enumerate(zip(*embed_batch(f_inputs, adapted, lams))):
+        _assert_same_embedding(
+            got, embed_keys_multi(f_inputs[g], adapted[g], lams), exact=True)
+        # the solve mixes scaling and log-domain slices
+        peak = got[1].values.max() * np.asarray(lams)
+        assert (peak > LOG_DOMAIN_THRESHOLD).any()
+        assert (peak <= LOG_DOMAIN_THRESHOLD).any()
+    f_inputs, adapted = _batch(rng, [(2, 7), (3,), (1, 4), (5, 1)])
+    for g, got in enumerate(zip(*embed_batch(f_inputs, adapted, lams))):
+        _assert_same_embedding(
+            got, embed_keys_multi(f_inputs[g], adapted[g], lams), exact=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_embedding_solves_once_per_node_count(monkeypatch):
+    calls = []
+    original = mswe.sinkhorn_keys
+
+    def spy(M, lams, **kwargs):
+        calls.append((M, kwargs["offsets"]))
+        return original(M, lams, **kwargs)
+
+    monkeypatch.setattr(mswe, "sinkhorn_keys", spy)
+    f_inputs, adapted = _batch(np.random.default_rng(13),
+                               [(3, 2), (4,), (1, 5), (2, 2, 2)])
+    _, cost, plans = embed_batch(f_inputs, adapted, (0.5, 5.0))
+    # first-appearance order: n = 5 (inputs 0 and 2), then 3, then 7
+    assert [M.shape[0] for M, _ in calls] == [5, 3, 7]
+    (M, offsets), single = calls[0], calls[1:]
+    assert np.array_equal(M, np.hstack([cost[0].values, cost[2].values]))
+    assert offsets.tolist() == [0, 3, 5, 6, 11]
+    for (M, offsets), g in zip(single, (1, 3)):
+        assert M is cost[g].values and offsets is adapted[g].offsets
+    assert plans[2].values.base is not None        # a view of the group's
+    assert plans[2].offsets.tolist() == [0, 1, 6]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_embedding_with_frozen_plans_skips_the_solve(monkeypatch):
+    lams = (0.5, 5.0)
+    f_inputs, adapted = _batch(np.random.default_rng(14),
+                               [(3, 2), (4,), (1, 5), (2, 2, 2)])
+    h, _, plans = embed_batch(f_inputs, adapted, lams)
+    monkeypatch.setattr(mswe, "sinkhorn_keys", None)
+    frozen, cost, none = embed_batch(f_inputs, adapted, lams,
+                                     plans_override=[p.values for p in plans])
+    assert none == [None] * 4 and len(frozen) == len(cost) == 4
+    for got, want in zip(frozen, h):
+        assert np.array_equal(got.values, want.values)
+
+
+def test_batch_embedding_wants_one_entry_per_input():
+    f_inputs, adapted = _batch(np.random.default_rng(15),
+                               [(3,), (4,), (1,), (2,)])
+    with pytest.raises(ShapeError, match="1 adapted key stacks for 2 inputs"):
+        embed_batch(f_inputs[:2], adapted[:1], [1.0])
+    _, _, plans = embed_batch(f_inputs[:2], adapted[:2], [1.0])
+    with pytest.raises(ShapeError, match="1 plan stacks for 2 inputs"):
+        embed_batch(f_inputs[:2], adapted[:2], [1.0],
+                    plans_override=[plans[0].values])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 28])

@@ -720,6 +720,12 @@ def test_grad_check_detects_non_determinism():
         T.grad_check(noisy, [x])
 
 
+def test_node_count_groups_keep_first_appearance_order():
+    assert T.node_count_groups([5, 3, 5, 7, 3, 5]) == [[0, 2, 5], [1, 4], [3]]
+    assert T.node_count_groups(iter([4])) == [[0]]
+    assert T.node_count_groups([]) == []
+
+
 def test_block_matmul_is_the_block_diagonal_product():
     rng = np.random.default_rng(3)
     blocks = rng.normal(size=(3, 4, 2))

@@ -418,6 +418,13 @@ def test_select_column_must_be_one_of_the_mask_columns(column):
         select_substructure(key, np.ones((3, 2), dtype=bool), column=column)
 
 
+def test_select_mask_must_hold_one_entry_per_key_row():
+    key = tens(np.ones((5, 4)))
+    with pytest.raises(ShapeError, match="7 mask entries per input for 5 "
+                       "key rows"):
+        select_substructure(key, np.ones(7, dtype=bool))
+
+
 def test_select_with_surrogate_keeps_hard_forward():
     key = tens(np.random.default_rng(1).normal(size=(3, 4)),
                requires_grad=True)

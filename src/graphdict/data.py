@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, FormatError, IoError, ParseError,
-                     SchemeError, ShapeError)
+                     SchemeError, ShapeError, check_ranges, integer_at_least)
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
@@ -104,15 +105,12 @@ class DatasetBundle:
         return max(g.node_count for g in self.graphs)
 
 
-# what str.split() splits at in ASCII text, plus the comma
-_SEPARATORS = np.frombuffer(b" ,\t\n\v\f\r\x1c\x1d\x1e\x1f", dtype=np.uint8)
-
-
 def _load_int_table(path, columns):
     """Parse a whitespace/comma-delimited integer table with ``columns`` columns.
 
-    The file is parsed in one pass; one that does not parse that way is
-    parsed again line by line, which names its first bad line as
+    numpy parses the file in one pass.  A file it rejects, or reads with
+    another column count, is parsed again line by line, which also reads
+    what ``int`` reads (such as ``1_000``) and names a bad line as
     ``path:line``.
     """
     try:
@@ -122,20 +120,16 @@ def _load_int_table(path, columns):
         raise ParseError(f"{path}: not a text file ({exc})") from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    tokens = text.replace(",", " ").split()
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        gap = np.isin(chars, _SEPARATORS)
-        starts = ~gap & np.concatenate(([True], gap[:-1]))
-        # tokens on each line that holds any
-        per_line = np.bincount(np.cumsum(chars == ord("\n"))[starts])
-        if (len(tokens) == starts.sum()
-                and (per_line[per_line > 0] == columns).all()):
-            try:
-                return np.fromiter(map(int, tokens), dtype=np.int64,
-                                   count=len(tokens)).reshape(-1, columns)
-            except (ValueError, OverflowError):
-                pass
+    try:
+        with warnings.catch_warnings():
+            # an empty file is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            table = np.loadtxt(text.replace(",", " ").split("\n"),
+                               dtype=np.int64, comments=None, ndmin=2)
+        if table.shape[1] == columns:
+            return table
+    except (ValueError, OverflowError):
+        pass
     return _parse_lines(path, text.split("\n"), columns)
 
 
@@ -253,28 +247,33 @@ def load_tu_dataset(directory, name):
 def save_tu_dataset(bundle, directory):
     """Write a bundle back out in TU format (both edge directions stored);
     a bundle with no graphs, or with node labels on some graphs only,
-    raises FormatError."""
+    raises FormatError, and a directory or file that cannot be written
+    raises IoError naming ``directory``."""
     if not bundle.graphs:
         raise FormatError(f"{bundle.name}: no graphs to write")
     labeled = [g.node_labels is not None for g in bundle.graphs]
     if any(labeled) and not all(labeled):
         raise FormatError(f"{bundle.name}: graph {labeled.index(False)} has "
                           "no node labels but other graphs have them")
-    os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, f"{bundle.name}_")
     counts = [g.node_count for g in bundle.graphs]
     starts = np.cumsum([1] + counts[:-1])  # each graph's first 1-based id
     edges = [np.argwhere(g.adjacency) + start
              for g, start in zip(bundle.graphs, starts)]
-    np.savetxt(prefix + "A.txt", np.concatenate(edges), fmt="%d, %d")
-    np.savetxt(prefix + "graph_indicator.txt",
-               np.repeat(np.arange(1, len(counts) + 1), counts), fmt="%d")
-    np.savetxt(prefix + "graph_labels.txt",
-               [g.class_label for g in bundle.graphs], fmt="%d")
-    if all(labeled):
-        np.savetxt(prefix + "node_labels.txt",
-                   np.concatenate([g.node_labels for g in bundle.graphs]),
-                   fmt="%d")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        np.savetxt(prefix + "A.txt", np.concatenate(edges), fmt="%d, %d")
+        np.savetxt(prefix + "graph_indicator.txt",
+                   np.repeat(np.arange(1, len(counts) + 1), counts), fmt="%d")
+        np.savetxt(prefix + "graph_labels.txt",
+                   [g.class_label for g in bundle.graphs], fmt="%d")
+        if all(labeled):
+            np.savetxt(prefix + "node_labels.txt",
+                       np.concatenate([g.node_labels for g in bundle.graphs]),
+                       fmt="%d")
+    except OSError as exc:
+        raise IoError(f"cannot write dataset {bundle.name} to {directory}: "
+                      f"{exc}") from exc
 
 
 def featurize(graph, scheme, dim):
@@ -286,10 +285,7 @@ def featurize(graph, scheme, dim):
     exactly 1.
     """
     n = graph.node_count
-    if not isinstance(dim, numbers.Integral):
-        raise SchemeError(f"featurize: dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise SchemeError(f"featurize: dim must be >= 1, got {dim}")
+    check_ranges([integer_at_least(1, "featurize: dim", dim)], SchemeError)
     if scheme == NODE_LABEL_ONEHOT:
         if graph.node_labels is None:
             raise SchemeError("node-label-onehot requested for a graph "
@@ -331,10 +327,8 @@ def stratified_folds(labels, k, seed):
     Deterministic given the seed.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if not isinstance(k, numbers.Integral):
-        raise ConfigError(f"stratified_folds: k must be an integer, got {k!r}")
-    if k < 2:
-        raise ConfigError(f"stratified_folds: k must be >= 2, got {k}")
+    check_ranges([integer_at_least(2, "stratified_folds: k", k),
+                  integer_at_least(0, "stratified_folds: seed", seed)])
     if k > labels.shape[0]:
         raise ConfigError(f"stratified_folds: k={k} exceeds dataset size "
                           f"{labels.shape[0]}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, check_ranges, real_where
 
 DEFAULT_HIDDEN_DIMS = (256, 128, 32)
 
@@ -63,8 +63,8 @@ def encode(features, a_hat, weights):
 def momentum_update(dict_weights, input_weights, m):
     """In-place EMA over two branches' weight lists: every dictionary weight
     <- m*w_dict + (1-m)*w_input.  Returns ``dict_weights``."""
-    if not 0.0 <= m <= 1.0:
-        raise ConfigError(f"momentum coefficient must lie in [0, 1], got {m}")
+    check_ranges([real_where(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]",
+                             "momentum coefficient", m)])
     if len(dict_weights) != len(input_weights):
         raise ShapeError("momentum_update: branch depths differ")
     for wd, wi in zip(dict_weights, input_weights):

@@ -1,8 +1,12 @@
 """Exception taxonomy for the graphdict package.
 
 Every error raised by this package derives from :class:`GraphDictError`,
-so callers can catch one base type at the CLI boundary.
+so callers can catch one base type at the CLI boundary.  A range check is
+a (holds, message) rule: :func:`integer_at_least` and :func:`real_where`
+word one, and :func:`check_ranges` raises the first that does not hold.
 """
+
+import numbers
 
 
 class GraphDictError(Exception):
@@ -49,3 +53,27 @@ class SizeError(GraphDictError):
 
 class IoError(GraphDictError):
     """A file or directory could not be read or written."""
+
+
+def check_ranges(rules, error=ConfigError):
+    """Raise ``error`` (ConfigError by default) with the message of the
+    first (holds, message) rule in ``rules`` that does not hold."""
+    for holds, message in rules:
+        if not holds:
+            raise error(message)
+
+
+def integer_at_least(low, name, value):
+    """The (holds, message) rule that ``value``, called ``name``, is an
+    integer >= ``low``."""
+    if isinstance(value, numbers.Integral):
+        return value >= low, f"{name} must be >= {low}, got {value}"
+    return False, f"{name} must be an integer, got {value!r}"
+
+
+def real_where(holds, must, name, value):
+    """The (holds, message) rule that ``value``, called ``name``, is a real
+    number for which ``holds`` is true; ``must`` words that range."""
+    if isinstance(value, numbers.Real):
+        return holds(value), f"{name} must {must}, got {value}"
+    return False, f"{name} must be a real number, got {value!r}"

@@ -12,109 +12,86 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import mswe, tensor as T, vgda
 from .data import SCHEMES, LabeledGraph, featurize, normalize_adjacency
 from .encoder import DEFAULT_HIDDEN_DIMS, encode, init_weights, xavier_uniform
-from .errors import ConfigError, FormatError, IoError, ShapeError
+from .errors import (ConfigError, FormatError, IoError, ShapeError,
+                     check_ranges, integer_at_least, real_where)
 
 
-def check_ranges(rules):
-    """Raise ConfigError with the message of the first (holds, message)
-    rule in ``rules`` that does not hold."""
-    for holds, message in rules:
-        if not holds:
-            raise ConfigError(message)
+# the rules that a value is a finite real number > 0, and >= 0
+positive = partial(real_where, lambda v: 0.0 < v < np.inf, "be finite and > 0")
+nonnegative = partial(real_where, lambda v: 0.0 <= v < np.inf,
+                      "be finite and >= 0")
 
 
-def integer_at_least(low, name, value):
-    """The (holds, message) rule that ``value``, called ``name``, is an
-    integer >= ``low``."""
-    if isinstance(value, numbers.Integral):
-        return value >= low, f"{name} must be >= {low}, got {value}"
-    return False, f"{name} must be an integer, got {value!r}"
+def layer_widths(name, value):
+    """The rule that ``value`` is a tuple of one or more integers >= 1."""
+    if not isinstance(value, tuple):
+        return False, f"{name} must be a sequence, got {value!r}"
+    widths = (integer_at_least(1, f"{name}[{i}]", d)
+              for i, d in enumerate(value))
+    return next((rule for rule in widths if not rule[0]),
+                (value, f"{name} must hold at least one layer"))
 
 
-def real_where(holds, must, name, value):
-    """The (holds, message) rule that ``value``, called ``name``, is a real
-    number for which ``holds`` is true; ``must`` words that range."""
-    if isinstance(value, numbers.Real):
-        return holds(value), f"{name} must {must}, got {value}"
-    return False, f"{name} must be a real number, got {value!r}"
+def lambda_grid(name, value):
+    """The rule that ``value`` is a tuple of one or more finite reals > 0."""
+    return (isinstance(value, tuple) and value != ()
+            and all(positive(name, v)[0] for v in value),
+            f"{name} must be one or more finite positive numbers, got {value}")
 
 
-def positive(name, value):
-    """The rule that ``value`` is a finite real number > 0."""
-    return real_where(lambda v: 0.0 < v < np.inf, "be finite and > 0",
-                      name, value)
-
-
-def nonnegative(name, value):
-    """The rule that ``value`` is a finite real number >= 0."""
-    return real_where(lambda v: 0.0 <= v < np.inf, "be finite and >= 0",
-                      name, value)
-
-
-def at_least_one(config, *names):
-    """Rules that each named field of ``config`` is an integer >= 1."""
-    return (integer_at_least(1, name, getattr(config, name))
-            for name in names)
+def ranged(default, rule, *args):
+    """A config field defaulting to ``default`` (MISSING: required) whose
+    value must pass the (holds, message) rule ``rule(*args, name, value)``."""
+    return field(default=default, metadata={"rule": partial(rule, *args)})
 
 
 @dataclass(kw_only=True)
 class Hyperparameters:
-    """The fields TrainConfig and ModelConfig share, and their ranges."""
+    """The fields TrainConfig and ModelConfig share.  Each config checks its
+    :func:`ranged` fields in declaration order, these first; a field with a
+    tuple default takes a list, tuple or array and keeps a tuple."""
 
-    encoder_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
-    head_hidden: int = 64
-    temperature: float = vgda.DEFAULT_TEMPERATURE
-    sinkhorn_max_iter: int = mswe.DEFAULT_MAX_ITER
-    sinkhorn_tol: float = mswe.DEFAULT_TOL
+    encoder_dims: tuple[int, ...] = ranged(DEFAULT_HIDDEN_DIMS, layer_widths)
+    head_hidden: int = ranged(64, integer_at_least, 1)
+    temperature: float = ranged(vgda.DEFAULT_TEMPERATURE, positive)
+    sinkhorn_max_iter: int = ranged(mswe.DEFAULT_MAX_ITER, integer_at_least, 1)
+    sinkhorn_tol: float = ranged(mswe.DEFAULT_TOL, positive)
     # the loss, -log p[y] + beta * KL, and the sensitivity grid
-    beta: float = 0.001
-    p_hat: float = 0.5
-    lambdas: tuple[float, ...] = mswe.DEFAULT_LAMBDA_GRID
+    beta: float = ranged(0.001, nonnegative)
+    p_hat: float = ranged(0.5, real_where, lambda v: 0.0 < v < 1.0,
+                          "lie in (0, 1)")
+    lambdas: tuple[float, ...] = ranged(mswe.DEFAULT_LAMBDA_GRID, lambda_grid)
 
     def __post_init__(self):
-        check_ranges([
-            *at_least_one(self, "head_hidden", "sinkhorn_max_iter"),
-            *(integer_at_least(1, f"encoder_dims[{i}]", d)
-              for i, d in enumerate(self.encoder_dims)),
-            (self.encoder_dims, "encoder_dims must hold at least one layer"),
-            positive("sinkhorn_tol", self.sinkhorn_tol),
-            positive("temperature", self.temperature),
-            nonnegative("beta", self.beta),
-            real_where(lambda v: 0.0 < v < 1.0, "lie in (0, 1)", "p_hat",
-                       self.p_hat),
-            (self.lambdas and all(
-                isinstance(v, numbers.Real) and 0.0 < v < np.inf
-                for v in self.lambdas),
-             f"lambdas must be one or more finite positive numbers, got "
-             f"{self.lambdas}")])
+        for f in fields(self):
+            raw = getattr(self, f.name)
+            raw = raw.tolist() if isinstance(raw, np.ndarray) else raw
+            if isinstance(f.default, tuple) and isinstance(raw, list | tuple):
+                setattr(self, f.name, tuple(raw))
+        check_ranges(f.metadata["rule"](f.name, getattr(self, f.name))
+                     for f in fields(self) if "rule" in f.metadata)
 
 
 @dataclass(kw_only=True)
 class ModelConfig(Hyperparameters):
     """Everything needed to rebuild the model architecture."""
 
-    num_classes: int
-    feature_scheme: str
-    feature_dim: int
-    n_padded: int
-    num_keys: int = 14
-
-    def __post_init__(self):
-        check_ranges([
-            *at_least_one(self, "num_classes", "feature_dim", "n_padded",
-                          "num_keys"),
-            (self.feature_scheme in SCHEMES, "feature_scheme must be one of "
-             f"{SCHEMES}, got {self.feature_scheme!r}")])
-        super().__post_init__()
+    num_classes: int = ranged(MISSING, integer_at_least, 1)
+    feature_scheme: str = ranged(MISSING, lambda name, value: (
+        isinstance(value, str) and value in SCHEMES,
+        f"{name} must be one of {SCHEMES}, got {value!r}"))
+    feature_dim: int = ranged(MISSING, integer_at_least, 1)
+    n_padded: int = ranged(MISSING, integer_at_least, 1)
+    num_keys: int = ranged(14, integer_at_least, 1)
 
     def to_json(self):
         """The fields in declaration order (tuples as JSON lists)."""
@@ -128,8 +105,6 @@ class ModelConfig(Hyperparameters):
         for f in fields(cls):
             if f.name not in raw:
                 raise ConfigError(f"field {f.name!r} is missing")
-        raw["encoder_dims"] = tuple(raw["encoder_dims"])
-        raw["lambdas"] = tuple(raw["lambdas"])
         return cls(**raw)
 
 
@@ -476,7 +451,8 @@ def load_checkpoint(path):
     Raises IoError when ``path`` cannot be read and FormatError when it is
     not a complete checkpoint, naming the path and any missing array, or any
     array whose shape does not fit the stored config, that holds non-finite
-    values, or (a key adjacency) that breaks :class:`LabeledGraph`'s rules.
+    values, that (a key adjacency) breaks :class:`LabeledGraph`'s rules, or
+    that (a key class) is not an integer in [0, ``num_classes``).
     A config out of range or missing a field, or a checkpoint without a
     ``format_version`` or with one other than
     :data:`CHECKPOINT_FORMAT_VERSION`, raises FormatError naming the path.
@@ -536,9 +512,16 @@ def load_checkpoint(path):
             for branch, grad in (("enc_input", True), ("enc_dict", False)))
         adjacency, features, source_class = [], [], []
         for j in range(config.num_keys):
+            name = f"key_{j}_class"
+            label = array(name, (1,))[0]
+            if not (float(label).is_integer()
+                    and 0 <= label < config.num_classes):
+                raise FormatError(f"checkpoint {path}: array {name!r} holds "
+                                  f"{label}, not a class in [0, "
+                                  f"{config.num_classes})")
+            source_class.append(int(label))
             name = f"key_{j}_adjacency"
             stored = array(name)
-            source_class.append(int(array(f"key_{j}_class", (1,))[0]))
             try:
                 graph = LabeledGraph(adjacency=stored,
                                      class_label=source_class[-1])

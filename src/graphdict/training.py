@@ -14,7 +14,6 @@ import contextlib
 import csv
 import os
 import time
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -24,10 +23,20 @@ from . import tensor as T, vgda
 from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
 from .encoder import momentum_update
-from .errors import GraphDictError, IoError, NumericsError
+from .errors import (GraphDictError, IoError, NumericsError,
+                     integer_at_least, real_where)
 from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
-                    at_least_one, check_ranges, integer_at_least,
-                    nonnegative, positive, real_where, save_checkpoint)
+                    nonnegative, positive, ranged, save_checkpoint)
+
+
+def beta_pair(name, value):
+    """The rule that ``value`` is a tuple of two reals in [0, 1)."""
+    if not (isinstance(value, tuple) and len(value) == 2):
+        return False, f"{name} must be two values in [0, 1), got {value}"
+    first, second = (real_where(lambda v: 0.0 <= v < 1.0,
+                                "be two values in [0, 1)", name, b)
+                     for b in value)
+    return second if first[0] else first
 
 
 @dataclass(kw_only=True)
@@ -36,36 +45,19 @@ class TrainConfig(Hyperparameters):
 
     dataset: str = ""
     data_dir: str = ""
-    epochs: int = 500
-    learning_rate: float = 0.001
-    weight_decay: float = 1e-4
-    keys: int = 14
-    momentum: float = 0.999
-    seed: int = 0
-    folds: int = 10
-    batch_size: int = 32
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    workers: int = 1
+    epochs: int = ranged(500, integer_at_least, 1)
+    learning_rate: float = ranged(0.001, positive)
+    weight_decay: float = ranged(1e-4, nonnegative)
+    keys: int = ranged(14, integer_at_least, 1)
+    momentum: float = ranged(0.999, real_where, lambda v: 0.0 <= v <= 1.0,
+                             "be in [0, 1]")
+    seed: int = ranged(0, integer_at_least, 0)
+    folds: int = ranged(10, integer_at_least, 2)
+    batch_size: int = ranged(32, integer_at_least, 1)
+    adam_betas: tuple[float, float] = ranged((0.9, 0.999), beta_pair)
+    adam_eps: float = ranged(1e-8, positive)
+    workers: int = ranged(1, integer_at_least, 1)
     out_dir: str | None = None
-
-    def __post_init__(self):
-        betas = self.adam_betas
-        pair = (isinstance(betas, (Sequence, np.ndarray))
-                and len(betas) == 2)
-        check_ranges([
-            integer_at_least(0, "seed", self.seed),
-            *at_least_one(self, "batch_size", "epochs", "keys", "workers"),
-            integer_at_least(2, "folds", self.folds),
-            positive("learning_rate", self.learning_rate),
-            nonnegative("weight_decay", self.weight_decay),
-            (pair, f"adam_betas must be two values in [0, 1), got {betas}"),
-            *(real_where(lambda v: 0.0 <= v < 1.0, "be two values in [0, 1)",
-                         "adam_betas", b) for b in (betas if pair else ())),
-            positive("adam_eps", self.adam_eps),
-            real_where(lambda v: 0.0 <= v <= 1.0, "be in [0, 1]", "momentum",
-                       self.momentum)])
-        super().__post_init__()
 
 
 @dataclass
@@ -166,7 +158,7 @@ def train_one_fold(bundle, fold_index, train_idx, test_idx, config, seed_seq):
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay,
-                     betas=tuple(config.adam_betas), eps=config.adam_eps)
+                     betas=config.adam_betas, eps=config.adam_eps)
     noise_rng = np.random.default_rng(noise_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 

@@ -1,5 +1,6 @@
 """Graph data model, TU-format loading, featurization, folds."""
 
+import os
 import re
 import tempfile
 
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_synthetic_bundle, path_adjacency
 from graphdict.data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, DatasetBundle,
-                            LabeledGraph, featurize, load_tu_dataset,
-                            normalize_adjacency, save_tu_dataset,
-                            stratified_folds)
-from graphdict.errors import (ConfigError, FormatError, ParseError,
+                            LabeledGraph, _load_int_table, _parse_lines,
+                            featurize, load_tu_dataset, normalize_adjacency,
+                            save_tu_dataset, stratified_folds)
+from graphdict.errors import (ConfigError, FormatError, IoError, ParseError,
                               SchemeError, ShapeError)
 
 
@@ -197,6 +198,47 @@ def test_load_accepts_any_whitespace_str_split_accepts(tmp_path):
                                                        [1.0, 0.0]])
 
 
+def test_load_reads_tokens_only_int_reads(tmp_path):
+    _write_tu(tmp_path, "X", edges=[(1, 2)], indicator=[1, 1],
+              graph_labels=[0])
+    (tmp_path / "X_graph_indicator.txt").write_text("1\n0_001\n")
+    bundle = load_tu_dataset(tmp_path, "X")
+    assert [g.node_count for g in bundle.graphs] == [2]
+
+
+def test_load_int_table_of_an_empty_file_is_empty(tmp_path, recwarn):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n")
+    table = _load_int_table(path, 2)
+    assert table.shape == (0, 2) and table.dtype == np.int64
+    assert not recwarn.list
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.integers(1, 3), data=st.data())
+def test_load_int_table_matches_the_line_parser(columns, data):
+    rows = data.draw(st.lists(st.lists(INT64, min_size=columns,
+                                       max_size=columns), max_size=8))
+    gap = st.sampled_from([", ", ",", " ", "\t"])
+    end = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \r\n"])
+    text = "".join(
+        "".join(f"{value}{data.draw(gap) if i < columns - 1 else ''}"
+                for i, value in enumerate(row)) + data.draw(end)
+        for row in rows)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "table.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        table = _load_int_table(path, columns)
+    expected = _parse_lines(path, text.split("\n"), columns)
+    assert table.dtype == np.int64 and table.shape == (len(rows), columns)
+    assert np.array_equal(table, expected)
+    assert table.tolist() == rows
+
+
 def test_round_trip_save_and_load(tmp_path):
     bundle = make_synthetic_bundle(count=6, with_node_labels=True)
     save_tu_dataset(bundle, tmp_path / "out")
@@ -229,6 +271,15 @@ def test_save_rejects_bundle_without_graphs(tmp_path):
     with pytest.raises(FormatError, match="NONE: no graphs to write"):
         save_tu_dataset(bundle, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_save_to_a_path_under_a_file_raises_io_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    with pytest.raises(IoError, match=re.escape(
+            f"cannot write dataset synthetic to {out}: ")):
+        save_tu_dataset(make_synthetic_bundle(count=2), out)
 
 
 def _contiguous(values):
@@ -430,3 +481,11 @@ def test_folds_config_errors():
 def test_folds_reject_a_non_integer_k():
     with pytest.raises(ConfigError, match=r"k must be an integer, got 2\.5"):
         stratified_folds(np.array([0, 1, 0, 1]), 2.5, 0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "stratified_folds: seed must be >= 0, got -1"),
+    (1.5, "stratified_folds: seed must be an integer, got 1.5")])
+def test_folds_reject_a_seed_that_is_not_a_natural_number(seed, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        stratified_folds(np.array([0, 1, 0, 1]), 2, seed)

@@ -1,5 +1,7 @@
 """Graph-convolution encoders and the momentum coupling between them."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,14 @@ def test_momentum_update_validation():
     mismatched = small_weights(in_dim=4)
     with pytest.raises(ShapeError):
         momentum_update(target, mismatched, 0.5)
+
+
+@pytest.mark.parametrize("m", [None, "0.5"])
+def test_momentum_update_needs_a_real_coefficient(m):
+    target = untracked_copy(small_weights())
+    with pytest.raises(ConfigError, match=re.escape(
+            f"momentum coefficient must be a real number, got {m!r}")):
+        momentum_update(target, small_weights(), m)
 
 
 def test_initialization_is_seeded_and_bounded():

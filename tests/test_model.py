@@ -861,6 +861,18 @@ def test_checkpoint_rejects_a_key_adjacency_that_is_not_a_graph(tmp_path,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("label", [1.7, -1, 2], ids=["fractional",
+                                                    "negative", "num-classes"])
+def test_checkpoint_rejects_a_key_class_outside_the_classes(tmp_path, label):
+    # the tiny model has two classes
+    path = rewrite_checkpoint(tmp_path, "key_1_class",
+                              lambda _: np.asarray([label]))
+    with pytest.raises(FormatError, match=re.escape(
+            f"checkpoint {path}: array 'key_1_class' holds {label}, not a "
+            "class in [0, 2)")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_stores_its_format_version(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(build_tiny_model()[0], path)

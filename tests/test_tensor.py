@@ -243,6 +243,12 @@ def test_binary_concrete_needs_a_finite_positive_temperature(temperature):
                           temperature)
 
 
+def test_binary_concrete_needs_a_real_temperature():
+    with pytest.raises(NumericsError, match=re.escape(
+            "binary_concrete: temperature must be a real number, got '1'")):
+        T.binary_concrete(T.Tensor([[0.3], [0.6]]), np.full((2, 1), 0.5), "1")
+
+
 def test_log_of_nonpositive_raises():
     with pytest.raises(NumericsError):
         T.log(T.Tensor(np.array([[0.0]])))

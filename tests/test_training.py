@@ -15,7 +15,7 @@ from graphdict.data import stratified_folds
 from graphdict.encoder import momentum_update
 from graphdict.errors import (ConfigError, GraphDictError, IoError,
                               NumericsError)
-from graphdict.model import Hyperparameters
+from graphdict.model import Hyperparameters, ModelConfig
 from graphdict.training import (Adam, CvResult, FoldResult, TrainConfig,
                                 export_diagnostics, format_metrics_table,
                                 run_cv, train_one_fold, write_metrics)
@@ -367,6 +367,59 @@ def test_train_config_adam_betas_values_must_be_in_range(index, value,
     with pytest.raises(ConfigError, match=re.escape(
             f"adam_betas must {message}")):
         TrainConfig(adam_betas=tuple(betas))
+
+
+MODEL_FIELDS = dict(num_classes=2, feature_scheme="degree-onehot",
+                    feature_dim=3, n_padded=5)
+UNCHECKED = {"dataset", "data_dir", "out_dir"}
+
+
+@pytest.mark.parametrize("cls, name", [
+    *((TrainConfig, f.name) for f in fields(TrainConfig)
+      if f.name not in UNCHECKED),
+    *((ModelConfig, f.name) for f in fields(ModelConfig))])
+def test_every_checked_config_field_rejects_none_under_its_name(cls, name):
+    base = MODEL_FIELDS if cls is ModelConfig else {}
+    assert "rule" in next(f for f in fields(cls) if f.name == name).metadata
+    with pytest.raises(ConfigError, match=rf"^{name}\b"):
+        cls(**{**base, name: None})
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_config_sequence_fields_are_kept_as_tuples(kind):
+    values = dict(encoder_dims=(4, 6), lambdas=(0.5, 5.0),
+                  adam_betas=(0.8, 0.99))
+    config = TrainConfig(**{name: kind(value)
+                            for name, value in values.items()})
+    for name, value in values.items():
+        stored = getattr(config, name)
+        assert type(stored) is tuple and stored == value
+        assert all(type(v) is type(w) for v, w in zip(stored, value))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambdas": 1.0}, "lambdas must be one or more finite positive numbers, "
+                       "got 1.0"),
+    ({"encoder_dims": 4}, "encoder_dims must be a sequence, got 4"),
+    ({"adam_betas": 0.9}, "adam_betas must be two values in [0, 1), got 0.9"),
+])
+def test_config_sequence_fields_reject_a_scalar(change, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**change)
+
+
+def test_model_config_rejects_a_scheme_array():
+    with pytest.raises(ConfigError, match="^feature_scheme must be one of"):
+        ModelConfig(**{**MODEL_FIELDS, "feature_scheme": np.array(
+            ["degree-onehot", "node-label-onehot"])})
+
+
+def test_model_config_built_from_lists_round_trips_through_json():
+    config = ModelConfig(**MODEL_FIELDS, encoder_dims=[4, 6],
+                         lambdas=np.array([0.5, 5.0]))
+    again = ModelConfig.from_json(config.to_json())
+    assert again == config and again.encoder_dims == (4, 6)
+    assert again.to_json() == config.to_json()
 
 
 def test_model_config_for_fold_carries_every_shared_field():

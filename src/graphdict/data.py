@@ -122,13 +122,15 @@ def _load_int_table(path, columns):
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
         with warnings.catch_warnings():
-            # an empty file is an empty table, not a warning
+            # an empty file is an empty table, not a warning; a numpy that
+            # still reads "1.5" as the integer 1 only warns, so make it fail
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            warnings.filterwarnings("error", category=DeprecationWarning)
             table = np.loadtxt(text.replace(",", " ").split("\n"),
                                dtype=np.int64, comments=None, ndmin=2)
         if table.shape[1] == columns:
             return table
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, DeprecationWarning):
         pass
     return _parse_lines(path, text.split("\n"), columns)
 

@@ -2,11 +2,14 @@
 
 Every error raised by this package derives from :class:`GraphDictError`,
 so callers can catch one base type at the CLI boundary.  A range check is
-a (holds, message) rule: :func:`integer_at_least` and :func:`real_where`
-word one, and :func:`check_ranges` raises the first that does not hold.
+a (holds, message) rule: :func:`integer_at_least`, :func:`real_where`,
+:func:`positive` and :func:`nonnegative` word one, and :func:`check_ranges`
+raises the first that does not hold.
 """
 
 import numbers
+from functools import partial
+from math import inf
 
 
 class GraphDictError(Exception):
@@ -77,3 +80,9 @@ def real_where(holds, must, name, value):
     if isinstance(value, numbers.Real):
         return holds(value), f"{name} must {must}, got {value}"
     return False, f"{name} must be a real number, got {value!r}"
+
+
+# the rules that a value is a finite real number > 0, and >= 0
+positive = partial(real_where, lambda v: 0.0 < v < inf, "be finite and > 0")
+nonnegative = partial(real_where, lambda v: 0.0 <= v < inf,
+                      "be finite and >= 0")

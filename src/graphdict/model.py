@@ -19,16 +19,12 @@ from functools import partial
 import numpy as np
 
 from . import mswe, tensor as T, vgda
-from .data import SCHEMES, LabeledGraph, featurize, normalize_adjacency
+from .data import (SCHEMES, LabeledGraph, _integers, featurize,
+                   normalize_adjacency)
 from .encoder import DEFAULT_HIDDEN_DIMS, encode, init_weights, xavier_uniform
 from .errors import (ConfigError, FormatError, IoError, ShapeError,
-                     check_ranges, integer_at_least, real_where)
-
-
-# the rules that a value is a finite real number > 0, and >= 0
-positive = partial(real_where, lambda v: 0.0 < v < np.inf, "be finite and > 0")
-nonnegative = partial(real_where, lambda v: 0.0 <= v < np.inf,
-                      "be finite and >= 0")
+                     check_ranges, integer_at_least, nonnegative, positive,
+                     real_where)
 
 
 def layer_widths(name, value):
@@ -513,13 +509,17 @@ def load_checkpoint(path):
         adjacency, features, source_class = [], [], []
         for j in range(config.num_keys):
             name = f"key_{j}_class"
-            label = array(name, (1,))[0]
-            if not (float(label).is_integer()
-                    and 0 <= label < config.num_classes):
+            stored = array(name, (1,))
+            try:
+                label = int(_integers("class label", stored)[0])
+            except FormatError as exc:
+                raise FormatError(f"checkpoint {path}: array {name!r}: "
+                                  f"{exc}") from exc
+            if not 0 <= label < config.num_classes:
                 raise FormatError(f"checkpoint {path}: array {name!r} holds "
                                   f"{label}, not a class in [0, "
                                   f"{config.num_classes})")
-            source_class.append(int(label))
+            source_class.append(label)
             name = f"key_{j}_adjacency"
             stored = array(name)
             try:

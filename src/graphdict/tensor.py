@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError, check_ranges, real_where
+from .errors import NumericsError, ShapeError, check_ranges, positive
 
 COSINE_EPS = 1e-8
 
@@ -458,8 +458,7 @@ def binary_concrete(p, noise, temperature):
     The output is the smooth surrogate whose hard threshold gives the
     binary sample; its gradient in p is s(1-s) / (temperature * p(1-p)).
     """
-    check_ranges([real_where(lambda v: 0.0 < v < np.inf, "be finite and > 0",
-                             "binary_concrete: temperature", temperature)],
+    check_ranges([positive("binary_concrete: temperature", temperature)],
                  NumericsError)
     pv = p.values
     noise = np.asarray(noise, dtype=np.float64)

@@ -24,9 +24,9 @@ from .data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, load_tu_dataset,
                    stratified_folds)
 from .encoder import momentum_update
 from .errors import (GraphDictError, IoError, NumericsError,
-                     integer_at_least, real_where)
+                     integer_at_least, nonnegative, positive, real_where)
 from .model import (GraphDictionaryModel, Hyperparameters, ModelConfig,
-                    nonnegative, positive, ranged, save_checkpoint)
+                    ranged, save_checkpoint)
 
 
 def beta_pair(name, value):

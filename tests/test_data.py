@@ -3,6 +3,7 @@
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -214,13 +215,57 @@ def test_load_int_table_of_an_empty_file_is_empty(tmp_path, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("token", ["1.5", "0.9", "1e3", "1.0"])
+def test_load_label_that_is_not_an_integer_raises_parse(tmp_path, token):
+    _write_tu(tmp_path, "X", edges=[(1, 2), (3, 4)], indicator=[1, 1, 2, 2],
+              graph_labels=[0, token])
+    with pytest.raises(ParseError, match=re.escape(
+            f"X_graph_labels.txt:2: non-integer token in '{token}'")):
+        load_tu_dataset(tmp_path, "X")
+
+
+def test_load_int_table_does_not_take_a_float_read_as_an_integer(
+        tmp_path, monkeypatch):
+    # numpy releases that read "1.5" into an integer column as 1 only
+    # warn (DeprecationWarning); the line parser must get the file instead
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning)
+        return loadtxt(lines, dtype=np.float64, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "labels.txt"
+    path.write_text("1\n1.5\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}:2: non-integer token in '1.5'")):
+        _load_int_table(path, 1)
+
+
 INT64 = st.integers(-2**63, 2**63 - 1)
+# tokens numpy or int() reject, or read differently from each other
+ODD_TOKENS = st.sampled_from(["1.5", "0.9", "1e3", "1.0", "-0.0", "nan",
+                              "inf", "0x1", "1_000", "+7", "2**3", "",
+                              "99999999999999999999"])
 
 
-@settings(max_examples=100, deadline=None)
+def _outcome(parse):
+    """What ``parse()`` returns, as a list, or the ParseError it raises."""
+    try:
+        table = parse()
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    assert table.dtype == np.int64
+    return table.shape, table.tolist()
+
+
+@settings(max_examples=200, deadline=None)
 @given(columns=st.integers(1, 3), data=st.data())
 def test_load_int_table_matches_the_line_parser(columns, data):
-    rows = data.draw(st.lists(st.lists(INT64, min_size=columns,
+    odd = data.draw(st.booleans())
+    token = st.one_of(INT64.map(str), ODD_TOKENS) if odd else INT64.map(str)
+    rows = data.draw(st.lists(st.lists(token, min_size=columns,
                                        max_size=columns), max_size=8))
     gap = st.sampled_from([", ", ",", " ", "\t"])
     end = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \r\n"])
@@ -232,11 +277,12 @@ def test_load_int_table_matches_the_line_parser(columns, data):
         path = os.path.join(directory, "table.txt")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        table = _load_int_table(path, columns)
-    expected = _parse_lines(path, text.split("\n"), columns)
-    assert table.dtype == np.int64 and table.shape == (len(rows), columns)
-    assert np.array_equal(table, expected)
-    assert table.tolist() == rows
+        got = _outcome(lambda: _load_int_table(path, columns))
+    assert got == _outcome(
+        lambda: _parse_lines(path, text.split("\n"), columns))
+    if not odd:
+        assert got == ((len(rows), columns), [[int(v) for v in row]
+                                              for row in rows])
 
 
 def test_round_trip_save_and_load(tmp_path):

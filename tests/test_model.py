@@ -861,15 +861,20 @@ def test_checkpoint_rejects_a_key_adjacency_that_is_not_a_graph(tmp_path,
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("label", [1.7, -1, 2], ids=["fractional",
-                                                    "negative", "num-classes"])
-def test_checkpoint_rejects_a_key_class_outside_the_classes(tmp_path, label):
+@pytest.mark.parametrize("label, message", [
+    (1.7, "array 'key_1_class': class label 1.7 is not an integer"),
+    (-1, "array 'key_1_class' holds -1, not a class in [0, 2)"),
+    (2, "array 'key_1_class' holds 2, not a class in [0, 2)"),
+    (2.0 ** 70, "array 'key_1_class': class label 1.1805916207174113e+21 "
+     "is not an integer")],
+    ids=["fractional", "negative", "num-classes", "beyond-int64"])
+def test_checkpoint_rejects_a_key_class_outside_the_classes(tmp_path, label,
+                                                            message):
     # the tiny model has two classes
     path = rewrite_checkpoint(tmp_path, "key_1_class",
                               lambda _: np.asarray([label]))
-    with pytest.raises(FormatError, match=re.escape(
-            f"checkpoint {path}: array 'key_1_class' holds {label}, not a "
-            "class in [0, 2)")):
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(f'checkpoint {path}: {message}')}$"):
         load_checkpoint(path)
 
 

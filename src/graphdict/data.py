@@ -39,7 +39,11 @@ class LabeledGraph:
     node_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.float64)
+        try:
+            adj = np.asarray(self.adjacency, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError("adjacency must hold numbers, got "
+                              f"{self.adjacency!r}") from None
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise FormatError(f"adjacency must be square and non-empty, got {adj.shape}")
         if not np.array_equal(adj, adj.T):

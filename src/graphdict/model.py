@@ -44,6 +44,13 @@ def lambda_grid(name, value):
             f"{name} must be one or more finite positive numbers, got {value}")
 
 
+def _plain(value):
+    """``value`` with a NumPy array or scalar as Python lists and scalars."""
+    if isinstance(value, np.ndarray | np.generic):
+        return value.tolist()
+    return value
+
+
 def ranged(default, rule, *args):
     """A config field defaulting to ``default`` (MISSING: required) whose
     value must pass the (holds, message) rule ``rule(*args, name, value)``."""
@@ -53,8 +60,8 @@ def ranged(default, rule, *args):
 @dataclass(kw_only=True)
 class Hyperparameters:
     """The fields TrainConfig and ModelConfig share.  Each config checks its
-    :func:`ranged` fields in declaration order, these first; a field with a
-    tuple default takes a list, tuple or array and keeps a tuple."""
+    :func:`ranged` fields in declaration order, these first.  NumPy values
+    are kept as Python ones, and a tuple field's list or array as a tuple."""
 
     encoder_dims: tuple[int, ...] = ranged(DEFAULT_HIDDEN_DIMS, layer_widths)
     head_hidden: int = ranged(64, integer_at_least, 1)
@@ -69,10 +76,10 @@ class Hyperparameters:
 
     def __post_init__(self):
         for f in fields(self):
-            raw = getattr(self, f.name)
-            raw = raw.tolist() if isinstance(raw, np.ndarray) else raw
+            raw = _plain(getattr(self, f.name))
             if isinstance(f.default, tuple) and isinstance(raw, list | tuple):
-                setattr(self, f.name, tuple(raw))
+                raw = tuple(_plain(v) for v in raw)
+            setattr(self, f.name, raw)
         check_ranges(f.metadata["rule"](f.name, getattr(self, f.name))
                      for f in fields(self) if "rule" in f.metadata)
 

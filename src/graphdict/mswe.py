@@ -11,24 +11,19 @@ differentiation tape and re-enter it as constants (the envelope rule):
 gradients flow through the cost matrices only.  A key of one node has a
 single coupling, the column of input masses, so its plans take that closed
 form at every sensitivity without iterating.  One loop solves every other
-(key, sensitivity) slice in one batch padded to the widest of those keys;
-their Gibbs kernels are exponentiated on the real columns only.  It tests
-convergence on each slice's scaling vectors (or potentials) and freezes them
-at the iteration where the slice converges; each plan is built once, after
-the loop, by the feasibility rounding, and leaves the solver in its key's
-cost columns: the plans at one sensitivity form one (n, sum m_j) matrix,
-laid out like the costs.  A slice takes the scaling
-update while ``lam * max(M_j) <= 30`` and the log-domain potential update
-beyond that, to avoid underflow.  Both domains lay their slices out the
-same way: one (key, sensitivity) slice per batch row, carrying its own
-kernel or cost matrix, so a row leaves the batch as soon as its slice
-converges.  A single key is the case K = 1.
+(key, sensitivity) slice, one per row of a batch padded to the widest of
+those keys, by the scaling update on the slice's kernel stabilized by its
+potentials, exp((f + g - M) / eps) with eps = 1 / lam (Schmitzer,
+arXiv:1610.06519, sec. 3.1).  A slice starts on its Gibbs kernel, f = g =
+0, while ``lam * max(M_j) <= 30``; past that the Gibbs kernel underflows,
+and it starts from f, the c-transform of g = 0, and g, the c-transform of
+f.  Scaling vectors past 1e50 are folded into the potentials.  A row
+leaves the batch when its slice converges; each plan is built once, after
+the loop, by the feasibility rounding.  A single key is the case K = 1.
 
-A batch of inputs is embedded in one call (:func:`embed_batch`), which
-groups the inputs by node count n: one group's cost matrices side by side
-are K keys per input, and every slice is solved on its own, so the group's
-one solve gives each input's own plans.  A single input is the batch of
-one (:func:`embed_keys_multi`).
+A batch of inputs is embedded in one call (:func:`embed_batch`), with one
+solve per node count; a single input is the batch of one
+(:func:`embed_keys_multi`).
 """
 
 from __future__ import annotations
@@ -37,14 +32,16 @@ import itertools
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, NumericsError, ShapeError
 
+# past lam * max(M_j) = 30 a slice starts from log-domain potentials, not
+# from its Gibbs kernel; past 1e50 a scaling vector is absorbed into them
 LOG_DOMAIN_THRESHOLD = 30.0
+ABSORB_LIMIT = 1e50
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-6
 
@@ -107,11 +104,6 @@ def uniform_marginal(n):
     return np.full(n, 1.0 / n)
 
 
-def _logsumexp(x, axis):
-    peak = x.max(axis=axis, keepdims=True)
-    return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
-
-
 def _capped_ratio(target, total):
     """min(target / total, 1), taking 1 where total is 0."""
     return np.divide(target, total, out=np.ones_like(total),
@@ -156,8 +148,8 @@ def _round_to_feasible(x, base, y, a, b):
     return base
 
 
-def _scaling_step(a, b, kernel, v, kv):
-    """u/v scaling update on the state (b, kernel, v, K v).
+def _scaling_step(a, b, kernel, kv):
+    """u/v scaling update on the state (b, kernel, K v).
 
     Columns are exact after the v-update, so the iterate's marginal
     violation is its row error |u * K v - a|, read off the product the next
@@ -166,53 +158,51 @@ def _scaling_step(a, b, kernel, v, kv):
     """
     u = a / kv
     v = b / _vecmat(u, kernel)
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise NumericsError("sinkhorn: non-finite scaling vector "
-                            "(use the log-domain branch)")
     kv = _matvec(kernel, v)
-    return (b, kernel, v, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
+    return (b, kernel, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
 
 
-def _log_potential(eps_log_mass, eps, other, M, axis):
-    """One half-step: eps * log(mass) - eps * logsumexp((other - M) / eps)."""
-    return eps_log_mass - eps[:, None] * _logsumexp(
-        (other - M) / eps[:, None, None], axis=axis)
+def _c_transform(eps_log_mass, eps, other, M, axis):
+    """The soft c-transform of the potential ``other`` along ``axis``:
+    eps * log(mass) - eps * logsumexp((other - M) / eps)."""
+    x = (other - M) / eps[:, None, None]
+    peak = x.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+    return eps_log_mass - eps[:, None] * lse
 
 
-def _log_domain_step(a, M, b, eps, eps_log_a, eps_log_b, f):
-    """Log-domain update on the state (M, b, eps, eps * log a, eps * log b, f).
+def _stabilized_kernel(f, g, cost, eps, b):
+    """Each row's kernel exp((f + g - M) / eps) on its own key's padded
+    cost and column mass b, holding 1 where b = 0 as the Gibbs kernel does."""
+    return np.where(b[:, None, :] > 0.0, np.exp(
+        (f[:, :, None] + g[:, None, :] - cost) / eps[:, None, None]), 1.0)
 
-    Each row carries its own key's padded cost matrix ``M`` and column mass
-    ``b``.  Padded columns have b = 0, so g and eps * log b are -inf there.
-    The rows of exp((f + g - M) / eps) sum to a * exp((f - f_next) / eps),
-    so the iterate's violation comes from the next half-step's f_next,
-    which the state carries forward.  Returns the next state, the iterate
-    (f, g) and that violation.
+
+def _solve(a, state, max_iter, tol, absorb):
+    """Iterate :func:`_scaling_step` on a batch of slices, one per row.
+
+    State arrays are batched on axis 0, one row per slice, key * C +
+    sensitivity.  A row whose u or v passes ``ABSORB_LIMIT`` goes on from
+    u = v = 1 on ``absorb(slices, u, v)``, its slice's rebuilt kernel.
+    Returns each slice's (x, y, iterations, converged), frozen at the first
+    iteration that meets ``tol``, or at ``max_iter``, where its row leaves
+    every state array.
     """
-    g = _log_potential(eps_log_b, eps, f[:, :, None], M, axis=1)
-    # padded columns hold g = -inf; mask them only once a check fails
-    if not (np.isfinite(f).all()
-            and (np.isfinite(g).all() or (np.isfinite(g) | (b == 0.0)).all())):
-        raise NumericsError("sinkhorn: non-finite log-domain potentials")
-    f_next = _log_potential(eps_log_a, eps, g[:, None, :], M, axis=2)
-    violation = (a * np.abs(np.expm1((f - f_next) / eps[:, None]))
-                 ).max(axis=-1)
-    return (M, b, eps, eps_log_a, eps_log_b, f_next), (f, g), violation
-
-
-def _solve(step, state, ids, out, max_iter, tol):
-    """Iterate ``step`` on a batch of slices, one per row, filling ``out``.
-
-    State arrays are batched on axis 0; ``ids`` holds each row's flat slice
-    index, key * C + sensitivity.  ``step`` maps a state tuple to the next
-    state, the iterate's (r, n) and (r, m) vectors and their (r,) marginal
-    violations.  A slice's vectors are frozen into ``out`` = (x, y,
-    iterations, converged) at the first iteration that meets ``tol``, or at
-    ``max_iter``, and its row leaves every state array there.
-    """
-    xs, ys, iterations, done = out
+    count, n, width = state[1].shape
+    ids = np.arange(count)
+    xs, ys = np.empty((count, n)), np.empty((count, width))
+    iterations = np.empty(count, dtype=np.int64)
+    done = np.empty(count, dtype=bool)
     for it in range(1, max_iter + 1):
-        state, (x, y), violation = step(*state)
+        state, (x, y), violation = _scaling_step(a, *state)
+        # with nonnegative costs the kernel is at most 1, so bounded maxima
+        # bound u and v from below too; NaN fails the test as well
+        if not (x.max() <= ABSORB_LIMIT and y.max() <= ABSORB_LIMIT):
+            b, kernel, kv = state
+            hot = ~(np.maximum(x.max(axis=1), y.max(axis=1)) <= ABSORB_LIMIT)
+            kernel[hot] = absorb(ids[hot], x[hot], y[hot])
+            x[hot], y[hot] = 1.0, b[hot] > 0.0
+            kv[hot] = _matvec(kernel[hot], y[hot])
         met = violation < tol
         retire = met | (it == max_iter)
         if retire.any():
@@ -224,13 +214,13 @@ def _solve(step, state, ids, out, max_iter, tol):
             stay = ~retire
             ids = ids[stay]
             state = tuple(s[stay] for s in state)
+    return xs, ys, iterations, done
 
 
 def _solve_keys(M, offsets, lams, a, max_iter, tol):
     """Plans of K keys of two or more columns each at C sensitivities.
 
-    The body of :func:`sinkhorn_keys` on validated input: every (key,
-    sensitivity) slice in one batch padded to the widest key.  Returns the
+    The body of :func:`sinkhorn_keys` on validated input.  Returns the
     (C, n, sum m_j) plans in the cost matrix's columns and the (K, C)
     iterations and converged flags.
     """
@@ -245,48 +235,47 @@ def _solve_keys(M, offsets, lams, a, max_iter, tol):
     seg, pos, width = T.segment_index(offsets)
     masses = np.zeros((keys, width))
     masses[seg, pos] = np.repeat(1.0 / widths, widths)
-    peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
-    use_log = peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD
-    # each slice's frozen iterate: scaling vectors (u, v) or potentials (f, g)
-    xs, ys = np.empty((count, n)), np.empty((count, width))
-    iterations = np.empty(count, dtype=np.int64)
-    done = np.empty(count, dtype=bool)
-    out = (xs, ys, iterations, done)
+    costs = np.zeros((keys, n, width))
+    costs[seg, :, pos] = M.T
+    b, eps = masses[key], 1.0 / lams[lam]
+    # each slice's potentials (f, g), -inf on the padded columns
+    f, g = np.zeros((count, n)), np.where(b > 0.0, 0.0, -np.inf)
     # every slice's Gibbs kernel, exponentiated on the real columns only;
-    # log-domain slices replace theirs below.  The padding holds 1, not 0:
-    # its K^T u stays positive, so v = 0 / K^T u = 0 there, not 0 / 0
+    # the padding holds 1, not 0: its K^T u stays positive, so
+    # v = 0 / K^T u = 0 there, not 0 / 0
     base = np.ones((keys, lam_count, n, width))
     base[seg, :, :, pos] = np.exp(-lams[:, None, None] * M).transpose(2, 0, 1)
     base = base.reshape(count, n, width)
-    slices = np.flatnonzero(~use_log)
-    if slices.size:
-        # a view of base when every slice takes the scaling update
-        kernel = base if slices.size == count else base[slices]
-        b_rows = masses[key[slices]]
-        v = (b_rows > 0.0) * 1.0
-        state = (b_rows, kernel, v, _matvec(kernel, v))
-        _solve(partial(_scaling_step, a), state, slices, out, max_iter, tol)
-    slices = np.flatnonzero(use_log)
-    if slices.size:
-        costs = np.zeros((keys, n, width))
-        costs[seg, :, pos] = M.T
-        cost_rows, b_rows = costs[key[slices]], masses[key[slices]]
-        eps = 1.0 / lams[lam[slices]]
+
+    def absorb(s, u, v):
+        # folds slices s's (u, v) into (f, g); the rebuilt kernels are
+        # written where the rounding reads them
         with np.errstate(divide="ignore"):
-            eps_log_b = eps[:, None] * np.log(b_rows)
-        eps_log_a = eps[:, None] * np.log(a)
-        g = np.where(b_rows > 0.0, 0.0, -np.inf)
-        f = _log_potential(eps_log_a, eps, g[:, None, :], cost_rows, axis=2)
-        _solve(partial(_log_domain_step, a),
-               (cost_rows, b_rows, eps, eps_log_a, eps_log_b, f), slices,
-               out, max_iter, tol)
-        # each log-domain plan is built once from its frozen potentials and
-        # rounded with unit scaling vectors
-        base[slices] = np.exp((xs[slices, :, None] + ys[slices, None, :]
-                               - cost_rows) / eps[:, None, None])
-        xs[slices], ys[slices] = 1.0, 1.0
-    plans = _round_to_feasible(xs, base, ys, a,
-                               np.repeat(masses, lam_count, axis=0))
+            f[s] += eps[s, None] * np.log(u)
+            g[s] += eps[s, None] * np.log(v)
+        if not (np.isfinite(f[s]).all()
+                and np.isfinite(g[s][b[s] > 0.0]).all()):
+            raise NumericsError("sinkhorn: scaling vectors left the "
+                                "floating-point range")
+        base[s] = _stabilized_kernel(f[s], g[s], costs[key[s]], eps[s], b[s])
+        return base[s]
+
+    kv = _matvec(base, (b > 0.0) * 1.0)
+    peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
+    sharp = np.flatnonzero(peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD)
+    if sharp.size:
+        # f = c-transform of g = 0, then g = c-transform of f, and K v = a
+        # makes the first u exactly 1
+        cost, e = costs[key[sharp]], eps[sharp]
+        with np.errstate(divide="ignore"):
+            eps_log_b = e[:, None] * np.log(b[sharp])
+        f[sharp] = _c_transform(e[:, None] * np.log(a), e, g[sharp, None, :],
+                                cost, axis=2)
+        g[sharp] = _c_transform(eps_log_b, e, f[sharp, :, None], cost, axis=1)
+        base[sharp] = _stabilized_kernel(f[sharp], g[sharp], cost, e, b[sharp])
+        kv[sharp] = a
+    xs, ys, iterations, done = _solve(a, (b, base, kv), max_iter, tol, absorb)
+    plans = _round_to_feasible(xs, base, ys, a, b)
 
     for s in np.flatnonzero(~done):
         warnings.warn(f"sinkhorn did not converge within {max_iter} "
@@ -307,21 +296,22 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     is None).  Node masses are uniform on both sides, summing to 1 per key.
     A key of one column has one coupling, the column a = 1/n, at every
     sensitivity: its plans take that closed form with ``iterations`` 0 and
-    ``converged`` True.  The (key, sensitivity) slices of the other keys
-    are solved together, padded to the widest of them with zero-mass
-    columns; the padding never leaves this function.  A slice takes the
-    log domain when lam * max(M_j) > 30 and the scaling update otherwise.
-    Each domain runs as a batch of one slice per row, and a row leaves its
-    batch at the iteration where its slice converges.  Every plan is then
-    built once from its frozen vectors and rounded onto the exact
-    transport polytope (row/column downscaling plus a rank-one correction),
-    so marginals hold to machine precision even when iteration stopped at
-    the cap.  Plans that did not meet the convergence tolerance are flagged
-    in ``converged`` with a warning each; callers decide how to proceed.
-    ``max_iter`` must be an integer >= 1 and ``tol`` a real number >= 0.
-    Returns a :class:`PlanStack`.
+    ``converged`` True.  The other keys' (key, sensitivity) slices are
+    solved together by the one stabilized scaling loop, padded to the
+    widest key with zero-mass columns that never leave this function.
+    Every plan is then built once from its frozen vectors and rounded onto
+    the exact transport polytope (row/column downscaling plus a rank-one
+    correction), so marginals hold to machine precision even at the
+    iteration cap.  Plans that did not meet the convergence tolerance are
+    flagged in ``converged`` with a warning each.  ``max_iter`` must be an
+    integer >= 1 and ``tol`` a real number >= 0.  Returns a
+    :class:`PlanStack`.
     """
-    M = np.asarray(M, dtype=np.float64)
+    try:
+        M = np.asarray(M, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise NumericsError("sinkhorn: cost matrix must hold real numbers, "
+                            f"got {type(M).__name__}") from None
     if M.ndim != 2:
         raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
     n, total = M.shape
@@ -332,10 +322,16 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     widths = offsets[1:] - offsets[:-1]
     if not np.isfinite(M).all():
         raise NumericsError("sinkhorn: cost matrix has non-finite entries")
-    lams = np.asarray(lams, dtype=np.float64).reshape(-1)
-    if not (lams.size and ((0.0 < lams) & (lams < np.inf)).all()):
+    try:
+        grid = np.asarray(lams, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        grid = None
+    if not (grid is not None and grid.size
+            and ((0.0 < grid) & (grid < np.inf)).all()):
         raise ConfigError("sinkhorn: sensitivities must be one or more "
-                          f"finite positive numbers, got {lams.tolist()}")
+                          "finite positive numbers, got "
+                          f"{lams if grid is None else grid.tolist()!r}")
+    lams = grid
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise ConfigError("sinkhorn: max_iter must be an integer >= 1, got "
                           f"{max_iter!r}")
@@ -394,12 +390,10 @@ def embed_batch(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
     a row count n form a group, in first-appearance order, and one
     :func:`sinkhorn_keys` call solves every (key, sensitivity) slice of a
     group: its cost matrices side by side, their key offsets shifted and
-    joined.  That is the solve of each input alone, as every slice is
-    solved and retired on its own and the inputs share n and the uniform
-    row mass; an input padded to a wider key than its own moves by
-    rounding only.  A grouped input's :class:`PlanStack` is its column view of
-    the group's plans, with its own offsets and its rows of ``iterations``
-    and ``converged``; an input alone in its group keeps its solve's.
+    joined.  Every slice is solved on its own, so that is each input's own
+    solve, up to rounding where a batch mate's key is wider.  Each input's
+    :class:`PlanStack` is its column view of its group's plans, with its
+    own offsets and rows of ``iterations`` and ``converged``.
 
     Returns lists (H, cost, plans), one entry per input: H is a K-by-C
     tensor whose (j, c) entry is <plan_{j,c}, M_j>, with plans constant on
@@ -420,12 +414,6 @@ def embed_batch(f_inputs, adapted, lams, max_iter=DEFAULT_MAX_ITER,
     groups = ([] if plans_override is not None
               else T.node_count_groups(c.values.shape[0] for c in cost))
     for members in groups:
-        if len(members) == 1:
-            (i,) = members
-            solved[i] = sinkhorn_keys(cost[i].values, lams,
-                                      offsets=adapted[i].offsets,
-                                      max_iter=max_iter, tol=tol)
-            continue
         # each input's key columns and key rows follow those of the
         # members before it
         own = [adapted[i].offsets for i in members]

@@ -31,6 +31,9 @@ def test_graph_rejects_bad_adjacency():
         LabeledGraph(adjacency=np.array([[1.0, 0.0], [0.0, 0.0]]), class_label=0)
     with pytest.raises(FormatError):  # non-binary
         LabeledGraph(adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]), class_label=0)
+    for raw in ("ab", [[0, "x"], ["x", 0]], [[0, 1j], [1j, 0]], [[0, 1], [1]]):
+        with pytest.raises(FormatError, match="adjacency must hold numbers"):
+            LabeledGraph(adjacency=raw, class_label=0)
 
 
 def test_graph_rejects_negative_node_label():

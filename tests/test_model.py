@@ -470,7 +470,7 @@ GROUPED_SIZES = (5, 3, 5, 7, 3, 5, 4)
 
 def _grouped_model():
     """A model whose keys share node counts and whose sensitivities put
-    some (key, sensitivity) slices of every solve past the log-domain
+    some (key, sensitivity) slices of every solve past the sharp-start
     threshold and others below it."""
     graphs = [LabeledGraph(adjacency=path_adjacency(n), class_label=i % 2,
                            node_labels=np.arange(n) % 4)
@@ -509,7 +509,7 @@ def test_grouped_batch_matches_one_graph_forwards():
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.iterations, want.iterations)
         assert np.array_equal(got.converged, want.converged)
-        # each solve mixes log-domain and scaling slices
+        # each solve mixes sharp and mild slices
         peak = np.maximum.reduceat(alone.cost[0].values, want.offsets[:-1],
                                    axis=1).max(axis=0)
         log_domain = peak[:, None] * lams > mswe.LOG_DOMAIN_THRESHOLD
@@ -736,7 +736,7 @@ def test_frozen_record_state_reproduces_the_forward(n, density, seed, mode):
 @pytest.mark.parametrize("max_iter", [3, 200])
 def test_every_forward_plan_meets_its_marginals(mode, max_iter):
     # random graphs give ragged keys and uneven costs: with the masks held
-    # open, some slices take the log domain and some hit the cap at 3
+    # open, some slices start sharp and some hit the cap at 3
     rng = np.random.default_rng(8)
     graphs = []
     for i in range(10):
@@ -785,6 +785,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for graph in prepared:
         assert np.array_equal(model.predict(graph),
                               restored.predict(graph))
+
+
+def test_checkpoint_saves_a_config_given_numpy_scalars(tmp_path):
+    model, prepared = build_tiny_model()
+    plain = model.config.to_json()
+    raw = {f.name: getattr(model.config, f.name) for f in fields(ModelConfig)}
+    # each field as NumPy scalars, alone or in a tuple
+    model.config = ModelConfig(**{
+        name: tuple(np.asarray(v)) if isinstance(v, tuple)
+        else np.asarray(v)[()] for name, v in raw.items()})
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    restored = load_checkpoint(path)
+    assert restored.config.to_json() == plain
+    restored.refresh_key_encodings()
+    model.refresh_key_encodings()
+    for graph in prepared:
+        assert np.array_equal(model.predict(graph), restored.predict(graph))
 
 
 def test_checkpoint_lands_at_exactly_the_given_path(tmp_path):

@@ -15,6 +15,7 @@ from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
                             cost_matrix, embed_batch, embed_keys_multi,
                             select_lambdas,
                             sinkhorn, sinkhorn_grid, sinkhorn_keys)
+from graphdict.oracles import reference_sinkhorn
 from graphdict.vgda import AdaptedKey
 
 
@@ -118,6 +119,12 @@ def test_solver_validation():
         with pytest.raises(ConfigError, match="sensitivities must be one or "
                            rf"more finite positive numbers, got {listed}"):
             sinkhorn_keys(M, lams)
+    for lams in ("ab", [1.0, "x"], [1j], [[1.0], [2.0, 3.0]]):
+        with pytest.raises(ConfigError, match="sensitivities must be one"):
+            sinkhorn_keys(M, lams)
+    for cost in ("ab", [[1.0, "x"]], [[1j, 1.0]], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(NumericsError, match="must hold real numbers"):
+            sinkhorn_keys(cost, [1.0])
     with pytest.raises(ShapeError):
         sinkhorn(np.ones(3), 1.0)
     for bad in (np.nan, np.inf, -np.inf):
@@ -140,10 +147,11 @@ def test_solver_validation():
        max_iter=st.integers(1, 25), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
 def test_grid_slices_match_single_solves(n, m, seed, log_scale, exponents,
                                          max_iter, tol):
-    """Batching, retirement and the domain split leave each slice untouched."""
+    """Batching, retirement, the sharp start and absorption leave each
+    slice untouched."""
     M = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, m))
     M *= 10.0 ** log_scale
-    # lam = edge * 10**e takes the log-domain update exactly when e > 0
+    # lam = edge * 10**e starts from log-domain potentials exactly when e > 0
     edge = LOG_DOMAIN_THRESHOLD / M.max()
     lams = [edge * 10.0 ** e for e in [-0.5, *exponents, 0.5]]
     with warnings.catch_warnings():
@@ -187,7 +195,7 @@ def test_stacked_keys_match_one_key_solves(n, keys, seed, lams, max_iter,
     offsets = np.cumsum([0] + widths)
     rng = np.random.default_rng(seed)
     # each key has its own cost scale, so keys split differently between
-    # the scaling and the log domain
+    # the Gibbs-kernel and the log-domain start
     M = np.hstack([rng.uniform(0.0, 1.0, size=(n, w)) * 10.0 ** scale
                    for w, scale in keys])
     with warnings.catch_warnings():
@@ -288,7 +296,7 @@ def test_batch_embedding_is_each_inputs_embedding_alone():
     for g, got in enumerate(zip(*embed_batch(f_inputs, adapted, lams))):
         _assert_same_embedding(
             got, embed_keys_multi(f_inputs[g], adapted[g], lams), exact=True)
-        # the solve mixes scaling and log-domain slices
+        # the solve mixes mild and sharp slices
         peak = got[1].values.max() * np.asarray(lams)
         assert (peak > LOG_DOMAIN_THRESHOLD).any()
         assert (peak <= LOG_DOMAIN_THRESHOLD).any()
@@ -317,7 +325,11 @@ def test_batch_embedding_solves_once_per_node_count(monkeypatch):
     assert np.array_equal(M, np.hstack([cost[0].values, cost[2].values]))
     assert offsets.tolist() == [0, 3, 5, 6, 11]
     for (M, offsets), g in zip(single, (1, 3)):
-        assert M is cost[g].values and offsets is adapted[g].offsets
+        assert np.array_equal(M, cost[g].values)
+        assert np.array_equal(offsets, adapted[g].offsets)
+        # a group of one takes the same joined path
+        assert plans[g].values.base is not None
+        assert plans[g].offsets is adapted[g].offsets
     assert plans[2].values.base is not None        # a view of the group's
     assert plans[2].offsets.tolist() == [0, 1, 6]
 
@@ -350,7 +362,7 @@ def test_batch_embedding_wants_one_entry_per_input():
 @pytest.mark.parametrize("n", [1, 2, 7, 28])
 def test_one_column_key_takes_its_closed_form_plan(n):
     """One column admits one coupling, the column a, at every sensitivity,
-    also past the log-domain threshold; nothing iterates or warns."""
+    also past the sharp-start threshold; nothing iterates or warns."""
     M = np.random.default_rng(n).uniform(1.0, 50.0, size=(n, 1))
     lams = (*MASTER_LAMBDA_GRID, 1e4)
     assert lams[-1] * M.max() > LOG_DOMAIN_THRESHOLD
@@ -436,16 +448,17 @@ def _cost_scaled_keys(widths, scales, n, seed):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_log_domain_rows_carry_their_own_key_cost(monkeypatch):
-    """Each log-domain row holds its own key's padded cost and mass."""
+def test_sharp_rows_rebuild_from_their_own_key_cost(monkeypatch):
+    """Each stabilized kernel row, at the sharp start and at every
+    absorption, is built on its own key's padded cost and mass."""
     calls = []
-    step = mswe._log_domain_step
+    build = mswe._stabilized_kernel
 
-    def spy(a, M, b, *state):
-        calls.append((M, b))
-        return step(a, M, b, *state)
+    def spy(f, g, cost, eps, b):
+        calls.append((cost, b))
+        return build(f, g, cost, eps, b)
 
-    monkeypatch.setattr(mswe, "_log_domain_step", spy)
+    monkeypatch.setattr(mswe, "_stabilized_kernel", spy)
     widths, n = (3, 5, 2), 4
     M, offsets = _cost_scaled_keys(widths, (50.0, 5.0, 20.0), n, seed=12)
     sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=offsets)
@@ -453,9 +466,11 @@ def test_log_domain_rows_carry_their_own_key_cost(monkeypatch):
     for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         costs[j, :, :hi - lo] = M[:, lo:hi]
     peaks = [M[:, lo:hi].max() for lo, hi in zip(offsets[:-1], offsets[1:])]
-    log_keys = [j for j, peak in enumerate(peaks) for lam in DEFAULT_LAMBDA_GRID
-                if lam * peak > LOG_DOMAIN_THRESHOLD]
-    assert np.array_equal(calls[0][0], costs[log_keys])
+    sharp_keys = [j for j, peak in enumerate(peaks)
+                  for lam in DEFAULT_LAMBDA_GRID
+                  if lam * peak > LOG_DOMAIN_THRESHOLD]
+    assert np.array_equal(calls[0][0], costs[sharp_keys])
+    assert len(calls) > 1                      # at least one absorption
     for cost_rows, b_rows in calls:
         assert cost_rows.shape == (b_rows.shape[0], n, max(widths))
         for cost, b in zip(cost_rows, b_rows):
@@ -468,38 +483,34 @@ def test_log_domain_rows_carry_their_own_key_cost(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_each_step_computes_only_unfrozen_slices(monkeypatch):
-    """A slice's row leaves its batch at the iteration that freezes it, so
-    each domain's step runs exactly its slices' iteration count."""
-    computed = {"_scaling_step": 0, "_log_domain_step": 0}
+    """A slice's row leaves the batch at the iteration that freezes it, so
+    the one step runs exactly the slices' iteration count, sharp and mild
+    slices alike."""
+    computed = []
+    step = mswe._scaling_step
 
-    def spy_on(name):
-        original = getattr(mswe, name)
+    def spy(*args):
+        result = step(*args)
+        computed.append(result[2].size)  # one violation per slice
+        return result
 
-        def spy(*args):
-            result = original(*args)
-            computed[name] += result[2].size  # one violation per slice
-            return result
-        monkeypatch.setattr(mswe, name, spy)
-
-    for name in computed:
-        spy_on(name)
+    monkeypatch.setattr(mswe, "_scaling_step", spy)
     widths, scales = (3, 5, 2), (50.0, 5.0, 20.0)
     M, offsets = _cost_scaled_keys(widths, scales, 4, seed=12)
     solved = sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, offsets=offsets)
     peaks = np.array([M[:, lo:hi].max()
                       for lo, hi in zip(offsets[:-1], offsets[1:])])
-    use_log = peaks[:, None] * solved.lams > LOG_DOMAIN_THRESHOLD
-    assert use_log.any() and not use_log.all()
-    assert computed["_log_domain_step"] == solved.iterations[use_log].sum()
-    assert computed["_scaling_step"] == solved.iterations[~use_log].sum()
+    sharp = peaks[:, None] * solved.lams > LOG_DOMAIN_THRESHOLD
+    assert sharp.any() and not sharp.all()
+    assert sum(computed) == solved.iterations.sum()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale, domain", [(0.5, "_scaling_step"),
-                                           (50.0, "_log_domain_step")])
-def test_plans_are_built_once_per_solve(monkeypatch, scale, domain):
-    """Steps carry vectors or potentials, never plans; the rounding builds
-    every plan once, however many iterations run."""
+@pytest.mark.parametrize("scale", [0.5, 50.0])
+def test_plans_are_built_once_per_solve(monkeypatch, scale):
+    """Steps carry scaling vectors, never plans, on mild and sharp slices
+    alike; the rounding builds every plan once, however many iterations
+    run."""
     widths, n = (3, 5, 2), 4
     calls = []
 
@@ -512,17 +523,50 @@ def test_plans_are_built_once_per_solve(monkeypatch, scale, domain):
             return result
         monkeypatch.setattr(mswe, name, spy)
 
-    for name in ("_scaling_step", "_log_domain_step", "_round_to_feasible"):
+    for name in ("_scaling_step", "_round_to_feasible"):
         spy_on(name)
     M = np.random.default_rng(13).uniform(size=(n, sum(widths))) * scale
     solved = sinkhorn_keys(M, (1.0, 2.0), offsets=np.cumsum([0, *widths]),
                            max_iter=40, tol=0.0)
     assert (solved.iterations == 40).all()
-    assert [name for name, _ in calls] == [domain] * 40 + ["_round_to_feasible"]
+    assert ([name for name, _ in calls]
+            == ["_scaling_step"] * 40 + ["_round_to_feasible"])
     for _, (_, (x, y), violation) in calls[:-1]:
         assert violation.shape == (6,)
         assert x.shape == (6, n) and y.shape == (6, 5)
     assert calls[-1][1].shape == (6, n, 5)
+
+
+# instances whose scaling vectors pass the absorption limit at both
+# sharpnesses, and that converge within the cap
+@pytest.mark.parametrize("seed", [5, 8])
+def test_absorbing_slices_match_the_reference(monkeypatch, seed):
+    """At lam * max(M) of 1e3 and 1e4 folding the scaling vectors into the
+    potentials keeps the plan on the log-domain reference's within
+    acceptance 1's 1e-8."""
+    builds = []
+    build = mswe._stabilized_kernel
+
+    def spy(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(mswe, "_stabilized_kernel", spy)
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(2, 7, size=2)
+    M = rng.uniform(size=(n, m))
+    for sharpness in (1e3, 1e4):
+        lam = sharpness / M.max()
+        builds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plan = sinkhorn(M, lam, max_iter=10_000, tol=1e-9)
+        exact = reference_sinkhorn(M, lam, np.full(n, 1.0 / n),
+                                   np.full(m, 1.0 / m), max_iter=10_000,
+                                   tol=1e-9)
+        assert len(builds) >= 2            # the sharp start, then absorbing
+        assert plan.converged and exact.converged
+        assert np.abs(plan.values - exact.values).max() <= 1e-8
 
 
 @settings(max_examples=150, deadline=None)

@@ -422,6 +422,26 @@ def test_model_config_built_from_lists_round_trips_through_json():
     assert again.to_json() == config.to_json()
 
 
+def test_config_keeps_numpy_scalars_as_python_scalars():
+    config = ModelConfig(num_classes=np.int64(2),
+                         feature_scheme=np.str_("degree-onehot"),
+                         feature_dim=np.int32(3), n_padded=np.int64(5),
+                         encoder_dims=(np.int64(4), np.uint8(6)),
+                         lambdas=(np.float64(0.5), np.float32(5.0)),
+                         p_hat=np.float64(0.25))
+    assert config == ModelConfig(**MODEL_FIELDS, encoder_dims=(4, 6),
+                                 lambdas=(0.5, 5.0), p_hat=0.25)
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            assert type(v) in (int, float, str), f.name
+    again = ModelConfig.from_json(config.to_json())
+    assert again == config and again.to_json() == config.to_json()
+    train = TrainConfig(head_hidden=np.int64(64), epochs=np.int16(3),
+                        adam_betas=(np.float64(0.9), np.float64(0.999)))
+    assert type(train.epochs) is int and type(train.adam_betas[0]) is float
+
+
 def test_model_config_for_fold_carries_every_shared_field():
     values = dict(encoder_dims=(4, 6), head_hidden=5, temperature=0.7,
                   sinkhorn_max_iter=33, sinkhorn_tol=1e-5, beta=0.25,

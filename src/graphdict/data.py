@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, FormatError, IoError, ParseError,
-                     SchemeError, ShapeError, check_ranges, integer_at_least)
+                     SchemeError, ShapeError, check_ranges, integer_at_least,
+                     real_array)
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
@@ -39,11 +40,8 @@ class LabeledGraph:
     node_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        try:
-            adj = np.asarray(self.adjacency, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise FormatError("adjacency must hold numbers, got "
-                              f"{self.adjacency!r}") from None
+        adj = real_array(self.adjacency, FormatError,
+                         "adjacency must hold numbers")
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise FormatError(f"adjacency must be square and non-empty, got {adj.shape}")
         if not np.array_equal(adj, adj.T):
@@ -315,7 +313,8 @@ def normalize_adjacency(adjacency):
     Returns D^(-1/2) (A + I) D^(-1/2) where D is the degree matrix of A + I;
     an isolated node ends up with a single self-loop of weight 1.
     """
-    adj = np.asarray(adjacency, dtype=np.float64)
+    adj = real_array(adjacency, ShapeError,
+                     "normalize_adjacency: adjacency must hold real numbers")
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ShapeError(f"normalize_adjacency: expected a square matrix, "
                          f"got {adj.shape}")
@@ -332,7 +331,7 @@ def stratified_folds(labels, k, seed):
     folds (a 188-graph two-class set at k=10 yields fold sizes 18 or 19).
     Deterministic given the seed.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers("stratified_folds: label", labels)
     check_ranges([integer_at_least(2, "stratified_folds: k", k),
                   integer_at_least(0, "stratified_folds: seed", seed)])
     if k > labels.shape[0]:

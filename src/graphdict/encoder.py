@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, check_ranges, real_where
+from .errors import ShapeError, check_ranges, real_array, real_where
 
 DEFAULT_HIDDEN_DIMS = (256, 128, 32)
 
@@ -45,7 +45,8 @@ def encode(features, a_hat, weights):
     features are.
     """
     x = features if isinstance(features, T.Tensor) else T.constant(features)
-    a_hat = np.asarray(a_hat, dtype=np.float64)
+    a_hat = real_array(a_hat, ShapeError,
+                       "encode: adjacency must hold real numbers")
     if a_hat.ndim == 2:
         a_hat = a_hat.reshape(1, *a_hat.shape)
     if a_hat.ndim != 3 or a_hat.shape[1] != a_hat.shape[2]:

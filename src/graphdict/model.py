@@ -178,21 +178,19 @@ def encode_groups(features, a_hats, weights):
 
     The graphs whose adjacencies share a node count n form a group, in
     first-appearance order (:func:`~graphdict.tensor.node_count_groups`).
-    A group of one is its graph's own encoding.  A larger group's feature
-    tensors are stacked and its adjacencies form one (G, n, n) stack; each
-    graph's rows come back out through one ``row_select``.
+    A group's feature tensors are stacked and its adjacencies form one
+    (G, n, n) stack.  A group of one keeps that encoding as it is; in a
+    larger group each graph's rows come back out through one
+    ``row_select``.
     """
     encoded = [None] * len(features)
     for members in T.node_count_groups(a.shape[0] for a in a_hats):
-        if len(members) == 1:
-            (i,) = members
-            encoded[i] = encode(features[i], a_hats[i], weights)
-            continue
         h = encode(T.concat_rows([features[i] for i in members]),
                    np.array([a_hats[i] for i in members]), weights)
         block = np.arange(h.values.shape[0]) // a_hats[members[0]].shape[0]
         for k, i in enumerate(members):
-            encoded[i] = T.row_select(h, block == k)
+            encoded[i] = (h if len(members) == 1
+                          else T.row_select(h, block == k))
     return encoded
 
 

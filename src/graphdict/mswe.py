@@ -15,11 +15,12 @@ form at every sensitivity without iterating.  One loop solves every other
 those keys, by the scaling update on the slice's kernel stabilized by its
 potentials, exp((f + g - M) / eps) with eps = 1 / lam (Schmitzer,
 arXiv:1610.06519, sec. 3.1).  A slice starts on its Gibbs kernel, f = g =
-0, while ``lam * max(M_j) <= 30``; past that the Gibbs kernel underflows,
-and it starts from f, the c-transform of g = 0, and g, the c-transform of
-f.  Scaling vectors past 1e50 are folded into the potentials.  A row
-leaves the batch when its slice converges; each plan is built once, after
-the loop, by the feasibility rounding.  A single key is the case K = 1.
+0, while ``lam * max|M_j| <= 30``; past that the Gibbs kernel under- or
+overflows, and it starts from f, the c-transform of g = 0, and g, the
+c-transform of f.  Scaling vectors past 1e50 are folded into the
+potentials, and the row goes on from its rebuilt kernel.  A row leaves the
+batch when its slice converges; each plan is built once, after the loop,
+by the feasibility rounding.  A single key is the case K = 1.
 
 A batch of inputs is embedded in one call (:func:`embed_batch`), with one
 solve per node count; a single input is the batch of one
@@ -29,16 +30,16 @@ solve per node count; a single input is the batch of one
 from __future__ import annotations
 
 import itertools
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import (ConfigError, NumericsError, ShapeError, check_ranges,
+                     integer_at_least, real_array, real_where)
 
-# past lam * max(M_j) = 30 a slice starts from log-domain potentials, not
+# past lam * max|M_j| = 30 a slice starts from log-domain potentials, not
 # from its Gibbs kernel; past 1e50 a scaling vector is absorbed into them
 LOG_DOMAIN_THRESHOLD = 30.0
 ABSORB_LIMIT = 1e50
@@ -58,11 +59,10 @@ def select_lambdas(count):
     The 8-value default keeps its hand-picked log-uniform thinning; other
     counts take evenly spaced positions along the master grid.
     """
-    if not isinstance(count, numbers.Integral):
-        raise ConfigError(f"sensitivities must be an integer, got {count!r}")
+    check_ranges([integer_at_least(1, "sensitivities", count)])
     if count == len(DEFAULT_LAMBDA_GRID):
         return DEFAULT_LAMBDA_GRID
-    if not 1 <= count <= len(MASTER_LAMBDA_GRID):
+    if count > len(MASTER_LAMBDA_GRID):
         raise ConfigError(f"sensitivities must lie in "
                           f"[1, {len(MASTER_LAMBDA_GRID)}], got {count}")
     positions = np.round(np.linspace(0, len(MASTER_LAMBDA_GRID) - 1,
@@ -149,17 +149,17 @@ def _round_to_feasible(x, base, y, a, b):
 
 
 def _scaling_step(a, b, kernel, kv):
-    """u/v scaling update on the state (b, kernel, K v).
+    """u/v scaling update of each row's slice from its K v.
 
     Columns are exact after the v-update, so the iterate's marginal
     violation is its row error |u * K v - a|, read off the product the next
-    u needs anyway.  Returns the next state, the iterate (u, v) and that
+    u needs anyway.  Returns the iterate (u, v), the next K v and that
     violation.
     """
     u = a / kv
     v = b / _vecmat(u, kernel)
     kv = _matvec(kernel, v)
-    return (b, kernel, kv), (u, v), np.abs(u * kv - a).max(axis=-1)
+    return (u, v), kv, np.abs(u * kv - a).max(axis=-1)
 
 
 def _c_transform(eps_log_mass, eps, other, M, axis):
@@ -178,49 +178,16 @@ def _stabilized_kernel(f, g, cost, eps, b):
         (f[:, :, None] + g[:, None, :] - cost) / eps[:, None, None]), 1.0)
 
 
-def _solve(a, state, max_iter, tol, absorb):
-    """Iterate :func:`_scaling_step` on a batch of slices, one per row.
-
-    State arrays are batched on axis 0, one row per slice, key * C +
-    sensitivity.  A row whose u or v passes ``ABSORB_LIMIT`` goes on from
-    u = v = 1 on ``absorb(slices, u, v)``, its slice's rebuilt kernel.
-    Returns each slice's (x, y, iterations, converged), frozen at the first
-    iteration that meets ``tol``, or at ``max_iter``, where its row leaves
-    every state array.
-    """
-    count, n, width = state[1].shape
-    ids = np.arange(count)
-    xs, ys = np.empty((count, n)), np.empty((count, width))
-    iterations = np.empty(count, dtype=np.int64)
-    done = np.empty(count, dtype=bool)
-    for it in range(1, max_iter + 1):
-        state, (x, y), violation = _scaling_step(a, *state)
-        # with nonnegative costs the kernel is at most 1, so bounded maxima
-        # bound u and v from below too; NaN fails the test as well
-        if not (x.max() <= ABSORB_LIMIT and y.max() <= ABSORB_LIMIT):
-            b, kernel, kv = state
-            hot = ~(np.maximum(x.max(axis=1), y.max(axis=1)) <= ABSORB_LIMIT)
-            kernel[hot] = absorb(ids[hot], x[hot], y[hot])
-            x[hot], y[hot] = 1.0, b[hot] > 0.0
-            kv[hot] = _matvec(kernel[hot], y[hot])
-        met = violation < tol
-        retire = met | (it == max_iter)
-        if retire.any():
-            idx = ids[retire]
-            xs[idx], ys[idx] = x[retire], y[retire]
-            iterations[idx], done[idx] = it, met[retire]
-            if retire.all():
-                break
-            stay = ~retire
-            ids = ids[stay]
-            state = tuple(s[stay] for s in state)
-    return xs, ys, iterations, done
-
-
 def _solve_keys(M, offsets, lams, a, max_iter, tol):
     """Plans of K keys of two or more columns each at C sensitivities.
 
-    The body of :func:`sinkhorn_keys` on validated input.  Returns the
+    The body of :func:`sinkhorn_keys` on validated input.  Slice s, key
+    s // C at sensitivity lams[s % C], is row s of a batch padded to the
+    widest key.  The loop takes :func:`_scaling_step` on the live rows'
+    (ids, b, kernel, K v).  A row whose u or v passes ``ABSORB_LIMIT``
+    folds them into its slice's potentials and goes on from u = v = 1 on
+    its rebuilt kernel.  A row is frozen at the first iteration that meets
+    ``tol``, or at ``max_iter``, and leaves the batch.  Returns the
     (C, n, sum m_j) plans in the cost matrix's columns and the (K, C)
     iterations and converged flags.
     """
@@ -228,7 +195,6 @@ def _solve_keys(M, offsets, lams, a, max_iter, tol):
     widths = offsets[1:] - offsets[:-1]
     keys, lam_count = widths.shape[0], lams.shape[0]
     count = keys * lam_count
-    # slice s is key s // C at sensitivity lams[s % C]
     key, lam = np.divmod(np.arange(count), lam_count)
     # the padded batch stays inside this function: key j's columns sit
     # at seg == j, positions pos, in a (K, ..., max m_j) array
@@ -242,26 +208,15 @@ def _solve_keys(M, offsets, lams, a, max_iter, tol):
     f, g = np.zeros((count, n)), np.where(b > 0.0, 0.0, -np.inf)
     # every slice's Gibbs kernel, exponentiated on the real columns only;
     # the padding holds 1, not 0: its K^T u stays positive, so
-    # v = 0 / K^T u = 0 there, not 0 / 0
+    # v = 0 / K^T u = 0 there, not 0 / 0.  On negative costs a sharp
+    # slice's may overflow; the sharp start replaces it.
     base = np.ones((keys, lam_count, n, width))
-    base[seg, :, :, pos] = np.exp(-lams[:, None, None] * M).transpose(2, 0, 1)
+    with np.errstate(over="ignore"):
+        base[seg, :, :, pos] = np.exp(-lams[:, None, None] * M).transpose(
+            2, 0, 1)
     base = base.reshape(count, n, width)
-
-    def absorb(s, u, v):
-        # folds slices s's (u, v) into (f, g); the rebuilt kernels are
-        # written where the rounding reads them
-        with np.errstate(divide="ignore"):
-            f[s] += eps[s, None] * np.log(u)
-            g[s] += eps[s, None] * np.log(v)
-        if not (np.isfinite(f[s]).all()
-                and np.isfinite(g[s][b[s] > 0.0]).all()):
-            raise NumericsError("sinkhorn: scaling vectors left the "
-                                "floating-point range")
-        base[s] = _stabilized_kernel(f[s], g[s], costs[key[s]], eps[s], b[s])
-        return base[s]
-
     kv = _matvec(base, (b > 0.0) * 1.0)
-    peak = np.maximum.reduceat(M, offsets[:-1], axis=1).max(axis=0)
+    peak = np.maximum.reduceat(np.abs(M), offsets[:-1], axis=1).max(axis=0)
     sharp = np.flatnonzero(peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD)
     if sharp.size:
         # f = c-transform of g = 0, then g = c-transform of f, and K v = a
@@ -274,8 +229,41 @@ def _solve_keys(M, offsets, lams, a, max_iter, tol):
         g[sharp] = _c_transform(eps_log_b, e, f[sharp, :, None], cost, axis=1)
         base[sharp] = _stabilized_kernel(f[sharp], g[sharp], cost, e, b[sharp])
         kv[sharp] = a
-    xs, ys, iterations, done = _solve(a, (b, base, kv), max_iter, tol, absorb)
-    plans = _round_to_feasible(xs, base, ys, a, b)
+
+    ids, kernel = np.arange(count), base
+    xs, ys = np.empty((count, n)), np.empty((count, width))
+    iterations = np.empty(count, dtype=np.int64)
+    done = np.empty(count, dtype=bool)
+    for it in range(1, max_iter + 1):
+        (x, y), kv, violation = _scaling_step(a, b, kernel, kv)
+        # a Gibbs kernel is at most e^30 and a stabilized one at most 1, so
+        # bounded maxima bound u and v from below too; NaN fails the test
+        if not (x.max() <= ABSORB_LIMIT and y.max() <= ABSORB_LIMIT):
+            hot = ~(np.maximum(x.max(axis=1), y.max(axis=1)) <= ABSORB_LIMIT)
+            s = ids[hot]
+            with np.errstate(divide="ignore"):
+                f[s] += eps[s, None] * np.log(x[hot])
+                g[s] += eps[s, None] * np.log(y[hot])
+            if not (np.isfinite(f[s]).all()
+                    and np.isfinite(g[s][b[hot] > 0.0]).all()):
+                raise NumericsError("sinkhorn: scaling vectors left the "
+                                    "floating-point range")
+            # the rebuilt kernel goes on in the loop and into the rounding
+            base[s] = kernel[hot] = _stabilized_kernel(
+                f[s], g[s], costs[key[s]], eps[s], b[hot])
+            x[hot], y[hot] = 1.0, b[hot] > 0.0
+            kv[hot] = _matvec(kernel[hot], y[hot])
+        met = violation < tol
+        retire = met | (it == max_iter)
+        if retire.any():
+            idx = ids[retire]
+            xs[idx], ys[idx] = x[retire], y[retire]
+            iterations[idx], done[idx] = it, met[retire]
+            if retire.all():
+                break
+            stay = ~retire
+            ids, b, kernel, kv = ids[stay], b[stay], kernel[stay], kv[stay]
+    plans = _round_to_feasible(xs, base, ys, a, masses[key])
 
     for s in np.flatnonzero(~done):
         warnings.warn(f"sinkhorn did not converge within {max_iter} "
@@ -307,11 +295,8 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     integer >= 1 and ``tol`` a real number >= 0.  Returns a
     :class:`PlanStack`.
     """
-    try:
-        M = np.asarray(M, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise NumericsError("sinkhorn: cost matrix must hold real numbers, "
-                            f"got {type(M).__name__}") from None
+    M = real_array(M, NumericsError,
+                   "sinkhorn: cost matrix must hold real numbers")
     if M.ndim != 2:
         raise ShapeError(f"sinkhorn: cost matrix must be 2-D, got {M.shape}")
     n, total = M.shape
@@ -322,22 +307,14 @@ def sinkhorn_keys(M, lams, offsets=None, max_iter=DEFAULT_MAX_ITER,
     widths = offsets[1:] - offsets[:-1]
     if not np.isfinite(M).all():
         raise NumericsError("sinkhorn: cost matrix has non-finite entries")
-    try:
-        grid = np.asarray(lams, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError):
-        grid = None
-    if not (grid is not None and grid.size
-            and ((0.0 < grid) & (grid < np.inf)).all()):
-        raise ConfigError("sinkhorn: sensitivities must be one or more "
-                          "finite positive numbers, got "
-                          f"{lams if grid is None else grid.tolist()!r}")
-    lams = grid
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise ConfigError("sinkhorn: max_iter must be an integer >= 1, got "
-                          f"{max_iter!r}")
-    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
-        raise ConfigError("sinkhorn: tol must be a real number >= 0, got "
-                          f"{tol!r}")
+    rule = ("sinkhorn: sensitivities must be one or more finite positive "
+            "numbers")
+    lams = real_array(lams, ConfigError, rule).ravel()
+    if not (lams.size and ((0.0 < lams) & (lams < np.inf)).all()):
+        raise ConfigError(f"{rule}, got {lams.tolist()!r}")
+    check_ranges([integer_at_least(1, "sinkhorn: max_iter", max_iter),
+                  real_where(lambda v: v >= 0.0, "be a real number >= 0",
+                             "sinkhorn: tol", tol)])
 
     a = uniform_marginal(n)
     one = widths == 1

@@ -24,7 +24,8 @@ import threading
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError, check_ranges, positive
+from .errors import (NumericsError, ShapeError, check_ranges, positive,
+                     real_array, real_where)
 
 COSINE_EPS = 1e-8
 
@@ -48,7 +49,8 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad=False):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = real_array(values, NumericsError,
+                         "tensor values must be real numbers")
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -409,8 +411,7 @@ def block_matmul(blocks, a):
     ``blocks`` is a (G, n, k) stack and ``a`` holds G blocks of k rows:
     block g of the (G*n, cols) result is blocks[g] times rows g*k:(g+1)*k
     of ``a``.  One batched matmul forward, and one with the transposed
-    stack backward; the blocks receive no gradient.  A stack of one block
-    is the plain :func:`matmul` of that block and ``a``, recorded as one.
+    stack backward; the blocks receive no gradient.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     av = a.values
@@ -418,11 +419,6 @@ def block_matmul(blocks, a):
         raise ShapeError(f"block_matmul: blocks {blocks.shape} do not "
                          f"cover the {av.shape[0]} rows of a")
     count, n, k = blocks.shape
-    if count == 1:
-        # the block is wrapped as it is: blocks are not checked finite
-        held = Tensor.__new__(Tensor)
-        held.values, held.requires_grad, held.grad = blocks[0], False, None
-        return matmul(held, a)
     cols = av.shape[1]
 
     def backward(g):
@@ -487,8 +483,8 @@ def bernoulli_kl_sum(p, p_hat):
     zero when every entry equals p_hat.
     """
     pv = p.values
-    if not (0.0 < p_hat < 1.0):
-        raise NumericsError("bernoulli_kl_sum: p_hat must lie in (0, 1)")
+    check_ranges([real_where(lambda v: 0.0 < v < 1.0, "lie in (0, 1)",
+                             "bernoulli_kl_sum: p_hat", p_hat)], NumericsError)
     if ((pv <= 0.0) | (pv >= 1.0)).any():
         raise NumericsError("bernoulli_kl_sum: p must lie strictly in (0, 1)")
     terms = p_hat * np.log(p_hat / pv) + (1.0 - p_hat) * np.log((1.0 - p_hat) / (1.0 - pv))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import (ConfigError, ShapeError, check_ranges, integer_at_least,
+                     real_where)
 
 PROB_CLAMP = 1e-6
 # relative rounding tolerance under which two probabilities tie
@@ -153,8 +154,9 @@ def select_substructure(key_features, z, z_tilde=None, offsets=None,
         raise ShapeError(f"select_substructure: {z.shape[0]} mask entries "
                          f"per input for {rows} key rows")
     z = z.reshape(rows, -1)
-    if not 0 <= column < z.shape[1]:
-        raise ShapeError(f"select_substructure: column {column} outside "
+    natural, _ = integer_at_least(0, "column", column)
+    if not (natural and column < z.shape[1]):
+        raise ShapeError(f"select_substructure: column {column!r} outside "
                          f"the [0, {z.shape[1]}) columns of the mask")
     z = z[:, column]
     offsets = T.as_offsets(offsets, rows)
@@ -171,8 +173,8 @@ def bernoulli_kl(p_hat, p):
     Nonnegative, exactly zero when p is identically p_hat, additive over
     concatenated vectors, differentiable in p.
     """
-    if not (0.0 < p_hat < 1.0):
-        raise ConfigError(f"p_hat must lie strictly in (0, 1), got {p_hat}")
+    check_ranges([real_where(lambda v: 0.0 < v < 1.0, "lie strictly in (0, 1)",
+                             "p_hat", p_hat)])
     return T.bernoulli_kl_sum(p, p_hat)
 
 

@@ -31,9 +31,21 @@ def test_graph_rejects_bad_adjacency():
         LabeledGraph(adjacency=np.array([[1.0, 0.0], [0.0, 0.0]]), class_label=0)
     with pytest.raises(FormatError):  # non-binary
         LabeledGraph(adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]), class_label=0)
-    for raw in ("ab", [[0, "x"], ["x", 0]], [[0, 1j], [1j, 0]], [[0, 1], [1]]):
+    # numeric text is not parsed, and complex entries are not cut to their
+    # real part
+    for raw in ("ab", [[0, "x"], ["x", 0]], [[0, 1j], [1j, 0]], [[0, 1], [1]],
+                [["0", "1"], ["1", "0"]], np.array([[0, 1j], [1j, 0]])):
         with pytest.raises(FormatError, match="adjacency must hold numbers"):
             LabeledGraph(adjacency=raw, class_label=0)
+
+
+@pytest.mark.parametrize("raw", [
+    "ab", [["0", "1"], ["1", "0"]], [[b"0", b"1"], [b"1", b"0"]],
+    np.array([[0, 1j], [1j, 0]])])
+def test_normalize_adjacency_refuses_text_and_complex_numbers(raw):
+    with pytest.raises(ShapeError, match="normalize_adjacency: adjacency "
+                       "must hold real numbers"):
+        normalize_adjacency(raw)
 
 
 def test_graph_rejects_negative_node_label():
@@ -424,6 +436,8 @@ def test_featurize_rejects_a_non_integer_dim():
     graph = LabeledGraph(adjacency=path_adjacency(2), class_label=0)
     with pytest.raises(SchemeError, match=r"dim must be an integer, got 2\.5"):
         featurize(graph, DEGREE_ONEHOT, 2.5)
+    with pytest.raises(SchemeError, match="dim must be an integer, got True"):
+        featurize(graph, DEGREE_ONEHOT, True)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +544,12 @@ def test_folds_config_errors():
 def test_folds_reject_a_non_integer_k():
     with pytest.raises(ConfigError, match=r"k must be an integer, got 2\.5"):
         stratified_folds(np.array([0, 1, 0, 1]), 2.5, 0)
+
+
+def test_folds_reject_labels_that_are_not_integers():
+    with pytest.raises(FormatError, match="stratified_folds: label 'a' is "
+                       "not an integer"):
+        stratified_folds(["a", "b"], 2, 0)
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -83,6 +83,13 @@ def test_encode_shape_mismatch_raises():
         encode(np.ones((3, 3)), a_hat, weights)
 
 
+def test_encode_rejects_an_adjacency_that_is_not_real_numbers():
+    for a_hat in ("ab", np.eye(2) * 1j):
+        with pytest.raises(ShapeError, match="encode: adjacency must hold "
+                           "real numbers"):
+            encode(np.ones((2, 5)), a_hat, small_weights())
+
+
 def test_encoder_weight_gradient_matches_fd():
     weights = small_weights(seed=2)
     a_hat = normalize_adjacency(path_adjacency(4))

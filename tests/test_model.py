@@ -570,7 +570,8 @@ def test_predict_makes_one_solve_with_the_graphs_own_offsets(monkeypatch):
 def test_one_graph_forward_records_the_per_graph_op_sequence():
     """A batch of one records the ops a graph recorded when every graph
     was encoded and solved on its own: a stack of one adjacency propagates
-    as a plain matmul, and no stacking or row selection is added."""
+    through block_matmul like any group, and no stacking or row selection
+    is added."""
     model, prepared = build_tiny_model()
     with T.Tape() as tape:
         model.refresh_key_encodings()
@@ -581,7 +582,7 @@ def test_one_graph_forward_records_the_per_graph_op_sequence():
     recorded = [fn.__qualname__.split(".")[0]
                 for _, _, fn in tape.nodes[start:]]
     # the first layer's propagation acts on constant one-hots
-    layers = ["matmul", "relu"] + ["matmul", "matmul", "relu"] * 2
+    layers = ["matmul", "relu"] + ["block_matmul", "matmul", "relu"] * 2
     assert recorded == layers + [
         "unit_rows", "transpose", "segment_matvec", "unit_rows", "matmul",
         "sigmoid", "clamp", "binary_concrete", "row_select",

@@ -1,5 +1,6 @@
 """Entropic transport solver, multi-sensitivity embedding, attention fusion."""
 
+import collections
 import re
 import time
 import warnings
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphdict import mswe, tensor as T
 from graphdict.errors import ConfigError, NumericsError, ShapeError
-from graphdict.mswe import (DEFAULT_LAMBDA_GRID, LOG_DOMAIN_THRESHOLD,
+from graphdict.mswe import (ABSORB_LIMIT, DEFAULT_LAMBDA_GRID,
+                            LOG_DOMAIN_THRESHOLD,
                             MASTER_LAMBDA_GRID, aggregate_attention_matrix,
                             cost_matrix, embed_batch, embed_keys_multi,
                             select_lambdas,
@@ -90,7 +92,7 @@ def test_sensitivity_grids():
         select_lambdas(0)
     with pytest.raises(ConfigError):
         select_lambdas(13)
-    for count in (2.5, 8.0, "8", None):
+    for count in (2.5, 8.0, "8", None, True):
         with pytest.raises(ConfigError, match="must be an integer"):
             select_lambdas(count)
 
@@ -103,10 +105,10 @@ def test_solver_validation():
         sinkhorn(M, -1.0)
     with pytest.raises(ConfigError):
         sinkhorn(M, 1.0, max_iter=0)
-    for max_iter in (2.5, 3.0, "3", None):
+    for max_iter in (2.5, 3.0, "3", None, True):
         with pytest.raises(ConfigError, match="max_iter must be an integer"):
             sinkhorn_keys(M, [1.0], max_iter=max_iter)
-    for tol in (np.nan, -1e-9, -np.inf, "1e-6", None):
+    for tol in (np.nan, -1e-9, -np.inf, "1e-6", None, True):
         with pytest.raises(ConfigError, match="tol must be a real number"):
             sinkhorn_keys(M, [1.0], tol=tol)
     with warnings.catch_warnings():
@@ -114,15 +116,19 @@ def test_solver_validation():
         warnings.simplefilter("ignore", RuntimeWarning)
         plan = sinkhorn(M, 1.0, max_iter=np.int64(3), tol=0)
     assert plan.iterations_used == 3
+    assert sinkhorn(M, 1.0, tol=np.inf).iterations_used == 1
     for lams in ([np.nan], [np.inf], [], [1.0, -np.inf]):
         listed = re.escape(str(lams))
         with pytest.raises(ConfigError, match="sensitivities must be one or "
                            rf"more finite positive numbers, got {listed}"):
             sinkhorn_keys(M, lams)
-    for lams in ("ab", [1.0, "x"], [1j], [[1.0], [2.0, 3.0]]):
+    # a numeric string is not read as the number it spells
+    for lams in ("ab", [1.0, "x"], [1j], [[1.0], [2.0, 3.0]], ["5"]):
         with pytest.raises(ConfigError, match="sensitivities must be one"):
             sinkhorn_keys(M, lams)
-    for cost in ("ab", [[1.0, "x"]], [[1j, 1.0]], [[1.0, 2.0], [3.0]]):
+    # complex costs are refused, not cut to their real part
+    for cost in ("ab", [[1.0, "x"]], [[1j, 1.0]], [[1.0, 2.0], [3.0]],
+                 np.array([[1j, 1.0]])):
         with pytest.raises(NumericsError, match="must hold real numbers"):
             sinkhorn_keys(cost, [1.0])
     with pytest.raises(ShapeError):
@@ -416,7 +422,7 @@ def test_one_column_keys_call_no_solver(monkeypatch):
             raise AssertionError(f"{name} called")
         return spy
 
-    for name in ("_solve", "_round_to_feasible"):
+    for name in ("_solve_keys", "_round_to_feasible"):
         monkeypatch.setattr(mswe, name, refuse(name))
     monkeypatch.setattr(np, "exp", refuse("exp"))
     M = np.random.default_rng(3).uniform(size=(6, 4)) * 100.0
@@ -531,7 +537,7 @@ def test_plans_are_built_once_per_solve(monkeypatch, scale):
     assert (solved.iterations == 40).all()
     assert ([name for name, _ in calls]
             == ["_scaling_step"] * 40 + ["_round_to_feasible"])
-    for _, (_, (x, y), violation) in calls[:-1]:
+    for _, ((x, y), _, violation) in calls[:-1]:
         assert violation.shape == (6,)
         assert x.shape == (6, n) and y.shape == (6, 5)
     assert calls[-1][1].shape == (6, n, 5)
@@ -567,6 +573,83 @@ def test_absorbing_slices_match_the_reference(monkeypatch, seed):
         assert len(builds) >= 2            # the sharp start, then absorbing
         assert plan.converged and exact.converged
         assert np.abs(plan.values - exact.values).max() <= 1e-8
+
+
+@pytest.mark.parametrize("probe", range(12))
+def test_negative_costs_match_the_reference(probe):
+    """Costs shifted as far as -100 keep the reference plans: the Gibbs
+    kernel exp(-lam M) would overflow there, so a slice starts sharp on
+    lam * max|M_j| > 30, not on lam * max(M_j)."""
+    rng = np.random.default_rng(probe)
+    n, m = rng.integers(2, 8, size=2)
+    M = rng.uniform(size=(n, m)) - 100.0 + 103.0 * probe / 11
+    with warnings.catch_warnings():
+        # a few slices at lam = 100 reach the cap, as the reference's do
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solved = sinkhorn_keys(M, DEFAULT_LAMBDA_GRID, max_iter=2000,
+                               tol=1e-9)
+    for plan, lam in zip(solved.values, DEFAULT_LAMBDA_GRID):
+        exact = reference_sinkhorn(M, lam, np.full(n, 1.0 / n),
+                                   np.full(m, 1.0 / m), max_iter=2000,
+                                   tol=1e-9)
+        assert np.abs(plan - exact.values).max() <= 1e-8
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("max_iter", [1, 7, 30])
+def test_a_mild_iteration_is_one_product_each_way_and_no_exp(monkeypatch,
+                                                            max_iter):
+    """Each iteration of a mild solve is one u^T K and one K v, batched
+    over every slice, and no exp: acceptance 7's small solves are bound by
+    per-call overhead.  The start's K v and the rounding's two K y and one
+    x^T K are fixed, and so is the Gibbs kernel's one exp."""
+    counts = collections.Counter()
+    for name in ("_vecmat", "_matvec"):
+        _count_calls(monkeypatch, mswe, name, counts)
+    _count_calls(monkeypatch, np, "exp", counts)
+    M = np.random.default_rng(13).uniform(size=(4, 10))
+    solved = sinkhorn_keys(M, (0.1, 1.0, 10.0), offsets=[0, 3, 8, 10],
+                           max_iter=max_iter, tol=0.0)
+    assert (solved.iterations == max_iter).all()
+    assert counts == {"_matvec": max_iter + 3, "_vecmat": max_iter + 1,
+                      "exp": 1}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_absorbing_solve_rebuilds_kernels_only_when_it_absorbs(
+        monkeypatch):
+    """A sharp solve builds its stabilized kernel at the start and once
+    more at each iteration whose scaling vectors pass the absorption
+    limit; every other iteration runs no exp."""
+    counts, absorbing = collections.Counter(), []
+    _count_calls(monkeypatch, mswe, "_stabilized_kernel", counts)
+    _count_calls(monkeypatch, np, "exp", counts)
+    step = mswe._scaling_step
+
+    def spy(*args):
+        result = step(*args)
+        (u, v), _, _ = result
+        absorbing.append(not max(u.max(), v.max()) <= ABSORB_LIMIT)
+        return result
+
+    monkeypatch.setattr(mswe, "_scaling_step", spy)
+    rng = np.random.default_rng(5)
+    n, m = rng.integers(2, 7, size=2)
+    M = rng.uniform(size=(n, m))
+    plan = sinkhorn(M, 1e3 / M.max(), max_iter=10_000, tol=1e-9)
+    assert plan.converged and sum(absorbing) >= 1
+    assert counts["_stabilized_kernel"] == 1 + sum(absorbing)
+    # the Gibbs kernel and the start's two c-transforms, then one per build
+    assert counts["exp"] == 3 + counts["_stabilized_kernel"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -38,6 +38,16 @@ def test_tensor_rejects_non_finite_values():
         T.Tensor(np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.parametrize("values", [
+    "ab", b"ab", [[1, "x"]], [[1.0], [2.0, 3.0]], np.array([[1j, 1.0]]),
+    [object()]])
+def test_tensor_rejects_values_that_are_not_real_numbers(values):
+    # complex values are refused, not cut to their real part
+    with pytest.raises(NumericsError,
+                       match="tensor values must be real numbers"):
+        T.Tensor(values)
+
+
 def test_grad_allocated_only_when_requested():
     assert T.Tensor(1.0, requires_grad=True).grad is not None
     assert T.Tensor(1.0).grad is None
@@ -432,6 +442,17 @@ def test_segment_matvec_applies_each_segment_its_leading_weights():
         T.segment_matvec(a, T.Tensor(np.ones((7, 2))), offsets)
     with pytest.raises(ShapeError):
         T.segment_matvec(a, w, np.array([0, 3, 8]))
+
+
+@pytest.mark.parametrize("p_hat, message", [
+    (1.0, "must lie in (0, 1), got 1.0"),
+    ("0.5", "must be a real number, got '0.5'"),
+    (True, "must be a real number, got True")])
+def test_bernoulli_kl_sum_needs_a_real_target_in_the_open_interval(
+        p_hat, message):
+    with pytest.raises(NumericsError, match=re.escape(
+            f"bernoulli_kl_sum: p_hat {message}")):
+        T.bernoulli_kl_sum(T.Tensor([[0.5]]), p_hat)
 
 
 def test_bernoulli_kl_sum_sums_each_column_as_it_would_alone():

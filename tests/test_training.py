@@ -323,7 +323,8 @@ def test_fold_crash_is_reported_with_fold_index(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("folds", 2.5), ("folds", "3"), ("seed", 1.5), ("seed", None)])
+    ("folds", 2.5), ("folds", "3"), ("folds", True), ("seed", 1.5),
+    ("seed", None), ("seed", True)])
 def test_train_config_folds_and_seed_must_be_integers(field, value):
     with pytest.raises(ConfigError, match=re.escape(
             f"{field} must be an integer, got {value!r}")):
@@ -339,7 +340,7 @@ def test_float_fields_cover_the_shared_and_run_level_ranges():
         "weight_decay", "momentum", "adam_eps"}
 
 
-@pytest.mark.parametrize("value", [None, "0.5"])
+@pytest.mark.parametrize("value", [None, "0.5", True])
 @pytest.mark.parametrize("field", FLOAT_FIELDS)
 def test_train_config_float_fields_must_be_real_numbers(field, value):
     with pytest.raises(ConfigError, match=re.escape(

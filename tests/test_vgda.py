@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -410,11 +411,11 @@ def test_select_exhaustive_over_nonempty_masks():
         assert np.array_equal(adapted.features.values, key.values[mask])
 
 
-@pytest.mark.parametrize("column", [2, 5, -1])
+@pytest.mark.parametrize("column", [2, 5, -1, "0", 0.0, True])
 def test_select_column_must_be_one_of_the_mask_columns(column):
     key = tens(np.ones((3, 4)))
-    with pytest.raises(ShapeError, match=rf"column {column} outside the "
-                       r"\[0, 2\) columns"):
+    with pytest.raises(ShapeError, match=re.escape(
+            f"column {column!r} outside the [0, 2) columns")):
         select_substructure(key, np.ones((3, 2), dtype=bool), column=column)
 
 
@@ -472,3 +473,10 @@ def test_kl_target_bounds_validated():
         bernoulli_kl(0.0, tens([[0.5]]))
     with pytest.raises(ConfigError):
         bernoulli_kl(1.0, tens([[0.5]]))
+
+
+@pytest.mark.parametrize("p_hat", ["0.5", None, True])
+def test_kl_target_must_be_a_real_number(p_hat):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"p_hat must be a real number, got {p_hat!r}")):
+        bernoulli_kl(p_hat, tens([[0.5]]))

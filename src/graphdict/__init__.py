@@ -13,7 +13,7 @@ from .data import (DatasetBundle, LabeledGraph, featurize, load_tu_dataset,
 from .encoder import encode, init_weights, momentum_update
 from .errors import (ConfigError, FormatError, GraphDictError, IoError,
                      NumericsError, OracleError, ParseError, SchemeError,
-                     ShapeError, SizeError)
+                     ShapeError, SizeError, TapeError)
 from .model import (GraphDictionaryModel, ModelConfig, init_base_dictionary,
                     load_checkpoint, save_checkpoint)
 from .mswe import (DEFAULT_LAMBDA_GRID, MASTER_LAMBDA_GRID, PlanStack,
@@ -35,7 +35,7 @@ __all__ = [
     "encode", "init_weights", "momentum_update",
     "GraphDictError", "FormatError", "ParseError", "SchemeError",
     "ConfigError", "ShapeError", "NumericsError", "OracleError", "SizeError",
-    "IoError",
+    "IoError", "TapeError",
     "GraphDictionaryModel", "ModelConfig",
     "init_base_dictionary", "load_checkpoint", "save_checkpoint",
     "DEFAULT_LAMBDA_GRID", "MASTER_LAMBDA_GRID", "PlanStack", "TransportPlan",

@@ -39,10 +39,10 @@ def encode(features, a_hat, weights):
     g in rows g*n:(g+1)*n; it may be a Tensor (trainable dictionary node
     features) or a plain array (fixed input one-hots).  ``a_hat`` is the
     constant (G, n, n) stack of normalized adjacencies, or one graph's
-    (n, n).  Each layer is one block-diagonal propagation, one matmul
-    with the layer weight over all G*n rows and a ReLU.  Returns a (G*n,
-    last layer width) tensor with nonnegative entries, stacked as the
-    features are.
+    (n, n).  Each layer is one block-diagonal propagation and one
+    :func:`~graphdict.tensor.linear_relu` with the layer weight over all
+    G*n rows.  Returns a (G*n, last layer width) tensor with nonnegative
+    entries, stacked as the features are.
     """
     x = features if isinstance(features, T.Tensor) else T.constant(features)
     a_hat = real_array(a_hat, ShapeError,
@@ -57,7 +57,7 @@ def encode(features, a_hat, weights):
                          "rows")
     h = x
     for w in weights:
-        h = T.relu(T.matmul(T.block_matmul(a_hat, h), w))
+        h = T.linear_relu(T.block_matmul(a_hat, h), w)
     return h
 
 

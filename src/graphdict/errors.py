@@ -3,10 +3,11 @@
 Every error raised by this package derives from :class:`GraphDictError`,
 so callers can catch one base type at the CLI boundary.  A range check is
 a (holds, message) rule: :func:`integer_at_least`, :func:`real_where`,
-:func:`positive` and :func:`nonnegative` word one, and :func:`check_ranges`
-raises the first that does not hold.  A bool is neither an integer nor a
-real number to these rules.  :func:`real_array` reads an array of real
-numbers from outside the program.
+:func:`positive` and :func:`nonnegative` word one, formatting its message
+only when it fails, and :func:`check_ranges` raises the first that does
+not hold.  A bool is neither an integer nor a real number to these rules.
+:func:`real_array` reads an array of real numbers from outside the
+program.
 """
 
 import numbers
@@ -63,6 +64,10 @@ class IoError(GraphDictError):
     """A file or directory could not be read or written."""
 
 
+class TapeError(GraphDictError):
+    """A tape was replayed again after its backward pass consumed it."""
+
+
 def check_ranges(rules, error=ConfigError):
     """Raise ``error`` (ConfigError by default) with the message of the
     first (holds, message) rule in ``rules`` that does not hold."""
@@ -71,20 +76,31 @@ def check_ranges(rules, error=ConfigError):
             raise error(message)
 
 
+def _is_a(value, types, abc):
+    """Whether ``value``'s type is one of ``types`` or, bools aside, the
+    ABC ``abc`` holds it; the exact type test spares the common case the
+    slower ABC check."""
+    return type(value) in types or (isinstance(value, abc)
+                                    and not isinstance(value, bool))
+
+
 def integer_at_least(low, name, value):
     """The (holds, message) rule that ``value``, called ``name``, is an
-    integer >= ``low``."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return value >= low, f"{name} must be >= {low}, got {value}"
-    return False, f"{name} must be an integer, got {value!r}"
+    integer >= ``low``.  The message is formatted only when it fails."""
+    if not _is_a(value, (int,), numbers.Integral):
+        return False, f"{name} must be an integer, got {value!r}"
+    ok = value >= low
+    return ok, None if ok else f"{name} must be >= {low}, got {value}"
 
 
 def real_where(holds, must, name, value):
     """The (holds, message) rule that ``value``, called ``name``, is a real
-    number for which ``holds`` is true; ``must`` words that range."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return holds(value), f"{name} must {must}, got {value}"
-    return False, f"{name} must be a real number, got {value!r}"
+    number for which ``holds`` is true; ``must`` words that range.  The
+    message is formatted only when it fails."""
+    if not _is_a(value, (float, int), numbers.Real):
+        return False, f"{name} must be a real number, got {value!r}"
+    ok = holds(value)
+    return ok, None if ok else f"{name} must {must}, got {value}"
 
 
 # the rules that a value is a finite real number > 0, and >= 0

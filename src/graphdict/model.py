@@ -358,7 +358,7 @@ class GraphDictionaryModel:
         h_hat, alpha = map(list, zip(*(
             mswe.aggregate_attention_matrix(h, self.w_m) for h in h_matrix)))
 
-        hidden = T.relu(T.matmul(T.concat_rows(h_hat), self.head_w1))
+        hidden = T.linear_relu(T.concat_rows(h_hat), self.head_w1)
         probabilities = T.row_softmax(T.matmul(hidden, self.head_w2))
         T.check_finite("model.forward: class probabilities", probabilities)
         return ForwardResult(probabilities=probabilities,

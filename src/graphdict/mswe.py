@@ -206,15 +206,13 @@ def _solve_keys(M, offsets, lams, a, max_iter, tol):
     b, eps = masses[key], 1.0 / lams[lam]
     # each slice's potentials (f, g), -inf on the padded columns
     f, g = np.zeros((count, n)), np.where(b > 0.0, 0.0, -np.inf)
-    # every slice's Gibbs kernel, exponentiated on the real columns only;
-    # the padding holds 1, not 0: its K^T u stays positive, so
-    # v = 0 / K^T u = 0 there, not 0 / 0.  On negative costs a sharp
-    # slice's may overflow; the sharp start replaces it.
-    base = np.ones((keys, lam_count, n, width))
+    # every slice's Gibbs kernel; the padding's cost 0 makes it exactly 1
+    # there, not 0: its K^T u stays positive, so v = 0 / K^T u = 0 there,
+    # not 0 / 0.  On negative costs a sharp slice's may overflow; the
+    # sharp start replaces it.
     with np.errstate(over="ignore"):
-        base[seg, :, :, pos] = np.exp(-lams[:, None, None] * M).transpose(
-            2, 0, 1)
-    base = base.reshape(count, n, width)
+        base = np.exp(costs[:, None] * -lams[:, None, None]).reshape(
+            count, n, width)
     kv = _matvec(base, (b > 0.0) * 1.0)
     peak = np.maximum.reduceat(np.abs(M), offsets[:-1], axis=1).max(axis=0)
     sharp = np.flatnonzero(peak[key] * lams[lam] > LOG_DOMAIN_THRESHOLD)

@@ -2,9 +2,11 @@
 
 Every gradient in the package is defined in this module and nowhere else.
 Values are plain NumPy arrays.  A :class:`Tape` records each primitive
-application; :meth:`Tape.backward` replays the recording in exact reverse
+application; :meth:`Tape.backward` consumes the recording in exact reverse
 order and accumulates gradients so a value used twice receives the sum of
-both path contributions.
+both path contributions.  Each node is dropped once its gradient pieces
+are passed on, so an op output the caller does not hold is freed while
+backward runs.
 
 The primitives are the ones the model's forward pass and loss record, plus
 ``sum_all``, which gradient probes use.  The elementwise binary ops take
@@ -24,8 +26,8 @@ import threading
 
 import numpy as np
 
-from .errors import (NumericsError, ShapeError, check_ranges, positive,
-                     real_array, real_where)
+from .errors import (NumericsError, ShapeError, TapeError, check_ranges,
+                     positive, real_array, real_where)
 
 COSINE_EPS = 1e-8
 
@@ -91,11 +93,13 @@ class Tape:
     """Recording of primitive applications for one backward pass.
 
     A tape is single-threaded; distinct tapes on distinct threads share no
-    mutable state (the active tape is thread-local).
+    mutable state (the active tape is thread-local).  Its backward runs
+    once: it empties ``nodes``.
     """
 
     def __init__(self):
         self.nodes = []  # (output, inputs, backward_fn)
+        self.consumed = False
 
     def __enter__(self):
         self._outer = _active_tape()
@@ -113,22 +117,30 @@ class Tape:
         whose output is non-finite.  A tensor without a ``grad`` (an op
         output backward has not reached yet) takes a C-ordered copy of its
         first piece, so no two tensors share a buffer; later pieces are
-        added in place.
+        added in place.  Each node is popped as it is replayed.  A second
+        call raises TapeError: the intermediate gradients are gone.
         """
+        if self.consumed:
+            raise TapeError("backward: this tape was already consumed by "
+                            "an earlier backward")
         if root.values.shape != (1, 1):
             raise ShapeError("backward root must be a 1x1 scalar")
         if not np.isfinite(root.values).all():
             raise NumericsError("backward: the root is non-finite"
                                 + _origin(self))
+        self.consumed = True
         if not root.requires_grad:
             # The root does not depend on any tracked tensor (e.g. a
             # constant closure); every gradient is identically zero.
+            self.nodes.clear()
             return
         if root.grad is None:
             root.grad = np.ones((1, 1))
         else:
             root.grad += 1.0
-        for out, inputs, backward_fn in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            out, inputs, backward_fn = nodes.pop()
             g = out.grad
             if g is None:
                 continue
@@ -217,15 +229,6 @@ def multiply(a, b):
         return g * bv, g * av
 
     return _record(av * bv, (a, b), backward)
-
-
-def relu(a):
-    av = a.values
-
-    def backward(g):
-        return (g * (av > 0.0),)
-
-    return _record(np.maximum(av, 0.0), (a,), backward)
 
 
 def _sigmoid_values(x):
@@ -405,6 +408,25 @@ def unit_rows(a):
     return _record(av / denom, (a,), backward)
 
 
+def linear_relu(a, w):
+    """relu(a @ w), one op.  Backward reads the mask off the output, as
+    out > 0 exactly where a @ w > 0 (NaN included), so the pre-activation
+    is not kept."""
+    if a.values.shape[1] != w.values.shape[0]:
+        raise ShapeError(f"linear_relu: inner dimensions differ "
+                         f"({a.shape} @ {w.shape})")
+    av, wv = a.values, w.values
+    out = av @ wv
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        g = g * (out > 0.0)
+        return (g @ wv.T if a.requires_grad else None,
+                av.T @ g if w.requires_grad else None)
+
+    return _record(out, (a, w), backward)
+
+
 def block_matmul(blocks, a):
     """The block-diagonal matrix of the constant ``blocks`` times ``a``.
 
@@ -577,11 +599,13 @@ def plan_costs(m, plans, offsets=None):
     offsets[j]:offsets[j+1] (one key spanning every column when ``offsets``
     is None).  ``plans`` is (C, n, sum m_j), key j's plans in key j's
     columns.  Plans are constant: gradients flow only through ``m`` (the
-    envelope rule for transport plans).  Returns a K x C tensor.
+    envelope rule for transport plans).  Plans that are not real numbers
+    raise NumericsError.  Returns a K x C tensor.
     """
     mv = m.values
     offsets = as_offsets(offsets, mv.shape[1])
-    plans = np.asarray(plans, dtype=np.float64)
+    plans = real_array(plans, NumericsError,
+                       "plan_costs: plans must be real numbers")
     if plans.ndim != 3 or plans.shape[1:] != mv.shape:
         raise ShapeError(f"plan_costs: plans {plans.shape} do not stack over "
                          f"cost matrix {m.shape} in {len(offsets) - 1} keys")

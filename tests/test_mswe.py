@@ -365,6 +365,13 @@ def test_batch_embedding_wants_one_entry_per_input():
                     plans_override=[plans[0].values])
 
 
+def test_batch_embedding_refuses_frozen_plans_that_are_not_real_numbers():
+    f_inputs, adapted = _batch(np.random.default_rng(16), [(3,)])
+    with pytest.raises(NumericsError,
+                       match="plan_costs: plans must be real numbers"):
+        embed_batch(f_inputs[:1], adapted, [1.0], plans_override=["ab"])
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 28])
 def test_one_column_key_takes_its_closed_form_plan(n):
     """One column admits one coupling, the column a, at every sensitivity,

@@ -9,13 +9,15 @@ instead.
 import inspect
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphdict import mswe, tensor as T, vgda
-from graphdict.errors import NumericsError, OracleError, ShapeError
+from graphdict.errors import (NumericsError, OracleError, ShapeError,
+                              TapeError)
 from conftest import build_tiny_model
 
 FD_TOL = 1e-5
@@ -62,7 +64,7 @@ def test_item_requires_single_element():
 def test_backward_root_must_be_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with T.Tape() as tape:
-        y = T.relu(x)
+        y = T.scale(x, 2.0)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
@@ -82,7 +84,7 @@ def test_op_outputs_get_grad_buffers_only_when_backward_reaches_them():
     plans = rng.uniform(size=(2, 4, 6))
     with T.Tape() as tape:
         cost = T.scale(x, 1.0)
-        unused = T.relu(x)
+        unused = T.scale(x, 2.0)
         h = T.plan_costs(cost, plans, offsets=[0, 1, 3, 6])
         assert cost.grad is None and unused.grad is None
         tape.backward(T.sum_all(h))
@@ -90,6 +92,49 @@ def test_op_outputs_get_grad_buffers_only_when_backward_reaches_them():
     # the first piece that reaches a tensor is copied into a C-ordered buffer
     assert cost.grad.flags.c_contiguous
     assert np.array_equal(cost.grad, x.grad)
+
+
+def test_backward_consumes_the_tape_and_frees_op_outputs():
+    """Backward pops every node, so an op output the caller does not hold
+    is freed by the time backward returns."""
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        hidden = T.linear_relu(x, w)
+        freed = weakref.ref(hidden.values)
+        loss = T.sum_all(T.multiply(hidden, hidden))
+        del hidden
+        assert freed() is not None and len(tape.nodes) == 3
+        tape.backward(loss)
+    assert tape.nodes == []
+    assert freed() is None
+    assert x.grad.any() and w.grad.any()
+
+
+def test_a_consumed_tape_refuses_a_second_backward():
+    """A second pass would find the intermediate gradients gone (or, on a
+    tape that kept them, add them again)."""
+    x = T.Tensor(np.ones((1, 1)), requires_grad=True)
+    with T.Tape() as tape:
+        y = T.sum_all(T.scale(x, 2.0))
+        tape.backward(y)
+        with pytest.raises(TapeError, match="already consumed"):
+            tape.backward(y)
+    assert np.array_equal(x.grad, [[2.0]])
+    with T.Tape() as tape:  # a root off the tape consumes it too
+        pass
+    tape.backward(T.Tensor(1.0))
+    with pytest.raises(TapeError):
+        tape.backward(T.Tensor(1.0))
+
+
+@pytest.mark.parametrize("plans", [[[["x"]]], "ab", np.array([[[1j]]]),
+                                   [object()]])
+def test_plan_costs_rejects_plans_that_are_not_real_numbers(plans):
+    with pytest.raises(NumericsError,
+                       match="plan_costs: plans must be real numbers"):
+        T.plan_costs(T.Tensor(np.ones((1, 1))), plans)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -109,26 +154,50 @@ def test_backward_rejects_non_finite_root_naming_the_op():
 def test_check_finite_names_the_op_under_a_tape_only():
     x = T.Tensor(np.array([[1e200]]), requires_grad=True)
     with T.Tape():
-        out = T.scale(T.relu(x), 1e200)
+        out = T.scale(T.clamp(x, 0.0), 1e200)
         with pytest.raises(NumericsError,
                            match=r"out must be finite \(first non-finite op "
                                  r"output: scale\)"):
-            T.check_finite("out", T.relu(x), out)
+            T.check_finite("out", T.clamp(x, 0.0), out)
     with pytest.raises(NumericsError, match=r"out must be finite$"):
         T.check_finite("out", T.scale(x, 1e200))
-    T.check_finite("out", x, T.relu(x))
+    T.check_finite("out", x, T.clamp(x, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # forward values on pinned examples
 # ---------------------------------------------------------------------------
 
-def test_relu_backward_blocks_negative_passes_positive():
+def test_linear_relu_backward_blocks_negative_passes_positive():
     x = T.Tensor(np.array([[-1.0, 2.0]]), requires_grad=True)
+    eye = T.Tensor(np.eye(2), requires_grad=True)
     with T.Tape() as tape:
-        y = T.sum_all(T.relu(x))
+        y = T.sum_all(T.linear_relu(x, eye))
         tape.backward(y)
     assert np.array_equal(x.grad, [[0.0, 1.0]])
+    assert np.array_equal(eye.grad, [[0.0, -1.0], [0.0, 2.0]])
+
+
+def test_linear_relu_equals_relu_of_the_product_nan_included():
+    """The fused op's value is relu(a @ w), and its backward mask, read
+    off that value, is the pre-activation's: a NaN product passes NaN on
+    and takes no gradient, as relu(a @ w) recorded as two ops would."""
+    rng = np.random.default_rng(3)
+    a = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    a.values[2, 1] = np.nan  # op inputs are not scanned
+    product = a.values @ w.values
+    g = rng.normal(size=(5, 3))
+    with T.Tape() as tape:
+        out = T.linear_relu(a, w)
+    assert np.array_equal(out.values, np.maximum(product, 0.0),
+                          equal_nan=True)
+    masked = g * (product > 0.0)
+    ga, gw = tape.nodes[-1][2](g)
+    assert np.array_equal(ga, masked @ w.values.T)
+    assert np.array_equal(gw, a.values.T @ masked, equal_nan=True)
+    with pytest.raises(ShapeError, match="linear_relu: inner dimensions"):
+        T.linear_relu(a, a)
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -568,10 +637,11 @@ def _build_case(name, rng):
     if name == "multiply":
         a, b = _rand(rng, n, m), _rand(rng, n, m)
         return [a, b], lambda: _weighted_sum(T.multiply(a, b), w)
-    if name == "relu":
-        a = _rand(rng, n, m)
-        a.values[np.abs(a.values) < 0.1] += 0.2  # keep clear of the kink
-        return [a], lambda: _weighted_sum(T.relu(a), w)
+    if name == "linear_relu":
+        a, b = _rand(rng, n, k), _rand(rng, k, m)
+        # products near the kink get no weight, so the probe is smooth
+        wl = np.where(np.abs(a.values @ b.values) < 0.1, 0.0, w)
+        return [a, b], lambda: _weighted_sum(T.linear_relu(a, b), wl)
     if name == "sigmoid":
         a = _rand(rng, n, m)
         return [a], lambda: _weighted_sum(T.sigmoid(a), w)
@@ -672,8 +742,8 @@ def _build_case(name, rng):
 
 
 PRIMITIVES = [
-    "matmul", "add", "multiply", "relu", "sigmoid", "row_softmax", "sum_all",
-    "mean_all", "concat_rows", "row_select", "scale", "log",
+    "matmul", "add", "multiply", "linear_relu", "sigmoid", "row_softmax",
+    "sum_all", "mean_all", "concat_rows", "row_select", "scale", "log",
     "transpose", "clamp", "unit_rows", "pairwise_sqdist",
     "binary_concrete", "bernoulli_kl_sum", "plan_costs",
     "bernoulli_kl_sum_columns", "row_select_column_surrogate",

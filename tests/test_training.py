@@ -172,26 +172,28 @@ class _FirstBackward(Exception):
 
 
 def test_first_training_batch_records_the_batched_tape(monkeypatch):
-    """The first 32-graph batch of fold 0 at the default config records 348
+    """The first 32-graph batch of fold 0 at the default config records 329
     tape nodes.  Its graphs and keys have 4-6 nodes, so the 14 keys form 3
-    node-count groups and so do the 32 inputs; an encoder layer is 3 ops
-    per group (block propagation, weight matmul, ReLU).
-    - keys, 45: per group its features stacked and 9 encoder ops, one row
+    node-count groups and so do the 32 inputs; an encoder layer is 2 ops
+    per group (block propagation, then weight matmul and ReLU as one
+    ``linear_relu``).
+    - keys, 36: per group its features stacked and 6 encoder ops, one row
       selection per key, and the keys stacked;
-    - inputs, 56: per group 8 encoder ops (the first propagation acts on
+    - inputs, 47: per group 5 encoder ops (the first propagation acts on
       constant one-hots and is not recorded), one row selection per graph;
     - per graph, 32 x 7: key selection 1, costs 2, attention 4;
-    - 14 batch ops (inputs stacked; unit input rows, transposed, summed
+    - 13 batch ops (inputs stacked; unit input rows, transposed, summed
       per graph by the segment mat-vec; unit key rows and their matmul
       with the sums; sigmoid, clamp, relaxed draw, aggregate rows stacked,
-      head 4) and 9 loss ops (cross-entropy 5, KL, its weight, the sum and
+      head 3) and 9 loss ops (cross-entropy 5, KL, its weight, the sum and
       the mean).
-    Encoding each key and graph on its own recorded 630: 14 x 9 encoder
-    ops plus the stack, and 32 x (8 + 7).  A graph that goes back to
-    per-graph encoder, VGDA or head ops adds to the count.  No op output
-    is as large as a (key node x input node) matrix but the encoder ops
-    (propagation, weight matmul, ReLU) on a node-count group's stacked
-    rows."""
+    With a separate matmul and ReLU per layer the step recorded 348, and
+    encoding each key and graph on its own recorded 630 then: 14 x 9
+    encoder ops plus the stack, and 32 x (8 + 7).  A graph that goes back
+    to per-graph encoder, VGDA or head ops adds to the count.  No op
+    output is as large as a (key node x input node) matrix but the
+    encoder ops (propagation, weight matmul and ReLU) on a node-count
+    group's stacked rows."""
     recorded, kinds, sizes = [], [], []
     dims = TrainConfig().encoder_dims
 
@@ -207,11 +209,12 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
             and out.values.shape[1] == dims[-1]]
         op = {id(out): fn.__qualname__.split(".")[0]
               for out, _, fn in tape.nodes}
-        # a group's encoding is the ReLU output split into its graphs' rows
+        # a group's encoding is the last layer's output split into its
+        # graphs' rows
         group_rows = {inputs[0].values.shape[0]
                       for _, inputs, fn in tape.nodes
                       if fn.__qualname__.startswith("row_select")
-                      and op.get(id(inputs[0])) == "relu"}
+                      and op.get(id(inputs[0])) == "linear_relu"}
         sizes.append(({(op[id(out)], out.values.shape[0])
                        for out, _, _ in tape.nodes
                        if out.values.size >= key_rows * input_rows},
@@ -227,7 +230,7 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
         train_one_fold(bundle, 0, train_idx, folds[0],
                        TrainConfig(epochs=1, folds=4),
                        np.random.SeedSequence(0))
-    assert recorded == [348]
+    assert recorded == [329]
     (kind,) = kinds
     assert kind["block_matmul"] == 3 * 3 + 3 * 2
     assert kind["row_select"] == 14 + 32 + 32
@@ -235,7 +238,7 @@ def test_first_training_batch_records_the_batched_tape(monkeypatch):
     assert kind["concat_rows"] == 3 + 3
     ((wide, group_rows, stacks),) = sizes
     assert len(group_rows) == 6 and not group_rows & stacks
-    assert all(kind in {"block_matmul", "matmul", "relu"}
+    assert all(kind in {"block_matmul", "linear_relu"}
                and rows in group_rows for kind, rows in wide)
 
 

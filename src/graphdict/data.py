@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, FormatError, IoError, ParseError,
-                     SchemeError, ShapeError, check_ranges, integer_at_least,
-                     real_array)
+from .errors import (ConfigError, FormatError, IoError, NumericsError,
+                     ParseError, SchemeError, ShapeError, check_ranges,
+                     integer_at_least, real_array)
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
@@ -74,15 +74,15 @@ class LabeledGraph:
         return self.adjacency.sum(axis=1).astype(np.int64)
 
 
-def _integers(name, values):
-    """``values`` as int64, or FormatError naming the first value that is
-    not a whole number."""
+def _integers(name, values, error=FormatError):
+    """``values`` as int64, or ``error`` (FormatError by default) naming the
+    first value that is not a whole number."""
     raw = np.asarray(values)
     if raw.dtype.kind not in "biu":
         for value in raw.reshape(-1).tolist():
             if not (isinstance(value, numbers.Real)
                     and float(value).is_integer() and abs(value) < 2 ** 63):
-                raise FormatError(f"{name} {value!r} is not an integer")
+                raise error(f"{name} {value!r} is not an integer")
     return raw.astype(np.int64)
 
 
@@ -311,15 +311,24 @@ def normalize_adjacency(adjacency):
     """Symmetric degree normalization with self-loops added first.
 
     Returns D^(-1/2) (A + I) D^(-1/2) where D is the degree matrix of A + I;
-    an isolated node ends up with a single self-loop of weight 1.
+    an isolated node ends up with a single self-loop of weight 1.  A
+    non-finite entry, or a row of A + I that sums to <= 0, would make the
+    result non-finite and raises NumericsError.
     """
     adj = real_array(adjacency, ShapeError,
                      "normalize_adjacency: adjacency must hold real numbers")
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ShapeError(f"normalize_adjacency: expected a square matrix, "
                          f"got {adj.shape}")
+    if not np.isfinite(adj).all():
+        raise NumericsError("normalize_adjacency: entries must be finite")
     with_loops = adj + np.eye(adj.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
+    degrees = with_loops.sum(axis=1)
+    if not (degrees > 0.0).all():
+        row = int(np.argmin(degrees))
+        raise NumericsError(f"normalize_adjacency: row {row} of A + I sums "
+                            f"to {degrees[row]}, not > 0")
+    inv_sqrt = 1.0 / np.sqrt(degrees)
     return with_loops * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
@@ -332,6 +341,9 @@ def stratified_folds(labels, k, seed):
     Deterministic given the seed.
     """
     labels = _integers("stratified_folds: label", labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"stratified_folds: labels must be one per sample, "
+                         f"got shape {labels.shape}")
     check_ranges([integer_at_least(2, "stratified_folds: k", k),
                   integer_at_least(0, "stratified_folds: seed", seed)])
     if k > labels.shape[0]:

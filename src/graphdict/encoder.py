@@ -4,8 +4,10 @@ Both branches share one architecture: F = ReLU(A·ReLU(A·ReLU(A·X·W1)·W2)·W
 with A the normalized adjacency.  The input branch is trained by
 backpropagation; the dictionary branch never receives gradients and instead
 tracks the input branch as an exponential moving average (the momentum
-update).  No bias terms are used.  Graphs of one node count are encoded
-together, A then being the block-diagonal matrix of their adjacencies.
+update).  No bias terms are used.  :func:`encode` takes a batch as one
+feature matrix and one adjacency per graph; graphs of one node count are
+encoded together, A then being the block-diagonal matrix of their
+adjacencies.
 """
 
 from __future__ import annotations
@@ -31,34 +33,43 @@ def init_weights(in_dim, rng, hidden_dims=DEFAULT_HIDDEN_DIMS):
                      requires_grad=True) for i in range(len(hidden_dims))]
 
 
-def encode(features, a_hat, weights):
-    """Encode G graphs of n nodes each in one pass through one branch's
-    list of layer weights.
+def encode(features, a_hats, weights):
+    """Each graph's encoding through one branch's list of layer weights, in
+    input order, from one (n_i, f) feature matrix and one (n_i, n_i)
+    normalized adjacency per graph.
 
-    ``features`` stacks the graphs' node features as (G*n, f) rows, graph
-    g in rows g*n:(g+1)*n; it may be a Tensor (trainable dictionary node
-    features) or a plain array (fixed input one-hots).  ``a_hat`` is the
-    constant (G, n, n) stack of normalized adjacencies, or one graph's
-    (n, n).  Each layer is one block-diagonal propagation and one
-    :func:`~graphdict.tensor.linear_relu` with the layer weight over all
-    G*n rows.  Returns a (G*n, last layer width) tensor with nonnegative
-    entries, stacked as the features are.
+    A feature matrix is a Tensor (trainable key features) or an array
+    (input one-hots, wrapped as a constant).  Graphs of one node count n
+    form a group (:func:`~graphdict.tensor.node_count_groups`): each layer
+    is one block-diagonal propagation over the group's (G, n, n) stack and
+    one :func:`~graphdict.tensor.linear_relu` over its G*n rows.  A group
+    of one keeps its encoding; a larger one gives each graph back through
+    one ``row_select``.  Encodings are nonnegative.  Lists of unequal
+    length, or an adjacency that is not a square matrix of real numbers
+    matching its feature rows, raise ShapeError.
     """
-    x = features if isinstance(features, T.Tensor) else T.constant(features)
-    a_hat = real_array(a_hat, ShapeError,
-                       "encode: adjacency must hold real numbers")
-    if a_hat.ndim == 2:
-        a_hat = a_hat.reshape(1, *a_hat.shape)
-    if a_hat.ndim != 3 or a_hat.shape[1] != a_hat.shape[2]:
-        raise ShapeError(f"encode: adjacency must be square, got {a_hat.shape}")
-    if a_hat.shape[0] * a_hat.shape[1] != x.values.shape[0]:
-        raise ShapeError(f"encode: {x.values.shape[0]} feature rows vs "
-                         f"{a_hat.shape[0]} adjacencies of {a_hat.shape[1]} "
-                         "rows")
-    h = x
-    for w in weights:
-        h = T.linear_relu(T.block_matmul(a_hat, h), w)
-    return h
+    if len(features) != len(a_hats):
+        raise ShapeError(f"encode: {len(features)} feature matrices for "
+                         f"{len(a_hats)} adjacencies")
+    inputs = [x if isinstance(x, T.Tensor) else T.constant(x)
+              for x in features]
+    blocks = [real_array(a, ShapeError,
+                         "encode: adjacency must hold real numbers")
+              for a in a_hats]
+    for x, a_hat in zip(inputs, blocks):
+        if a_hat.shape != (x.values.shape[0],) * 2:
+            raise ShapeError(f"encode: adjacency {a_hat.shape} is not square "
+                             f"on {x.values.shape[0]} feature rows")
+    encoded = [None] * len(inputs)
+    for members in T.node_count_groups(a.shape[0] for a in blocks):
+        h = T.concat_rows([inputs[i] for i in members])
+        stack = np.array([blocks[i] for i in members])
+        for w in weights:
+            h = T.linear_relu(T.block_matmul(stack, h), w)
+        graph = np.arange(h.values.shape[0]) // stack.shape[1]
+        for k, i in enumerate(members):
+            encoded[i] = h if len(members) == 1 else T.row_select(h, graph == k)
+    return encoded
 
 
 def momentum_update(dict_weights, input_weights, m):

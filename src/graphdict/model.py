@@ -172,28 +172,6 @@ def dense_shapes(config):
             "head_w2": (config.head_hidden, config.num_classes)}
 
 
-def encode_groups(features, a_hats, weights):
-    """Each graph's encoding through one branch's ``weights``, in input
-    order, from one :func:`encode` per group of equal node count.
-
-    The graphs whose adjacencies share a node count n form a group, in
-    first-appearance order (:func:`~graphdict.tensor.node_count_groups`).
-    A group's feature tensors are stacked and its adjacencies form one
-    (G, n, n) stack.  A group of one keeps that encoding as it is; in a
-    larger group each graph's rows come back out through one
-    ``row_select``.
-    """
-    encoded = [None] * len(features)
-    for members in T.node_count_groups(a.shape[0] for a in a_hats):
-        h = encode(T.concat_rows([features[i] for i in members]),
-                   np.array([a_hats[i] for i in members]), weights)
-        block = np.arange(h.values.shape[0]) // a_hats[members[0]].shape[0]
-        for k, i in enumerate(members):
-            encoded[i] = (h if len(members) == 1
-                          else T.row_select(h, block == k))
-    return encoded
-
-
 @dataclass
 class PreparedGraph:
     """A graph preprocessed for the model at its own node count n."""
@@ -304,8 +282,8 @@ class GraphDictionaryModel:
         or once before a batch of evaluation passes.
         """
         keys = self.dictionary
-        keys.encoded = T.concat_rows(encode_groups(
-            keys.features, keys.a_hat, self.encoder_dict))
+        keys.encoded = T.concat_rows(encode(keys.features, keys.a_hat,
+                                            self.encoder_dict))
 
     def forward(self, batch, mode, rng=None, masks=None, plans=None,
                 use_vgda=True):
@@ -315,9 +293,9 @@ class GraphDictionaryModel:
 
         Every key is adapted to every graph at once: the sampling
         probabilities, masks and classifier head are batch ops with one
-        row or column per graph.  The input encoder
-        (:func:`encode_groups`) and the transport stage
-        (:func:`mswe.embed_batch`) each take the whole batch; graphs of
+        row or column per graph.  The encoder, VGDA and the transport
+        stage (:func:`encode`, :func:`vgda.adapt_keys`,
+        :func:`mswe.embed_batch`) each take one entry per graph; graphs of
         one node count share an encoder pass and a Sinkhorn solve there.
         Each graph's key selection, costs, plan costs and attention run at
         its own node count.
@@ -337,17 +315,14 @@ class GraphDictionaryModel:
         if plans is not None and len(plans) != len(batch):
             raise ShapeError(f"forward: {len(plans)} plan stacks for a batch "
                              f"of {len(batch)} graphs")
-        f_inputs = encode_groups([T.constant(g.features) for g in batch],
-                                 [g.a_hat for g in batch], self.encoder_input)
+        f_inputs = encode([g.features for g in batch],
+                          [g.a_hat for g in batch], self.encoder_input)
 
         factor = None
         if use_vgda:
             adapted, factor = vgda.adapt_keys(
-                T.concat_rows(f_inputs), keys.encoded, keys.offsets,
-                self.w_r, mode, rng=rng, temperature=cfg.temperature,
-                mask_override=masks,
-                input_offsets=[0, *itertools.accumulate(
-                    f.values.shape[0] for f in f_inputs)])
+                f_inputs, keys.encoded, keys.offsets, self.w_r, mode,
+                rng=rng, temperature=cfg.temperature, mask_override=masks)
         else:
             adapted = [vgda.AdaptedKey(features=keys.encoded,
                                        offsets=keys.offsets)] * len(batch)
@@ -375,10 +350,12 @@ class GraphDictionaryModel:
         through a ones column: exact, as every other term is zero.  The KL
         is each graph's Bernoulli KL of its sampling probabilities against
         ``p_hat``; a forward without VGDA (no ``factor``) has none.  One
-        label per probability row; another count raises ShapeError.
+        label per probability row; another count raises ShapeError, and a
+        label that is not a whole number in [0, ``num_classes``) raises
+        ConfigError.
         """
         cfg = self.config
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        labels = _integers("label", labels, ConfigError).reshape(-1)
         rows = result.probabilities.values.shape[0]
         if labels.shape[0] != rows:
             raise ShapeError(f"batch_loss: {labels.shape[0]} labels for "

@@ -435,7 +435,8 @@ def block_matmul(blocks, a):
     of ``a``.  One batched matmul forward, and one with the transposed
     stack backward; the blocks receive no gradient.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
+    blocks = real_array(blocks, ShapeError,
+                        "block_matmul: blocks must hold real numbers")
     av = a.values
     if blocks.ndim != 3 or blocks.shape[0] * blocks.shape[2] != av.shape[0]:
         raise ShapeError(f"block_matmul: blocks {blocks.shape} do not "
@@ -479,7 +480,8 @@ def binary_concrete(p, noise, temperature):
     check_ranges([positive("binary_concrete: temperature", temperature)],
                  NumericsError)
     pv = p.values
-    noise = np.asarray(noise, dtype=np.float64)
+    noise = real_array(noise, NumericsError,
+                       "binary_concrete: noise must hold real numbers")
     if noise.shape != pv.shape:
         raise ShapeError("binary_concrete: noise shape must match p")
     if ((pv <= 0.0) | (pv >= 1.0)).any():

@@ -5,13 +5,13 @@ from the cosine similarity of encoded features projected through a learned
 vector, a differentiable binary node mask (relaxed Bernoulli with a hard
 straight-through forward) and substructure selection on the keys' encoded
 features.  The Bernoulli KL penalty against a fixed expected probability
-(:func:`bernoulli_kl`) is a term of the training loss.  The K keys are
-stacked as one (sum m_j, d) matrix with segment offsets, and the G inputs
-as one (sum n_g, d) matrix with input offsets, so the probabilities and
-the mask are one (sum m_j, G) set of tape ops with one column per input,
-and no (sum m_j, sum n_g) matrix is built; only the selection, whose
-shape differs from input to input, is one op per input.  A single key or
-a single input is the case K = 1 or G = 1.
+(:func:`bernoulli_kl`) is a term of the training loss.  The K keys come
+stacked with segment offsets, and :func:`adapt_keys` stacks its G inputs,
+one per graph, with input offsets, so the probabilities and the mask are
+one (sum m_j, G) set of tape ops with one column per input, and no (sum
+m_j, sum n_g) matrix is built; only the selection, whose shape differs
+from input to input, is one op per input.  A single key or a single input
+is the case K = 1 or G = 1.
 
 Each input runs at its own node count n.  The projection vector has one
 weight per input node position, up to the largest graph's node count, and
@@ -21,6 +21,7 @@ an n-node input uses its first n weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -178,19 +179,20 @@ def bernoulli_kl(p_hat, p):
     return T.bernoulli_kl_sum(p, p_hat)
 
 
-def adapt_keys(f_input, key_features, offsets, w_r, mode, rng=None,
-               temperature=DEFAULT_TEMPERATURE, mask_override=None,
-               input_offsets=None):
-    """Adapt K stacked keys to G stacked inputs in one pass.
+def adapt_keys(f_inputs, key_features, offsets, w_r, mode, rng=None,
+               temperature=DEFAULT_TEMPERATURE, mask_override=None):
+    """Adapt K stacked keys to G inputs in one pass.
 
     ``key_features`` stacks the encoded keys as (sum m_j, d) rows, key j in
-    rows offsets[j]:offsets[j+1]; ``f_input`` stacks the encoded inputs,
-    input g in rows input_offsets[g]:[g+1] (default one input).
-    Probabilities and the masks are each one set of tape ops over all
-    inputs; each input's selection is one op.
+    rows offsets[j]:offsets[j+1]; ``f_inputs`` holds one encoded (n_g, d)
+    input per graph, stacked here by one ``concat_rows``.  Probabilities
+    and the masks are each one set of tape ops over all inputs; each
+    input's selection is one op.
     Returns (one AdaptedKey per input, SamplingFactor).
     """
-    p = sampling_probability(f_input, key_features, w_r, input_offsets)
+    input_offsets = [0, *accumulate(f.values.shape[0] for f in f_inputs)]
+    p = sampling_probability(T.concat_rows(f_inputs), key_features, w_r,
+                             input_offsets)
     factor = sample_factor(p, mode, rng=rng, temperature=temperature,
                            mask_override=mask_override, offsets=offsets)
     adapted = [select_substructure(key_features, factor.z, factor.z_tilde,
@@ -203,5 +205,5 @@ def adapt_key(f_input, key_features, w_r, mode, rng=None,
               temperature=DEFAULT_TEMPERATURE, mask_override=None):
     """Full adaptation of one key to one input: :func:`adapt_keys` with
     K = 1 and G = 1.  Returns ([AdaptedKey], SamplingFactor)."""
-    return adapt_keys(f_input, key_features, None, w_r, mode, rng=rng,
+    return adapt_keys([f_input], key_features, None, w_r, mode, rng=rng,
                       temperature=temperature, mask_override=mask_override)

@@ -14,8 +14,9 @@ from graphdict.data import (DEGREE_ONEHOT, NODE_LABEL_ONEHOT, DatasetBundle,
                             LabeledGraph, _load_int_table, _parse_lines,
                             featurize, load_tu_dataset, normalize_adjacency,
                             save_tu_dataset, stratified_folds)
-from graphdict.errors import (ConfigError, FormatError, IoError, ParseError,
-                              SchemeError, ShapeError)
+from graphdict.errors import (ConfigError, FormatError, IoError,
+                              NumericsError, ParseError, SchemeError,
+                              ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +473,23 @@ def test_normalize_isolated_node_gets_unit_self_loop():
     assert out[2, 0] == out[2, 1] == 0.0
 
 
+def test_normalize_keeps_weighted_input_with_positive_degrees():
+    out = normalize_adjacency([[0.0, -0.5], [-0.5, 0.0]])
+    np.testing.assert_allclose(out, [[2.0, -1.0], [-1.0, 2.0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([[0.0, -1.0], [-1.0, 0.0]], "row 0 of A \\+ I sums to 0.0"),
+    ([[0.0, -3.0], [-3.0, 0.0]], "row 0 of A \\+ I sums to -2.0"),
+    ([[0.0, np.inf], [np.inf, 0.0]], "entries must be finite"),
+    ([[0.0, np.nan], [np.nan, 0.0]], "entries must be finite")])
+def test_normalize_refuses_input_whose_result_is_not_finite(raw, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=message):
+            normalize_adjacency(raw)
+
+
 # ---------------------------------------------------------------------------
 # stratified folds
 # ---------------------------------------------------------------------------
@@ -550,6 +568,13 @@ def test_folds_reject_labels_that_are_not_integers():
     with pytest.raises(FormatError, match="stratified_folds: label 'a' is "
                        "not an integer"):
         stratified_folds(["a", "b"], 2, 0)
+
+
+@pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], [[0, 1, 0, 1]], 1])
+def test_folds_need_one_label_per_sample(labels):
+    with pytest.raises(ShapeError, match="stratified_folds: labels must be "
+                       "one per sample"):
+        stratified_folds(labels, 2, 0)
 
 
 @pytest.mark.parametrize("seed, message", [

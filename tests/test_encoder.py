@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdict import tensor as T
 from graphdict.data import normalize_adjacency
@@ -36,7 +37,7 @@ def test_zero_weights_give_zero_features():
         w.values[:] = 0.0
     a_hat = normalize_adjacency(path_adjacency(4))
     x = np.eye(4)[:, :3]
-    out = encode(x, a_hat, weights)
+    [out] = encode([x], [a_hat], weights)
     assert out.values.shape == (4, 4)
     assert not out.values.any()
 
@@ -44,7 +45,7 @@ def test_zero_weights_give_zero_features():
 def test_single_node_aggregation_is_identity():
     weights = small_weights()
     x = np.array([[0.3, -0.2, 0.9]])
-    out = encode(x, np.array([[1.0]]), weights)
+    [out] = encode([x], [np.array([[1.0]])], weights)
     manual = x
     for w in weights:
         manual = np.maximum(manual @ w.values, 0.0)
@@ -55,7 +56,7 @@ def test_outputs_nonnegative():
     weights = small_weights(seed=3)
     a_hat = normalize_adjacency(path_adjacency(5))
     rng = np.random.default_rng(1)
-    out = encode(rng.uniform(size=(5, 3)), a_hat, weights)
+    [out] = encode([rng.uniform(size=(5, 3))], [a_hat], weights)
     assert (out.values >= 0).all()
 
 
@@ -67,10 +68,10 @@ def test_permutation_equivariance():
     x = rng.uniform(size=(6, 3))
     perm = rng.permutation(6)
     p_matrix = np.eye(6)[perm]
-    plain = encode(x, normalize_adjacency(adjacency), weights).values
-    permuted = encode(x[perm],
-                      normalize_adjacency(p_matrix @ adjacency @ p_matrix.T),
-                      weights).values
+    plain = encode([x], [normalize_adjacency(adjacency)], weights)[0].values
+    permuted = encode([x[perm]],
+                      [normalize_adjacency(p_matrix @ adjacency @ p_matrix.T)],
+                      weights)[0].values
     assert np.allclose(permuted, plain[perm], atol=1e-12)
 
 
@@ -78,16 +79,54 @@ def test_encode_shape_mismatch_raises():
     weights = small_weights()
     a_hat = normalize_adjacency(path_adjacency(4))
     with pytest.raises(ShapeError):
-        encode(np.ones((4, 5)), a_hat, weights)
+        encode([np.ones((4, 5))], [a_hat], weights)
     with pytest.raises(ShapeError):
-        encode(np.ones((3, 3)), a_hat, weights)
+        encode([np.ones((3, 3))], [a_hat], weights)
+    # stacked rows are not a list of graphs, with one adjacency or a stack
+    with pytest.raises(ShapeError):
+        encode(np.ones((4, 3)), a_hat, weights)
+    with pytest.raises(ShapeError):
+        encode(np.ones((8, 3)), np.array([a_hat, a_hat]), weights)
 
 
 def test_encode_rejects_an_adjacency_that_is_not_real_numbers():
     for a_hat in ("ab", np.eye(2) * 1j):
         with pytest.raises(ShapeError, match="encode: adjacency must hold "
                            "real numbers"):
-            encode(np.ones((2, 5)), a_hat, small_weights())
+            encode([np.ones((2, 5))], [a_hat], small_weights())
+
+
+def _random_adjacency(n, rng):
+    upper = np.triu(rng.uniform(size=(n, n)) < 0.5, 1).astype(float)
+    return normalize_adjacency(upper + upper.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.sampled_from([1, 2, 4, 5]), min_size=1, max_size=6),
+       as_tensor=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_encoding_matches_each_graph_alone(sizes, as_tensor, seed):
+    # node counts drawn from four values repeat in any order
+    rng = np.random.default_rng(seed)
+    weights = small_weights(seed=seed % 7)
+    a_hats = [_random_adjacency(n, rng) for n in sizes]
+    features = [rng.uniform(size=(n, 3)) for n in sizes]
+    features = [T.Tensor(x) if tensor else x
+                for x, tensor in zip(features, as_tensor)]
+    together = encode(features, a_hats, weights)
+    assert len(together) == len(sizes)
+    # features and adjacencies are nonnegative, so encoding through |W|
+    # sums every product's magnitude: the scale each entry's rounding
+    # error is relative to, also where its terms cancel to a small value
+    magnitudes = [T.Tensor(np.abs(w.values)) for w in weights]
+    for x, a_hat, out in zip(features, a_hats, together):
+        alone = encode([x], [a_hat], weights)[0].values
+        scale = encode([x], [a_hat], magnitudes)[0].values
+        # same-size graphs share one weight matmul, which BLAS may round
+        # an ulp apart from a graph's own
+        assert (np.abs(out.values - alone) <= 1e-14 * scale).all()
+    with pytest.raises(ShapeError, match="feature matrices for"):
+        encode(features, a_hats[:-1], weights)
 
 
 def test_encoder_weight_gradient_matches_fd():
@@ -96,7 +135,7 @@ def test_encoder_weight_gradient_matches_fd():
     x = np.random.default_rng(4).uniform(size=(4, 3))
 
     def closure():
-        out = encode(x, a_hat, weights)
+        [out] = encode([x], [a_hat], weights)
         return T.sum_all(T.multiply(out, out))
 
     worst = T.grad_check(closure, [weights[0]], epsilon=1e-5)
@@ -116,7 +155,7 @@ def test_dictionary_branch_receives_no_gradients():
     x = T.Tensor(np.random.default_rng(4).uniform(size=(4, 2)),
                  requires_grad=True)
     with T.Tape() as tape:
-        out = encode(x, a_hat, frozen)
+        [out] = encode([x], [a_hat], frozen)
         tape.backward(T.sum_all(out))
     assert x.grad.any()  # the path through features stays differentiable
     assert all(w.grad is None for w in frozen)

@@ -165,6 +165,16 @@ def test_loss_label_validation():
         model.batch_loss(result, [0, 1])
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([0.5, 1.7], "0.5"), (["a", "b"], "'a'"), ([None, 1], "None"),
+    ([1, 2.5], "2.5")])
+def test_batch_loss_labels_must_be_whole_numbers(labels, bad):
+    model, _ = build_tiny_model()
+    with pytest.raises(ConfigError, match=f"^label {re.escape(bad)} is not "
+                       "an integer$"):
+        model.batch_loss(fixed_result([[0.5, 0.5]] * 2), labels)
+
+
 @pytest.mark.parametrize("labels", [[0], [], [0, 1, 1]])
 def test_batch_loss_needs_one_label_per_probability_row(labels):
     model, _ = build_tiny_model()
@@ -379,11 +389,11 @@ def _padded_reference(model, graph, mode, rng):
     features[:n] = featurize(graph, cfg.feature_scheme, cfg.feature_dim)
     adjacency = np.zeros((size, size))
     adjacency[:n, :n] = graph.adjacency
-    f_full = encode(features, normalize_adjacency(adjacency),
-                    model.encoder_input)
+    [f_full] = encode([features], [normalize_adjacency(adjacency)],
+                      model.encoder_input)
     keys = model.dictionary
     adapted, factor = vgda.adapt_keys(
-        f_full, keys.encoded, keys.offsets, model.w_r, mode,
+        [f_full], keys.encoded, keys.offsets, model.w_r, mode,
         rng=rng, temperature=cfg.temperature)
     h_matrix, _, _ = mswe.embed_keys_multi(
         T.row_select(f_full, np.arange(size) < n), adapted[0], cfg.lambdas,

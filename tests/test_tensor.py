@@ -328,6 +328,13 @@ def test_binary_concrete_needs_a_real_temperature():
         T.binary_concrete(T.Tensor([[0.3], [0.6]]), np.full((2, 1), 0.5), "1")
 
 
+@pytest.mark.parametrize("noise", ["ab", np.full((2, 1), 0.5 + 0.1j)])
+def test_binary_concrete_noise_must_hold_real_numbers(noise):
+    with pytest.raises(NumericsError, match="binary_concrete: noise must "
+                       "hold real numbers"):
+        T.binary_concrete(T.Tensor([[0.3], [0.6]]), noise, 1.0)
+
+
 def test_log_of_nonpositive_raises():
     with pytest.raises(NumericsError):
         T.log(T.Tensor(np.array([[0.0]])))
@@ -840,3 +847,11 @@ def test_block_matmul_is_the_block_diagonal_product():
         T.block_matmul(blocks, T.Tensor(np.ones((5, 5))))
     with pytest.raises(ShapeError, match="block_matmul"):
         T.block_matmul(blocks[0], a)
+
+
+@pytest.mark.parametrize("blocks", [
+    "ab", np.ones((1, 2, 2)) * (1.0 + 1.0j)])
+def test_block_matmul_blocks_must_hold_real_numbers(blocks):
+    with pytest.raises(ShapeError, match="block_matmul: blocks must hold "
+                       "real numbers"):
+        T.block_matmul(blocks, T.Tensor(np.ones((2, 3))))

@@ -325,7 +325,7 @@ def test_stacked_adaptation_matches_per_key_calls(mode):
         w_r = tens(rng.normal(0.0, 2.0, size=(6, 1)))
         stacked_rng = np.random.default_rng(100 + seed)
         single_rng = np.random.default_rng(100 + seed)
-        adapted, factor = adapt_keys(f_in, T.concat_rows(keys),
+        adapted, factor = adapt_keys([f_in], T.concat_rows(keys),
                                      np.cumsum([0] + widths), w_r, mode,
                                      rng=stacked_rng)
         singles = [adapt_key(f_in, key, w_r, mode, rng=single_rng)
@@ -360,7 +360,7 @@ def test_train_adaptation_records_one_op_per_step(n, ops):
     f_key = tens(rng.normal(size=(7, 8)), requires_grad=True)
     w_r = tens(rng.normal(size=(5, 1)), requires_grad=True)
     with T.Tape() as tape:
-        adapt_keys(f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
+        adapt_keys([f_in], f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
     recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
     assert recorded == ops + ["unit_rows", "transpose", "segment_matvec",
                               "unit_rows", "matmul", "sigmoid", "clamp",
@@ -370,15 +370,16 @@ def test_train_adaptation_records_one_op_per_step(n, ops):
 def test_batch_adaptation_records_one_selection_per_input():
     rng = np.random.default_rng(6)
     widths = [3, 5, 1]
-    f_in = tens(rng.normal(size=(sum(widths), 8)), requires_grad=True)
+    f_in = [tens(rng.normal(size=(n, 8)), requires_grad=True)
+            for n in widths]
     f_key = tens(rng.normal(size=(7, 8)), requires_grad=True)
     w_r = tens(rng.normal(size=(5, 1)), requires_grad=True)
     with T.Tape() as tape:
         adapted, factor = adapt_keys(
-            f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng,
-            input_offsets=np.cumsum([0] + widths))
+            f_in, f_key, np.array([0, 3, 7]), w_r, TRAIN, rng=rng)
     recorded = [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
-    assert recorded == ["unit_rows", "transpose", "segment_matvec",
+    assert recorded == ["concat_rows",
+                        "unit_rows", "transpose", "segment_matvec",
                         "unit_rows", "matmul", "sigmoid", "clamp",
                         "binary_concrete", *["row_select"] * 3]
     assert factor.p.values.shape == factor.z.shape == (7, 3)
